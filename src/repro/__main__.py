@@ -240,7 +240,7 @@ def _build_parser():
     run.add_argument(
         "--checkpoint", default=None, metavar="DIR",
         help="journal each completed experiment durably to DIR/journal.jsonl "
-             "(atomic write + fsync; survives crashes and Ctrl-C)",
+             "(append + fsync per outcome; survives crashes and Ctrl-C)",
     )
     run.add_argument(
         "--resume", action="store_true",

@@ -581,13 +581,15 @@ def run_experiments(experiments, *, keep_going=True, max_seconds=None,
         Destination the caller will export the sweep trace to. Under
         ``jobs > 1`` this makes the flag truthful: the driver opens a
         ``sweep`` span, every worker joins its context and maintains a
-        durable per-slot span shard next to ``trace_path``, and worker
-        spans are merged back into ``tracer`` (streamed with outcomes,
-        shards absorbed at the end — after an interrupt the shards
-        remain for ``Tracer.merge_shards``). Serially (with
-        ``isolate``) it threads the context into each child the same
-        way. Requires ``tracer`` for the merged spans to land
-        anywhere; the caller still writes the file.
+        durable per-slot span shard next to ``trace_path`` (its first
+        export atomically replaces a stale shard, later ones append
+        and ``fsync`` that task's spans before the outcome is
+        reported), and worker spans are merged back into ``tracer``
+        (streamed with outcomes, shards absorbed at the end — after an
+        interrupt the shards remain for ``Tracer.merge_shards``).
+        Serially (with ``isolate``) it threads the context into each
+        child the same way. Requires ``tracer`` for the merged spans to
+        land anywhere; the caller still writes the file.
 
     Returns
     -------

@@ -21,6 +21,12 @@ single place that policy is fixed:
 * :func:`sanitize_json` / :func:`dumps` convert any stray ``nan`` to
   ``null`` and infinities to token strings, then serialise with
   ``allow_nan=False`` so a violation can never reach the wire.
+
+Durable text files (the run journal, trace shards) are written through
+two primitives: :func:`write_text_atomic` replaces a whole file so a
+crash leaves the old or the new version, and :func:`append_text_durable`
+appends and then calls ``fsync``, so a crash leaves at most a torn
+trailing line.
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ import hashlib
 import importlib
 import json
 import math
+import os
+import pathlib
 import types
 
 import numpy as np
@@ -36,6 +44,7 @@ import numpy as np
 from .core.clustering import Clustering
 from .core.subspace import SubspaceCluster, SubspaceClustering
 from .exceptions import ValidationError
+from .observability.logs import get_logger
 from .observability.telemetry import ConvergenceEvent
 
 __all__ = [
@@ -51,9 +60,13 @@ __all__ = [
     "sanitize_json",
     "dumps",
     "payload_checksum",
+    "write_text_atomic",
+    "append_text_durable",
     "save_json",
     "load_json",
 ]
+
+logger = get_logger("repro.io")
 
 _KIND_CLUSTERING = "repro.Clustering"
 _KIND_SUBSPACE = "repro.SubspaceClustering"
@@ -522,6 +535,52 @@ def payload_checksum(payload):
     """
     blob = dumps(payload, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
+
+
+def write_text_atomic(path, text):
+    """Durably replace ``path`` with ``text``.
+
+    Temp file in the same directory, ``fsync``, ``os.replace``, then a
+    best-effort directory ``fsync`` so the rename survives power loss
+    too: a crash at any instant leaves the old file or the new one,
+    never a mix. On failure the temp file is removed and the
+    ``OSError`` propagates.
+    """
+    path = pathlib.Path(path)
+    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
+    try:
+        dir_fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+    except OSError as exc:  # the file itself is already fsynced
+        logger.debug("directory fsync for %s unavailable: %s", path, exc)
+
+
+def append_text_durable(path, text):
+    """Append ``text`` to ``path`` and ``fsync`` it before returning.
+
+    The cost is one write and one ``fsync`` of ``text`` alone, however
+    large the file already is. A crash mid-call leaves at most a torn
+    trailing line, which the JSONL readers drop; a writer that did not
+    produce the file's current contents must first rewrite it with
+    :func:`write_text_atomic`, or its first line could be glued onto a
+    predecessor's torn one.
+    """
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def _to_payload(obj):

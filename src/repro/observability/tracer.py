@@ -65,6 +65,7 @@ __all__ = [
     "new_trace_id",
     "read_jsonl",
     "write_records_jsonl",
+    "TraceShard",
     "merge_records",
     "trace_shard_path",
     "trace_shard_paths",
@@ -435,24 +436,48 @@ def read_jsonl(path, *, recover=False):
     return records
 
 
+def _encode_records(records):
+    from ..io import dumps  # lazy: repro.io imports observability
+
+    return "".join(dumps(rec, indent=None) + "\n" for rec in records)
+
+
 def write_records_jsonl(path, records):
     """Atomically write span records as strict-JSON lines.
 
-    Same durability idiom as the checkpoint journal: temp file in the
-    target directory, fsync, ``os.replace`` — a concurrent reader (or a
+    Same durability primitive as the checkpoint journal
+    (:func:`repro.io.write_text_atomic`): a concurrent reader (or a
     crash mid-write) sees either the old complete file or the new one.
     """
-    from ..io import dumps  # lazy: repro.io imports observability.telemetry
+    from ..io import write_text_atomic
 
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(dumps(rec, indent=None) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    write_text_atomic(path, _encode_records(records))
     return len(records)
+
+
+class TraceShard:
+    """A pool worker's durable per-slot span shard.
+
+    The first :meth:`export` atomically replaces whatever a killed
+    predecessor in the same slot left (torn tail included); every later
+    one appends and ``fsync``\\ s only the records it is given, so a
+    worker's shard writes grow linearly with its tasks. Either way the
+    records are on disk when :meth:`export` returns.
+    """
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self._started = False
+
+    def export(self, records):
+        """Make ``records`` durable in the shard."""
+        if self._started:
+            from ..io import append_text_durable
+
+            append_text_durable(self.path, _encode_records(records))
+        else:
+            write_records_jsonl(self.path, records)
+            self._started = True
 
 
 def trace_shard_path(trace_path, slot):

@@ -15,7 +15,7 @@ Three hard-enforcement modules complement the cooperative layer:
 subprocess (its own process group) with a hard wall-clock deadline
 (covering hangs and crashes that never reach a ``budget_tick``),
 :mod:`repro.robustness.checkpoint` journals completed outcomes with
-atomic writes so an interrupted sweep resumes without recomputation,
+fsynced appends so an interrupted sweep resumes without recomputation,
 and :mod:`repro.robustness.pool` runs the whole grid concurrently on a
 work-stealing pool of such workers (``--jobs N``) with crash
 quarantine, shared-memory data passing, and per-key deterministic

@@ -2,19 +2,24 @@
 
 A :class:`RunJournal` persists every completed
 :class:`~repro.experiments.ExperimentOutcome` of a sweep as one JSON
-record per line. Durability over speed:
+record per line. Durability without quadratic cost:
 
-* every :meth:`~RunJournal.record` rewrites the journal through a
-  temporary file, ``fsync``\\ s it, and atomically ``os.replace``\\ s it
-  over the previous version (plus a best-effort directory fsync), so a
-  crash — power loss, SIGKILL, OOM — at any instant leaves either the
-  old journal or the new one, never a half-written file;
-* loading tolerates a **truncated trailing line** anyway (a torn write
-  from an append-mode writer or an exotic filesystem): the partial
-  record is dropped with a warning and everything before it is kept.
+* every :meth:`~RunJournal.record` encodes its outcome once (checksum
+  included), **appends** that one line and ``fsync``\\ s it before
+  returning, so a journal's writes grow linearly with its records. A
+  crash — power loss, SIGKILL, OOM — at any instant loses at most the
+  torn trailing line of the record being written;
+* the whole file is rewritten atomically (temporary file, ``fsync``,
+  ``os.replace``, directory fsync) from the cached lines in only three
+  cases: the first write after opening the journal (which drops a torn
+  tail a killed predecessor left, and any superseded duplicates),
+  healing from degraded mode, and :meth:`~RunJournal.consolidate`;
+* loading tolerates a **truncated trailing line**: the partial record
+  is dropped with a warning and everything before it is kept.
   Corruption *before* the last line is refused loudly — that is not a
   torn write, and silently dropping completed work would cause the very
-  recomputation the journal exists to avoid.
+  recomputation the journal exists to avoid. Within one file the last
+  record for a key wins.
 
 ``run_experiments(..., journal=...)`` consults the journal before each
 experiment: a key whose prior outcome was ``"ok"`` is skipped (surfaced
@@ -24,19 +29,18 @@ keys execute. The CLI exposes this as ``run --checkpoint DIR`` /
 
 Parallel sweeps (:mod:`repro.robustness.pool`) add **per-worker
 shards**: worker ``i`` journals its own outcomes to
-``journal.worker-<i>.jsonl`` (same atomic discipline) *before*
+``journal.worker-<i>.jsonl`` (same append discipline) *before*
 reporting them, and loading a journal transparently merges any shards
-next to it — an ``"ok"`` record always wins a conflict, so a resume is
-correct regardless of which process died mid-write or in which order
-workers finished. :meth:`RunJournal.consolidate` folds the shards back
-into the main journal at the end of a clean sweep.
+next to it — an ``"ok"`` record always wins a conflict across files, so
+a resume is correct regardless of which process died mid-write or in
+which order workers finished. :meth:`RunJournal.consolidate` folds the
+shards back into the main journal at the end of a clean sweep, and
+deletes them only once the consolidated journal is on disk.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
-import os
 import pathlib
 
 from ..exceptions import ValidationError
@@ -91,7 +95,7 @@ def load_journal_records(path):
     real corruption, not an interrupted append.
 
     Records carrying an in-band ``"sha256"`` (written by every
-    :class:`RunJournal` flush) are verified against the checksum of the
+    :meth:`RunJournal.record`) are verified against the checksum of the
     rest of the record; a *parseable* record whose bytes no longer match
     — bit rot or hand editing rather than a torn write — is quarantined
     (see :func:`_quarantine_journal_line`) and dropped, so silently
@@ -179,8 +183,30 @@ def canonical_summary(records):
     return dumps(canonical, sort_keys=True).encode("utf-8")
 
 
+def _encode(outcome):
+    """One checksummed journal line for ``outcome`` (span records live
+    in the trace shards, not the journal)."""
+    from ..io import dumps, payload_checksum  # lazy: io imports core
+
+    rec = outcome.to_dict()
+    rec.pop("spans", None)
+    rec["sha256"] = payload_checksum(rec)
+    return dumps(rec) + "\n"
+
+
+def _read_outcomes(path):
+    """``{key: outcome}`` of one journal file; the last record wins."""
+    from ..experiments.harness import ExperimentOutcome
+
+    outcomes = {}
+    for record in load_journal_records(path):
+        outcome = ExperimentOutcome.from_dict(record)
+        outcomes[outcome.key] = outcome
+    return outcomes
+
+
 class RunJournal:
-    """Atomic, resumable journal of experiment outcomes.
+    """Append-only, resumable journal of experiment outcomes.
 
     Parameters
     ----------
@@ -205,7 +231,12 @@ class RunJournal:
         path.parent.mkdir(parents=True, exist_ok=True)
         self.path = path
         self._outcomes = {}
+        #: key -> encoded line of its outcome, so a rewrite re-encodes
+        #: only outcomes adopted from disk
+        self._lines = {}
         self._degraded = False
+        #: the next write rewrites the whole file instead of appending
+        self._rewrite = True
         if resume:
             self._load()
         else:
@@ -231,25 +262,23 @@ class RunJournal:
             f"{stem}.worker-*{self.path.suffix}"
         ))
 
-    def _merge(self, outcome):
-        """Adopt ``outcome`` unless a conflicting ``"ok"`` already won."""
-        prior = self._outcomes.get(outcome.key)
-        if prior is not None and prior.status == "ok" \
-                and outcome.status != "ok":
-            return
-        self._outcomes[outcome.key] = outcome
+    def _merge_shards(self, shards):
+        """Adopt each shard's outcomes unless a conflicting ``"ok"``
+        already won."""
+        for shard in shards:
+            for key, outcome in _read_outcomes(shard).items():
+                prior = self._outcomes.get(key)
+                if prior is not None and prior.status == "ok" \
+                        and outcome.status != "ok":
+                    continue
+                self._outcomes[key] = outcome
+                self._lines.pop(key, None)
 
     def _load(self):
-        from ..experiments.harness import ExperimentOutcome
-
         if self.path.exists():
-            for record in load_journal_records(self.path):
-                outcome = ExperimentOutcome.from_dict(record)
-                self._outcomes[outcome.key] = outcome
+            self._outcomes.update(_read_outcomes(self.path))
         shards = self.shard_paths()
-        for shard in shards:
-            for record in load_journal_records(shard):
-                self._merge(ExperimentOutcome.from_dict(record))
+        self._merge_shards(shards)
         if self._outcomes or shards:
             logger.info(
                 "resumed journal %s: %d prior outcome(s), %d ok "
@@ -262,25 +291,26 @@ class RunJournal:
 
         Called by the pool at the end of a clean sweep so the directory
         is left with one canonical ``journal.jsonl``. Safe to call with
-        no shards present. Returns the number of shards consumed.
+        no shards present. Returns the number of shards consumed. When
+        the consolidated journal cannot be written (a full disk) the
+        shards are kept — they are then the only durable copy of the
+        work — and 0 is returned; a later ``RunJournal(path)`` still
+        resumes every completed key from them.
         """
         shards = self.shard_paths()
         if not shards:
             return 0
-        self._load_shards_only(shards)
-        self._flush()
+        self._merge_shards(shards)
+        if not self._flush():
+            logger.error("kept %d shard(s) next to %s: the consolidated "
+                         "journal did not reach disk", len(shards),
+                         self.path)
+            return 0
         for shard in shards:
             shard.unlink()
         logger.info("consolidated %d shard(s) into %s",
                     len(shards), self.path)
         return len(shards)
-
-    def _load_shards_only(self, shards):
-        from ..experiments.harness import ExperimentOutcome
-
-        for shard in shards:
-            for record in load_journal_records(shard):
-                self._merge(ExperimentOutcome.from_dict(record))
 
     # -- querying --------------------------------------------------------
 
@@ -303,63 +333,71 @@ class RunJournal:
     # -- recording -------------------------------------------------------
 
     def record(self, outcome):
-        """Persist one outcome durably (atomic rewrite + fsync).
+        """Persist one outcome durably: append its line, then ``fsync``.
+
+        The outcome is encoded (and checksummed) once; its line is
+        appended and ``fsync``\\ ed before this returns, so it is on disk
+        before the caller reports it. The first write after opening the
+        journal instead rewrites the whole file atomically, dropping any
+        torn tail a killed predecessor left and any superseded records.
 
         A failing disk (ENOSPC, EIO) does not fail the sweep: the
         journal drops to in-memory-only *degraded* mode — outcomes stay
-        queryable, a metric and log fire, and every subsequent flush
-        retries the disk so a recovered filesystem heals the journal
-        with the full outcome set (nothing recorded while degraded is
-        lost, because flushes always rewrite the whole journal).
+        queryable, a metric and log fire, and the next record retries
+        the disk with a full atomic rewrite, so a recovered filesystem
+        heals the journal with the full outcome set (nothing recorded
+        while degraded is lost).
         """
+        line = _encode(outcome)
         self._outcomes[outcome.key] = outcome
-        self._flush()
+        self._lines[outcome.key] = line
+        if self._rewrite:
+            self._flush()
+        else:
+            from ..io import append_text_durable  # lazy: io imports core
+
+            self._persist(append_text_durable, line)
 
     @property
     def degraded(self):
-        """True while the last flush failed and outcomes are held only
+        """True while the last write failed and outcomes are held only
         in memory."""
         return self._degraded
 
     def _flush(self):
-        from ..io import dumps, payload_checksum  # lazy: io -> core ->
-        from ..observability.registry import record  # pipeline -> robustness
+        """Atomically rewrite the whole journal; True once on disk."""
+        from ..io import write_text_atomic  # lazy: io imports core
 
-        tmp = self.path.with_name(self.path.name + ".tmp")
+        for key, outcome in self._outcomes.items():
+            if key not in self._lines:
+                self._lines[key] = _encode(outcome)
+        return self._persist(
+            write_text_atomic,
+            "".join(self._lines[key] for key in self._outcomes))
+
+    def _persist(self, write, text):
+        """``write(path, text)``, falling back to degraded mode on
+        ``OSError``; True when the write reached disk."""
+        from ..observability.registry import record
+
         try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                for outcome in self._outcomes.values():
-                    rec = outcome.to_dict()
-                    # span records live in the trace shards, not the journal
-                    rec.pop("spans", None)
-                    rec["sha256"] = payload_checksum(rec)
-                    fh.write(dumps(rec) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
+            write(self.path, text)
         except OSError as exc:
             record("robustness.journal.write_errors")
             record("robustness.journal.degraded", 1, kind="gauge")
             log = logger.error if not self._degraded else logger.warning
-            log("journal flush to %s failed (%s); outcomes held in "
+            log("journal write to %s failed (%s); outcomes held in "
                 "memory until the disk recovers", self.path, exc)
             self._degraded = True
-            with contextlib.suppress(OSError):  # repro: noqa[RL011] - temp cleanup on a failing disk is best-effort
-                tmp.unlink()
-            return
+            self._rewrite = True  # a failed append may have left a torn tail
+            return False
+        self._rewrite = False
         if self._degraded:
             self._degraded = False
             record("robustness.journal.degraded", 0, kind="gauge")
             logger.info("journal %s healed; full outcome set rewritten",
                         self.path)
-        try:  # directory fsync is best-effort (not all platforms allow it)
-            dir_fd = os.open(self.path.parent, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-        except OSError:  # repro: noqa[RL011] - durability of the rename is already fsynced via the file
-            pass
+        return True
 
     def __repr__(self):
         return (f"RunJournal({str(self.path)!r}, {len(self)} outcome(s), "

@@ -27,10 +27,13 @@ every guarantee the serial path has:
   so a parallel sweep is bit-identical to a serial one and to any
   resumed continuation;
 * **order-independent resume** — each worker journals its own outcomes
-  durably (``journal.worker-<slot>.jsonl``, atomic write-then-replace)
-  *before* reporting them, and :class:`~repro.robustness.RunJournal`
-  merges the shards on load, so ``--resume`` is correct regardless of
-  which process died mid-write.
+  durably (``journal.worker-<slot>.jsonl``: one appended and
+  ``fsync``\\ ed line per outcome) *before* reporting them, and
+  :class:`~repro.robustness.RunJournal` merges the shards on load, so
+  ``--resume`` is correct regardless of which process died mid-write.
+  Per-slot trace shards follow the same discipline: a worker's first
+  export atomically replaces any stale shard, later ones append only
+  that task's spans.
 
 Ctrl-C SIGTERMs every worker's process group, leaves the durable
 shards in place for resume, and propagates ``KeyboardInterrupt`` so
@@ -277,7 +280,7 @@ def _pool_worker_main(conn, slot, experiments, config):
         default_registry,
         reset_default_registry,
     )
-    from ..observability.tracer import write_records_jsonl
+    from ..observability.tracer import TraceShard
     from .guard import RunGuard
 
     _own_process_group()
@@ -294,8 +297,8 @@ def _pool_worker_main(conn, slot, experiments, config):
     if config.get("shard_path"):
         journal = RunJournal(config["shard_path"])
     sweep_trace = config.get("trace")
-    trace_shard = config.get("trace_shard_path")
-    shard_records = []
+    trace_shard = (TraceShard(config["trace_shard_path"])
+                   if config.get("trace_shard_path") else None)
 
     last_sent = [0.0]
     heartbeat_interval = config.get("heartbeat_interval", 1.0)
@@ -353,11 +356,9 @@ def _pool_worker_main(conn, slot, experiments, config):
             if trace is not None:
                 outcome.spans = tracer.to_records()
                 if trace_shard is not None:
-                    # durable span shard, atomically rewritten after
-                    # every task: survives this worker (or the driver)
-                    # being SIGKILLed before the pipe delivery
-                    shard_records.extend(outcome.spans)
-                    write_records_jsonl(trace_shard, shard_records)
+                    # durable span shard: survives this worker (or the
+                    # driver) being SIGKILLed before the pipe delivery
+                    trace_shard.export(outcome.spans)
             if journal is not None:
                 journal.record(outcome)  # durable before it is reported
             try:
@@ -787,9 +788,10 @@ def run_pool(experiments, *, jobs=None, max_seconds=None, max_retries=0,
     context. When either applies to a task, the worker ships its span
     records back on the outcome (``outcome.spans``) — and, when
     ``trace_path`` is set, also maintains a durable per-slot span shard
-    next to it (``<stem>.worker-<slot><suffix>``, atomic
-    write-then-replace like the journal shards) so spans survive a
-    SIGKILLed worker or driver. Workers additionally ship a
+    next to it (``<stem>.worker-<slot><suffix>``; the first export
+    atomically replaces a stale shard, later ones append and ``fsync``
+    each task's spans) so spans survive a SIGKILLed worker or driver.
+    Workers additionally ship a
     :class:`~repro.observability.MetricsRegistry` snapshot with every
     outcome; the driver merges the final per-worker snapshots into its
     default registry, and the monitor loop records pool-health metrics

@@ -247,6 +247,85 @@ def test_journal_leaves_no_tmp_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["journal.jsonl"]
 
 
+# the append design's own hazards: a record appended after a torn tail
+# must not glue onto it, and writes must stay linear in the records
+
+
+def test_journal_reopened_after_torn_tail_appends_cleanly(tmp_path):
+    journal = RunJournal(tmp_path)
+    for key in ("A", "B"):
+        journal.record(ExperimentOutcome(key=key, status="ok",
+                                         table=_table()))
+    with open(journal.path, "a", encoding="utf-8") as fh:
+        fh.write('{"key": "TORN", "status": "o')  # killed mid-append
+    reopened = RunJournal(journal.path)
+    for key in ("C", "D"):
+        reopened.record(ExperimentOutcome(key=key, status="ok",
+                                          table=_table()))
+    keys = [record["key"] for record in load_journal_records(journal.path)]
+    assert keys == ["A", "B", "C", "D"]
+    assert RunJournal(journal.path).completed_keys() == {"A", "B", "C", "D"}
+
+
+def test_journal_writes_grow_linearly(tmp_path, monkeypatch):
+    import repro.io
+
+    written = []
+    replaces = []
+    real_append = repro.io.append_text_durable
+    real_atomic = repro.io.write_text_atomic
+    real_replace = os.replace
+
+    def append(path, text):
+        written.append(len(text.encode("utf-8")))
+        real_append(path, text)
+
+    def atomic(path, text):
+        written.append(len(text.encode("utf-8")))
+        real_atomic(path, text)
+
+    def replace(src, dst):
+        replaces.append(dst)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(repro.io, "append_text_durable", append)
+    monkeypatch.setattr(repro.io, "write_text_atomic", atomic)
+    monkeypatch.setattr(os, "replace", replace)
+    journal = RunJournal(tmp_path)
+    count = 25
+    for i in range(count):
+        journal.record(ExperimentOutcome(key=f"K{i:02d}", status="ok",
+                                         table=_table(float(i))))
+    lines = journal.path.read_bytes().splitlines(keepends=True)
+    assert len(replaces) <= 1
+    assert len(lines) == len(set(lines)) == count
+    assert journal.path.stat().st_size == sum(len(line) for line in lines)
+    assert sum(written) == journal.path.stat().st_size
+
+
+def test_trace_shard_replaces_torn_stale_shard_then_appends(tmp_path):
+    from repro.observability.tracer import (
+        TraceShard,
+        read_jsonl,
+        write_records_jsonl,
+    )
+
+    shard_path = tmp_path / "trace.worker-0.jsonl"
+    write_records_jsonl(shard_path, [{"span_id": "stale", "name": "x"}])
+    with open(shard_path, "a", encoding="utf-8") as fh:
+        fh.write('{"span_id": "torn", "na')  # predecessor killed mid-append
+    first = [{"span_id": "a", "name": "fit"}, {"span_id": "b", "name": "io"}]
+    second = [{"span_id": "c", "name": "fit"}]
+    shard = TraceShard(shard_path)
+    shard.export(first)
+    shard.export(second)
+    assert read_jsonl(shard_path, recover=True) == first + second
+    assert read_jsonl(shard_path) == first + second  # no torn line left
+    with open(shard_path, "a", encoding="utf-8") as fh:
+        fh.write('{"span_id": "d", "na')  # this worker killed mid-append
+    assert read_jsonl(shard_path, recover=True) == first + second
+
+
 # ---------------------------------------------------------------------------
 # acceptance: a sweep with a hang and a hard crash completes under
 # isolation, and a resume re-executes only the failed keys

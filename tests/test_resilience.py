@@ -8,13 +8,20 @@ first successful write heals it; a job whose deadline expires answers
 ``504`` with a structured failure; overload answers ``503`` with a
 backlog-derived ``Retry-After`` that :class:`~repro.serve.ServeClient`
 honors; and concurrent eviction churn never exposes a torn or
-checksum-invalid payload (the satellite hammer). The full five-scenario
+checksum-invalid payload (the satellite hammer). The run journal gets
+the same guarantees: a failed append degrades it to memory and the next
+write heals it with an atomic full rewrite, a checksum-failed line is
+quarantined, and consolidation never deletes the worker shards while
+the consolidated journal is not on disk. The full five-scenario
 drill lives in ``repro chaos`` / ``benchmarks/bench_resilience.py``;
 here we test its building blocks so tier-1 stays fast.
 """
 
+import errno
 import json
 import multiprocessing
+import os
+import pathlib
 import threading
 import time
 import urllib.error
@@ -28,6 +35,7 @@ from repro.exceptions import ValidationError
 from repro.io import payload_checksum
 from repro.observability import default_registry, reset_default_registry
 from repro.observability.registry import LATENCY_BUCKETS, Histogram
+from repro.robustness import RunJournal
 from repro.robustness.chaos import (
     SCENARIOS,
     SMOKE_SCENARIOS,
@@ -164,6 +172,112 @@ class TestDegradedMode:
         assert second.get(KEY) == {"held": 1}
         second.put("cd34" * 8, {"fresh": 2})
         assert first.degraded is False
+
+
+# -- run journal: degraded mode, healing, quarantine -----------------------
+
+
+def _outcome(key, status="ok"):
+    from repro.experiments.harness import ExperimentOutcome, ResultTable
+
+    table = ResultTable(key, ["x"])
+    table.add(x=1.5)
+    return ExperimentOutcome(key=key, status=status, table=table,
+                             elapsed=0.25)
+
+
+def _enospc(*args, **kwargs):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestJournalResilience:
+    def test_failed_append_degrades_then_heals_atomically(
+            self, tmp_path, monkeypatch):
+        reset_default_registry()
+        journal = RunJournal(tmp_path)
+        journal.record(_outcome("A"))
+        journal.record(_outcome("B"))
+        real_fsync = os.fsync
+
+        def short_write_then_enospc(fd):
+            os.write(fd, b'{"key": "TORN", "sta')  # a partial append
+            _enospc()
+
+        monkeypatch.setattr(os, "fsync", short_write_then_enospc)
+        journal.record(_outcome("C"))
+        assert journal.degraded is True
+        assert "C" in journal.outcomes
+        snapshot = default_registry().snapshot()
+        assert snapshot["robustness.journal.write_errors"]["value"] == 1
+        assert snapshot["robustness.journal.degraded"]["value"] == 1
+
+        monkeypatch.setattr(os, "fsync", real_fsync)  # the disk recovered
+        replaced = []
+        real_replace = os.replace
+
+        def spy_replace(src, dst):
+            replaced.append(pathlib.Path(dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", spy_replace)
+        journal.record(_outcome("D"))
+        assert journal.degraded is False
+        assert replaced == [journal.path]  # one atomic full rewrite
+        assert default_registry().snapshot()[
+            "robustness.journal.degraded"]["value"] == 0
+        lines = journal.path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["key"] for line in lines] == \
+            ["A", "B", "C", "D"]  # every line whole: no torn fragment
+        assert RunJournal(journal.path).completed_keys() == \
+            {"A", "B", "C", "D"}
+
+    def test_checksum_mismatch_is_quarantined(self, tmp_path):
+        reset_default_registry()
+        journal = RunJournal(tmp_path)
+        for key in ("A", "B", "C"):
+            journal.record(_outcome(key))
+        lines = journal.path.read_text(encoding="utf-8").splitlines()
+        pos = lines[1].index('"key": "B"') + len('"key": "')
+        lines[1] = lines[1][:pos] + "Z" + lines[1][pos + 1:]  # flip a byte
+        assert json.loads(lines[1])["key"] == "Z"  # still parses
+        journal.path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        reloaded = RunJournal(journal.path)
+        assert set(reloaded.outcomes) == {"A", "C"}
+        qdir = tmp_path / "quarantine"
+        assert (qdir / "journal.jsonl.line-2").read_text(
+            encoding="utf-8") == lines[1] + "\n"
+        error = json.loads(
+            (qdir / "journal.jsonl.line-2.error.json").read_text())
+        assert error["error"] == "IntegrityError"
+        assert error["line"] == 2
+        assert "checksum mismatch" in error["reason"]
+        assert default_registry().snapshot()[
+            "robustness.journal.integrity_quarantined"]["value"] == 1
+
+    @pytest.mark.parametrize("failing", ["replace", "fsync"])
+    def test_consolidate_keeps_shards_when_journal_write_fails(
+            self, tmp_path, monkeypatch, failing):
+        journal = RunJournal(tmp_path)
+        journal.record(_outcome("F", status="failed"))
+        first = RunJournal(journal.shard_path(0))
+        first.record(_outcome("A"))
+        first.record(_outcome("B"))
+        RunJournal(journal.shard_path(1)).record(_outcome("C"))
+        shards = journal.shard_paths()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, failing, _enospc)
+            assert journal.consolidate() == 0
+        assert journal.degraded is True
+        assert journal.shard_paths() == shards  # the only durable copy
+        assert RunJournal(journal.path).completed_keys() == {"A", "B", "C"}
+
+        assert journal.consolidate() == 2  # the disk recovered
+        assert journal.shard_paths() == []
+        resumed = RunJournal(journal.path)
+        assert resumed.completed_keys() == {"A", "B", "C"}
+        assert resumed.outcomes["F"].status == "failed"
 
 
 # -- load shedder ----------------------------------------------------------

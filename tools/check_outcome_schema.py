@@ -14,7 +14,8 @@ The contract (see docs/robustness.md):
    the worker pipe and the checkpoint journal rely on;
 3. the same outcomes survive a real :class:`~repro.robustness.RunJournal`
    write/reload cycle, including recovery from a truncated trailing
-   line (torn write);
+   line (torn write), and a journal reopened over a torn tail keeps
+   recording: its next append must not glue onto the torn fragment;
 4. ``summarize_outcomes`` renders every kind distinguishably — a hard
    kill must never be presented as a plain in-process error;
 5. journal bytes are strict RFC JSON: an outcome whose table carries
@@ -131,7 +132,10 @@ def check_json_round_trip(outcomes):
 
 def check_journal_round_trip(outcomes):
     """Contract item 3: a real journal write/reload cycle is lossless,
-    and a torn trailing write loses at most the torn record."""
+    a torn trailing write loses at most the torn record, and recording
+    after reopening a torn journal leaves it loadable."""
+    from repro.exceptions import ValidationError
+    from repro.experiments.harness import ExperimentOutcome
     from repro.robustness.checkpoint import RunJournal
 
     problems = []
@@ -168,6 +172,22 @@ def check_journal_round_trip(outcomes):
                 f"torn-write recovery kept {len(torn)} records, "
                 f"expected {len(outcomes)}"
             )
+        # torn tail -> reopen -> record -> reload: the append after a
+        # torn tail must not glue onto it
+        for key in ("AFTER1", "AFTER2"):
+            torn.record(ExperimentOutcome(key=key, status="ok"))
+        try:
+            after = RunJournal(journal.path)
+        except ValidationError as exc:
+            problems.append(f"record after a torn tail corrupted the "
+                            f"journal: {exc}")
+        else:
+            expected = {o.key for o in outcomes} | {"AFTER1", "AFTER2"}
+            if set(after.outcomes) != expected:
+                problems.append(
+                    "record after a torn tail lost outcomes: reloaded "
+                    f"{sorted(after.outcomes)}, expected {sorted(expected)}"
+                )
     return problems
 
 
