@@ -35,7 +35,8 @@ Subpackages
     telemetry, and logging (see ``docs/observability.md``).
 ``repro.lint``
     AST static-analysis gate enforcing the determinism/purity/contract
-    invariants (see ``docs/static-analysis.md``).
+    invariants (see ``docs/static-analysis.md``). Development tooling:
+    ``import repro`` does not load it; import ``repro.lint`` directly.
 """
 
 __version__ = "1.0.0"
@@ -45,7 +46,6 @@ from . import (  # noqa: F401
     core,
     data,
     io,
-    lint,
     metrics,
     observability,
     robustness,
@@ -64,7 +64,6 @@ __all__ = [
     "core",
     "data",
     "io",
-    "lint",
     "metrics",
     "observability",
     "robustness",

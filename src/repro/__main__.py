@@ -18,8 +18,9 @@ killed the way the OOM killer does) so every degradation path can be
 exercised. The exit code is 0 only when every requested experiment
 succeeded.
 
-Crash safety: ``run --isolate`` executes each experiment in a killable
-subprocess (a crashed worker becomes a structured failure),
+Crash safety: ``run --isolate`` executes the sweep on the worker pool
+(below) with one long-lived killable worker, respawned after a kill or
+crash (a crashed worker becomes a structured failure),
 ``--hard-timeout SECONDS`` kills a worker that exceeds the deadline —
 no cooperation needed, unlike ``--budget`` — and
 ``--checkpoint DIR`` / ``--resume`` journal completed outcomes durably
@@ -29,11 +30,11 @@ exits with code 130.
 
 Parallelism: ``run --jobs N`` executes the sweep on a work-stealing
 pool of N isolated worker processes (``--jobs 0`` = all cores) with
-the same guarantees as the serial path — per-key deterministic seeds
-make the parallel sweep equivalent to a serial one, per-worker journal
-shards keep ``--resume`` correct no matter which process died, and
-``--crash-retries N`` retries a worker-killing experiment on a fresh
-worker before quarantining it. Ctrl-C SIGTERMs every worker's process
+the same guarantees as ``--isolate`` — per-key deterministic seeds
+make the parallel sweep equivalent to an in-process one, per-worker
+journal shards keep ``--resume`` correct no matter which process died,
+and ``--crash-retries N`` retries a worker-killing experiment on a
+fresh worker before quarantining it. Ctrl-C SIGTERMs every worker's process
 group: nothing outlives the CLI.
 
 Observability: ``-v``/``-vv`` (or ``--log-level``) turn on progress
@@ -217,7 +218,8 @@ def _build_parser():
     )
     run.add_argument(
         "--isolate", action="store_true",
-        help="run each experiment in a killable subprocess: crashes "
+        help="run the sweep on the worker pool with one long-lived "
+             "killable worker, respawned after a kill or crash: crashes "
              "(segfault, SIGKILL) become structured failures and the "
              "sweep continues",
     )
@@ -228,14 +230,16 @@ def _build_parser():
     )
     run.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the sweep (default 1 = serial; 0 = all "
-             "cores); N > 1 runs the work-stealing pool, which always "
-             "isolates and keeps results identical to a serial run",
+        help="worker processes for the sweep (default 1 = in-process; "
+             "0 = all cores); N > 1 runs the work-stealing pool, which "
+             "always isolates and keeps results identical to an "
+             "in-process run",
     )
     run.add_argument(
         "--crash-retries", type=int, default=0, metavar="N",
-        help="with --jobs > 1: reschedule an experiment that crashed its "
-             "worker up to N times before quarantining it as failed/crashed",
+        help="with --isolate or --jobs > 1: reschedule an experiment that "
+             "crashed its worker up to N times before quarantining it as "
+             "failed/crashed",
     )
     run.add_argument(
         "--checkpoint", default=None, metavar="DIR",

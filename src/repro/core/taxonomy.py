@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from ..exceptions import ValidationError
 
 __all__ = [
+    "ESTIMATOR_PACKAGES",
     "SearchSpace",
     "Processing",
     "TaxonomyEntry",
@@ -30,6 +31,18 @@ __all__ = [
     "all_entries",
     "render_table",
 ]
+
+#: The algorithm subpackages whose ``__all__`` exports define the
+#: estimator population: the estimators the server offers, the ones
+#: ``tools/check_estimator_contract.py`` checks, and the scope of lint
+#: rule ``RL007``.
+ESTIMATOR_PACKAGES = (
+    "repro.cluster",
+    "repro.originalspace",
+    "repro.subspace",
+    "repro.transform",
+    "repro.multiview",
+)
 
 
 class SearchSpace:

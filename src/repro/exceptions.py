@@ -32,9 +32,10 @@ class WorkerTimeoutError(MultiClustError):
     """Raised (as a record) when an isolated worker exceeds its hard deadline.
 
     Unlike :class:`BudgetExceededError` — which relies on the optimiser
-    cooperating via ``budget_tick`` — this marks a worker process that
-    had to be killed from the outside because it stopped responding
-    entirely (see :mod:`repro.robustness.workers`).
+    cooperating via ``budget_tick`` — this marks a sweep-pool worker
+    (``--isolate`` or ``--jobs N``) that had to be killed from the
+    outside because it stopped responding entirely (see
+    :mod:`repro.robustness.pool`).
     """
 
 
@@ -42,7 +43,8 @@ class WorkerCrashError(MultiClustError):
     """Raised (as a record) when an isolated worker process died.
 
     Covers nonzero exits and signal deaths (segfault, SIGKILL) of the
-    subprocess running one experiment under ``--isolate``.
+    sweep-pool worker running an experiment under ``--isolate`` or
+    ``--jobs N``.
     """
 
 

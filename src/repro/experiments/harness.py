@@ -12,27 +12,30 @@ with a ``status`` instead of aborting the sweep, and
 
 Three opt-in hardening layers (see ``docs/robustness.md``):
 
-* ``isolate=True`` runs each experiment in a killable subprocess with a
-  ``hard_timeout`` deadline — a hang that never reaches a
-  ``budget_tick``, or an outright crash (segfault, SIGKILL, OOM-kill),
-  becomes a structured ``"timeout"``/``"crashed"`` failure and the
-  sweep continues;
+* ``isolate=True`` runs the sweep on the pool of
+  :mod:`repro.robustness.pool` with one long-lived worker subprocess
+  (respawned after a kill or crash) and a ``hard_timeout`` deadline —
+  a hang that never reaches a ``budget_tick``, or an outright crash
+  (segfault, SIGKILL, OOM-kill), becomes a structured
+  ``"timeout"``/``"crashed"`` failure and the sweep continues;
 * ``journal=...`` checkpoints every completed outcome durably
   (:class:`~repro.robustness.RunJournal`), so a killed sweep resumes
   where it stopped: previously-succeeded keys are surfaced as status
   ``"skipped"`` with their tables intact and are not recomputed;
-* ``jobs=N`` (``0`` = all cores) runs the grid on the work-stealing
-  parallel pool of :mod:`repro.robustness.pool` — always isolated,
-  with crash quarantine (``crash_retries``), shared-memory data
-  passing (``shared_data``), and per-key deterministic seeds
-  (``base_seed``) so a parallel sweep is bit-identical to a serial
-  one and to any killed-and-resumed continuation.
+* ``jobs=N`` (``0`` = all cores) runs the grid on ``N`` workers of the
+  same pool — always isolated, with crash quarantine
+  (``crash_retries``), shared-memory data passing (``shared_data``),
+  and per-key deterministic seeds (``base_seed``) so a parallel sweep
+  is bit-identical to an in-process one and to any killed-and-resumed
+  continuation.
+
+There are two execution paths: in-process (``jobs=1`` without
+``isolate``) and the pool (everything else).
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -51,8 +54,9 @@ from ..robustness.pool import (
     derive_seed,
     install_experiment_context,
     resolve_jobs,
+    run_pool,
 )
-from ..robustness.workers import failure_from_worker, run_in_worker
+from ..robustness.workers import worker_failure_record
 
 __all__ = ["ExperimentOutcome", "ResultTable", "run_experiments",
            "summarize_outcomes", "timed"]
@@ -293,60 +297,6 @@ def _outcome_from_result(key, result):
     )
 
 
-class _WorkerTracer(Tracer):
-    """Tracer for isolated workers: iteration ticks double as heartbeats.
-
-    Every ``budget_tick`` inside the child both feeds the span tree
-    (so ``iterations``/``timings`` ship back with the outcome) and
-    refreshes the parent's liveness clock through the worker pipe.
-    """
-
-    def __init__(self, heartbeat, profile_memory=False, **kwargs):
-        super().__init__(profile_memory=profile_memory, **kwargs)
-        self._heartbeat = heartbeat
-
-    def add_ticks(self, n=1):
-        super().add_ticks(n)
-        self._heartbeat()
-
-
-def _run_isolated(key, run_fn, *, max_seconds, max_retries, hard_timeout,
-                  heartbeat_interval, start_method, profile_memory,
-                  trace_ctx=None):
-    """One experiment in a killable subprocess; never raises for it.
-
-    The cooperative guard (budgets, retries) runs *inside* the child,
-    so soft failures come back as ordinary serialized outcomes; only a
-    worker the parent had to kill (timeout) or that died (crash) is
-    synthesized into a failure here. With a ``trace_ctx`` dict the
-    child's tracer joins that trace and its span records ship back on
-    ``outcome.spans``.
-    """
-    def payload(heartbeat):
-        trace_kwargs = {}
-        if trace_ctx is not None:
-            trace_kwargs = {"trace_id": trace_ctx.get("trace_id"),
-                            "parent_id": trace_ctx.get("span_id"),
-                            "tags": {"pid": os.getpid()}}
-        tracer = _WorkerTracer(heartbeat, profile_memory=profile_memory,
-                               **trace_kwargs)
-        guard = RunGuard(max_seconds=max_seconds, max_retries=max_retries,
-                         label=key, tracer=tracer)
-        outcome = _outcome_from_result(key, guard.run(run_fn))
-        if trace_ctx is not None:
-            outcome.spans = tracer.to_records()
-        return outcome.to_dict()
-
-    worker = run_in_worker(payload, hard_timeout=hard_timeout,
-                           heartbeat_interval=heartbeat_interval,
-                           start_method=start_method, label=key)
-    if worker.completed:
-        return ExperimentOutcome.from_dict(worker.value)
-    failure = failure_from_worker(key, worker, hard_timeout=hard_timeout)
-    return ExperimentOutcome(key=key, status="failed", failure=failure,
-                             elapsed=worker.elapsed)
-
-
 def _min_limit(*limits):
     """Tightest of several optional wall-clock limits (None = unbounded)."""
     bounded = [limit for limit in limits if limit is not None]
@@ -356,8 +306,6 @@ def _min_limit(*limits):
 def _expired_outcome(key):
     """A ``failed/timeout`` outcome for a key whose deadline passed
     before it ran (context ``deadline_expired``)."""
-    from ..robustness.workers import worker_failure_record
-
     failure = worker_failure_record(
         key, status="timeout", elapsed=0.0,
         extra_context={"deadline_expired": True, "queued_only": True},
@@ -392,28 +340,14 @@ def _readonly_arrays(shared_data):
     return arrays
 
 
-def _run_pooled(experiments, fail_modes, *, jobs, keep_going, max_seconds,
-                max_retries, hard_timeout, crash_retries, journal,
-                callback, shared_data, base_seed, heartbeat_interval,
-                start_method, profile_memory, tracer, trace_path,
-                trace_contexts, deadlines=None):
-    """The ``jobs > 1`` branch of :func:`run_experiments`.
+def _resume_prepass(experiments, fail_modes, journal, callback):
+    """What both execution paths do before running anything.
 
-    Skip handling (journal resume) stays parent-side and streams first;
-    everything else — seeding, isolation, journaling — is delegated to
-    :func:`repro.robustness.pool.run_pool` on the remaining keys.
-
-    Tracing: with a ``tracer`` and ``trace_path`` the driver opens one
-    ``sweep`` span whose :class:`~repro.observability.TraceContext`
-    every worker joins, folds worker span records back in as outcomes
-    stream (so a Ctrl-C keeps what completed), and finally absorbs the
-    durable per-slot trace shards — merged by span id, so a span that
-    arrived both ways counts once — then removes them. On an
-    interrupt the shards stay on disk next to ``trace_path`` for
-    post-mortem merging via ``Tracer.merge_shards``.
+    Keys the journal already holds as ``"ok"`` become ``"skipped"``
+    outcomes, streamed to ``callback`` right away; every other key's
+    body is wrapped in its injected fault, if any. Returns
+    ``(skipped, grid)``: ``{key: outcome}`` and ``{key: run_fn}``.
     """
-    from ..robustness.pool import run_pool
-
     prior = journal.outcomes if journal is not None else {}
     skipped = {}
     grid = {}
@@ -430,46 +364,127 @@ def _run_pooled(experiments, fail_modes, *, jobs, keep_going, max_seconds,
         mode = fail_modes.get(key)
         grid[key] = (experiment_fn if mode is None
                      else _make_injected(key, mode))
+    return skipped, grid
+
+
+def _run_in_process(grid, *, keep_going, max_seconds, max_retries, journal,
+                    callback, shared_data, base_seed, tracer,
+                    trace_contexts, deadlines):
+    """The in-process branch of :func:`run_experiments` (no isolation).
+
+    Keys run one after another under a cooperative
+    :class:`~repro.robustness.RunGuard`; each outcome is journaled and
+    streamed as it completes. Returns ``{key: outcome}``.
+    """
+    arrays = _readonly_arrays(shared_data)
+    # deadlines pin to the clock now: time spent on earlier keys counts
+    # against later keys' deadlines, matching the pool's queue time
+    deadline_at = {key: time.monotonic() + value
+                   for key, value in deadlines.items()}
     ran = {}
-    if grid:
+    with contextlib.ExitStack() as stack:
+        if current_tracer() is not tracer:
+            stack.enter_context(tracer)
+        for key, run_fn in grid.items():
+            run_fn = install_experiment_context(
+                run_fn, derive_seed(key, base_seed), arrays
+            )
+            remaining = (deadline_at[key] - time.monotonic()
+                         if key in deadline_at else None)
+            ctx = trace_contexts.get(key)
+            if remaining is not None and remaining <= 0:
+                # expired before its turn came: fail without running
+                outcome = _expired_outcome(key)
+                logger.warning("experiment %s: deadline expired "
+                               "before it ran", key)
+            else:
+                # a key with a trace context joins the caller's trace:
+                # a per-key tracer parented under the remote context
+                key_tracer = tracer if ctx is None else Tracer(
+                    profile_memory=tracer.profile_memory,
+                    trace_id=ctx.get("trace_id"),
+                    parent_id=ctx.get("span_id"),
+                )
+                guard = RunGuard(max_seconds=_min_limit(max_seconds,
+                                                        remaining),
+                                 max_retries=max_retries, label=key,
+                                 tracer=key_tracer)
+                outcome = _outcome_from_result(key, guard.run(run_fn))
+                if ctx is not None:
+                    outcome.spans = key_tracer.to_records()
+                    tracer.add_foreign_records(outcome.spans)
+                logger.info(
+                    "experiment %s: %s in %.3fs (%d iterations, "
+                    "%d attempts)", key, outcome.status, outcome.elapsed,
+                    outcome.iterations, outcome.attempts,
+                )
+            ran[key] = outcome
+            if journal is not None:
+                journal.record(outcome)
+            if callback is not None:
+                callback(outcome)
+            if not outcome.ok and not keep_going:
+                logger.warning("stopping sweep after failure in %s", key)
+                break
+    return ran
+
+
+def _run_pooled(grid, *, jobs, keep_going, max_seconds, max_retries,
+                hard_timeout, crash_retries, journal, callback, shared_data,
+                base_seed, heartbeat_interval, start_method, profile_memory,
+                tracer, trace_path, trace_contexts, deadlines):
+    """The isolated branch of :func:`run_experiments` (``isolate`` or
+    ``jobs > 1``): seeding, isolation and journaling are delegated to
+    :func:`repro.robustness.pool.run_pool`. Returns ``{key: outcome}``.
+
+    Tracing: with a ``tracer`` and ``trace_path`` the parent opens one
+    ``sweep`` span whose :class:`~repro.observability.TraceContext`
+    every worker joins, folds worker span records back in as outcomes
+    stream (so a Ctrl-C keeps what completed), and finally absorbs the
+    durable per-slot trace shards — merged by span id, so a span that
+    arrived both ways counts once — then removes them. On an
+    interrupt the shards stay on disk next to ``trace_path`` for
+    post-mortem merging via ``Tracer.merge_shards``.
+    """
+    if not grid:
+        return {}
+    fold = callback
+    with contextlib.ExitStack() as stack:
         sweep_trace = None
-        fold = callback
-        with contextlib.ExitStack() as stack:
-            if tracer is not None and trace_path is not None:
-                if current_tracer() is not tracer:
-                    stack.enter_context(tracer)
-                sweep_span = stack.enter_context(
-                    tracer.span("sweep", jobs=jobs, keys=len(grid)))
-                sweep_trace = {"trace_id": tracer.trace_id,
-                               "span_id": sweep_span.span_id}
-
-            if tracer is not None:
-                def fold(outcome):
-                    if outcome.spans:
-                        tracer.add_foreign_records(outcome.spans)
-                    if callback is not None:
-                        callback(outcome)
-
-            ran = {outcome.key: outcome for outcome in run_pool(
-                grid, jobs=jobs, max_seconds=max_seconds,
-                max_retries=max_retries, hard_timeout=hard_timeout,
-                crash_retries=crash_retries, journal=journal,
-                callback=fold, shared_data=shared_data,
-                base_seed=base_seed, heartbeat_interval=heartbeat_interval,
-                start_method=start_method, profile_memory=profile_memory,
-                keep_going=keep_going, trace=sweep_trace,
-                trace_path=trace_path, trace_contexts=trace_contexts,
-                deadlines={key: value for key, value
-                           in (deadlines or {}).items() if key in grid},
-            )}
         if tracer is not None and trace_path is not None:
-            # clean completion: absorb the durable shards (idempotent
-            # with the piped copies) and leave no worker files behind
-            for shard in trace_shard_paths(trace_path):
-                tracer.add_foreign_records(read_jsonl(shard, recover=True))
-                shard.unlink()
-    return [skipped[key] if key in skipped else ran[key]
-            for key in experiments if key in skipped or key in ran]
+            if current_tracer() is not tracer:
+                stack.enter_context(tracer)
+            sweep_span = stack.enter_context(
+                tracer.span("sweep", jobs=jobs, keys=len(grid)))
+            sweep_trace = {"trace_id": tracer.trace_id,
+                           "span_id": sweep_span.span_id}
+
+        if tracer is not None:
+            def fold(outcome):
+                if outcome.spans:
+                    tracer.add_foreign_records(outcome.spans)
+                if callback is not None:
+                    callback(outcome)
+
+        ran = {outcome.key: outcome for outcome in run_pool(
+            grid, jobs=jobs, max_seconds=max_seconds,
+            max_retries=max_retries, hard_timeout=hard_timeout,
+            crash_retries=crash_retries, journal=journal,
+            callback=fold, shared_data=shared_data,
+            base_seed=base_seed, heartbeat_interval=heartbeat_interval,
+            start_method=start_method, profile_memory=profile_memory,
+            keep_going=keep_going, trace=sweep_trace,
+            trace_path=trace_path, trace_contexts=trace_contexts,
+            deadlines={key: value for key, value in deadlines.items()
+                       if key in grid},
+        )}
+    if tracer is not None and trace_path is not None:
+        # clean completion: absorb the durable shards (idempotent
+        # with the piped copies) and leave no worker files behind
+        for shard in trace_shard_paths(trace_path):
+            tracer.add_foreign_records(read_jsonl(shard, recover=True))
+            shard.unlink()
+    return ran
 
 
 def run_experiments(experiments, *, keep_going=True, max_seconds=None,
@@ -503,29 +518,32 @@ def run_experiments(experiments, *, keep_going=True, max_seconds=None,
         to end without a genuinely broken build.
     callback : callable or None
         Invoked with each :class:`ExperimentOutcome` as it completes
-        (the CLI uses this for streaming output).
+        (the CLI uses this for streaming output). Keys skipped on
+        resume are streamed first, before anything runs.
     tracer : Tracer or None
-        Tracer collecting one span tree per experiment. A sweep-local
-        :class:`~repro.observability.Tracer` is created when None, so
-        outcomes always carry iteration counts and per-stage timings;
-        pass your own to keep the spans (e.g. for ``--trace FILE``).
-        Under ``isolate`` the child traces itself and ships the
-        summary back with the outcome, so parent-side spans cover only
-        the sweep skeleton.
+        Tracer collecting one span tree per experiment. In-process, a
+        sweep-local :class:`~repro.observability.Tracer` is created
+        when None, so outcomes always carry iteration counts and
+        per-stage timings; pass your own to keep the spans (e.g. for
+        ``--trace FILE``). Isolated workers trace themselves and ship
+        the summary back with the outcome; their spans reach
+        ``tracer`` only with ``trace_path`` or ``trace_contexts``.
     profile : bool
         When creating the internal tracer, capture tracemalloc peaks
         (ignored when ``tracer`` is given — configure it directly).
     isolate : bool
-        Run each experiment in a ``multiprocessing`` subprocess. A
-        worker that dies (segfault, SIGKILL, nonzero exit) becomes a
-        structured ``"crashed"`` failure and the sweep continues.
+        Run the sweep on the pool of :mod:`repro.robustness.pool` even
+        at ``jobs=1``: one long-lived worker subprocess, respawned
+        after a kill or crash. A worker that dies (segfault, SIGKILL,
+        nonzero exit) becomes a structured ``"crashed"`` failure and
+        the sweep continues. ``jobs > 1`` always isolates.
     hard_timeout : float or None
-        Hard per-experiment wall-clock deadline (seconds). Unlike
-        ``max_seconds`` it needs no cooperation: the worker is killed
-        outright and recorded as a ``"timeout"`` failure. Implies
-        nothing about ``max_seconds`` — use both (cooperative budget a
-        bit below the hard deadline) for defense in depth. Requires
-        ``isolate``.
+        Hard per-experiment wall-clock deadline (seconds, positive).
+        Unlike ``max_seconds`` it needs no cooperation: the worker is
+        killed outright and recorded as a ``"timeout"`` failure.
+        Implies nothing about ``max_seconds`` — use both (cooperative
+        budget a bit below the hard deadline) for defense in depth.
+        Requires an isolated sweep (``isolate`` or ``jobs > 1``).
     journal : RunJournal, str, Path, or None
         Crash-safe checkpoint store. Keys whose journaled outcome was
         ``"ok"`` are not re-executed — they are surfaced as status
@@ -534,27 +552,26 @@ def run_experiments(experiments, *, keep_going=True, max_seconds=None,
         at any point resumes without recomputation. A path constructs
         a resuming :class:`~repro.robustness.RunJournal`.
     heartbeat_interval : float
-        Seconds between worker liveness messages (isolation/pool only).
+        Seconds between worker liveness messages (isolated sweeps only).
     start_method : str or None
-        ``multiprocessing`` start method (isolation/pool only; default
+        ``multiprocessing`` start method (isolated sweeps only; default
         prefers ``fork`` so closures work as experiments).
     jobs : int
-        Worker-process count. ``1`` (the default) runs the serial path
-        above; ``0`` or ``None`` means all cores; ``N > 1`` runs the
-        grid on the work-stealing pool of
-        :mod:`repro.robustness.pool`, which always isolates (so
-        ``hard_timeout`` needs no ``isolate=True`` there). Scheduling
-        never affects results: seeds derive from experiment keys, so
-        any ``jobs`` value yields an equivalent sweep.
+        Worker-process count. ``1`` (the default) runs in-process
+        unless ``isolate`` is set; ``0`` or ``None`` means all cores;
+        ``N > 1`` runs the grid on ``N`` workers of the work-stealing
+        pool of :mod:`repro.robustness.pool`. Scheduling never affects
+        results: seeds derive from experiment keys, so any ``jobs``
+        value yields an equivalent sweep.
     crash_retries : int
-        Pool-only circuit breaker: a key that crashes its worker more
-        than this many times is quarantined as ``failed/crashed`` and
-        never rescheduled.
+        Isolated sweeps only: a key that crashes its worker more than
+        this many times is quarantined as ``failed/crashed`` and never
+        rescheduled (a per-key circuit breaker).
     shared_data : mapping of str -> ndarray, or None
         Arrays every experiment may read via
-        :func:`repro.robustness.shared_arrays`. Under the pool they
-        travel through ``multiprocessing.shared_memory`` once (one
-        physical copy for N workers); serially they are installed as
+        :func:`repro.robustness.shared_arrays`. Isolated, they travel
+        through ``multiprocessing.shared_memory`` once (one physical
+        copy for N workers); in-process they are installed as
         read-only views.
     base_seed : int
         Root of the per-key deterministic seeds exposed to experiment
@@ -573,27 +590,28 @@ def run_experiments(experiments, *, keep_going=True, max_seconds=None,
         deadline passes fails as ``timeout`` (context
         ``deadline_expired``) without running. A running key is bounded
         by the tighter of its deadline and ``max_seconds`` /
-        ``hard_timeout``: cooperatively on the serial path, and by the
-        pool's hard worker-kill under ``jobs > 1`` (plus the
-        cooperative budget shipped with the task). This is how a served
-        request's ``deadline_ms`` reaches the fit that it triggered.
+        ``hard_timeout``: cooperatively in-process, and by the pool's
+        hard worker-kill when isolated (plus the cooperative budget
+        shipped with the task). This is how a served request's
+        ``deadline_ms`` reaches the fit that it triggered.
     trace_path : str, Path, or None
-        Destination the caller will export the sweep trace to. Under
-        ``jobs > 1`` this makes the flag truthful: the driver opens a
-        ``sweep`` span, every worker joins its context and maintains a
-        durable per-slot span shard next to ``trace_path`` (its first
-        export atomically replaces a stale shard, later ones append
-        and ``fsync`` that task's spans before the outcome is
+        Destination the caller will export the sweep trace to. For an
+        isolated sweep this makes the flag truthful: the parent opens
+        a ``sweep`` span, every worker joins its context and maintains
+        a durable per-slot span shard next to ``trace_path`` (its
+        first export atomically replaces a stale shard, later ones
+        append and ``fsync`` that task's spans before the outcome is
         reported), and worker spans are merged back into ``tracer``
         (streamed with outcomes, shards absorbed at the end — after an
         interrupt the shards remain for ``Tracer.merge_shards``).
-        Serially (with ``isolate``) it threads the context into each
-        child the same way. Requires ``tracer`` for the merged spans to
-        land anywhere; the caller still writes the file.
+        Requires ``tracer`` for the merged spans to land anywhere; the
+        caller still writes the file. In-process spans land in
+        ``tracer`` directly.
 
     Returns
     -------
     list of ExperimentOutcome
+        In grid order.
     """
     fail_modes = _normalize_fail_keys(fail_keys)
     jobs = resolve_jobs(jobs)
@@ -612,16 +630,24 @@ def run_experiments(experiments, *, keep_going=True, max_seconds=None,
         raise ValidationError(
             f"crash_retries must be >= 0, got {crash_retries}"
         )
-    if hard_timeout is not None and not isolate and jobs <= 1:
-        raise ValidationError(
-            "hard_timeout requires isolate=True (or jobs > 1): a hard "
-            "deadline can only be enforced by killing a worker process"
-        )
+    isolate = isolate or jobs > 1
+    if hard_timeout is not None:
+        if not isolate:
+            raise ValidationError(
+                "hard_timeout requires isolate=True (or jobs > 1): a hard "
+                "deadline can only be enforced by killing a worker process"
+            )
+        if not float(hard_timeout) > 0:
+            raise ValidationError(
+                f"hard_timeout must be positive, got {hard_timeout}"
+            )
     if journal is not None and not isinstance(journal, RunJournal):
         journal = RunJournal(journal)
-    if jobs > 1:
-        return _run_pooled(
-            experiments, fail_modes, jobs=jobs, keep_going=keep_going,
+    skipped, grid = _resume_prepass(experiments, fail_modes, journal,
+                                    callback)
+    if isolate:
+        ran = _run_pooled(
+            grid, jobs=jobs, keep_going=keep_going,
             max_seconds=max_seconds, max_retries=max_retries,
             hard_timeout=hard_timeout, crash_retries=crash_retries,
             journal=journal, callback=callback, shared_data=shared_data,
@@ -632,100 +658,17 @@ def run_experiments(experiments, *, keep_going=True, max_seconds=None,
             tracer=tracer, trace_path=trace_path,
             trace_contexts=trace_contexts, deadlines=deadlines,
         )
-    if tracer is None:
-        tracer = Tracer(profile_memory=profile)
-    arrays = _readonly_arrays(shared_data)
-    prior = journal.outcomes if journal is not None else {}
-    # serial deadlines pin to the clock now: time spent on earlier keys
-    # in the loop counts against later keys' deadlines, matching the
-    # queue-time semantics of the pool path
-    deadline_at = {key: time.monotonic() + value
-                   for key, value in deadlines.items()}
-    outcomes = []
-    with contextlib.ExitStack() as stack:
-        if current_tracer() is not tracer:
-            stack.enter_context(tracer)
-        for key, experiment_fn in experiments.items():
-            prior_outcome = prior.get(key)
-            if prior_outcome is not None and prior_outcome.status == "ok":
-                outcome = _skipped_outcome(key, prior_outcome)
-                outcomes.append(outcome)
-                logger.info("experiment %s: skipped (journaled ok in %s)",
-                            key, journal.path)
-                if callback is not None:
-                    callback(outcome)
-                continue
-            mode = fail_modes.get(key)
-            run_fn = (experiment_fn if mode is None
-                      else _make_injected(key, mode))
-            run_fn = install_experiment_context(
-                run_fn, derive_seed(key, base_seed), arrays
-            )
-            remaining = None
-            if key in deadline_at:
-                remaining = deadline_at[key] - time.monotonic()
-                if remaining <= 0:
-                    # expired before its turn came: fail without running
-                    outcome = _expired_outcome(key)
-                    outcomes.append(outcome)
-                    if journal is not None:
-                        journal.record(outcome)
-                    logger.warning("experiment %s: deadline expired "
-                                   "before it ran", key)
-                    if callback is not None:
-                        callback(outcome)
-                    continue
-            key_max_seconds = _min_limit(max_seconds, remaining)
-            key_hard_timeout = _min_limit(hard_timeout, remaining)
-            ctx = trace_contexts.get(key)
-            if isolate:
-                if ctx is None and trace_path is not None:
-                    # --trace with isolation: children join the sweep
-                    # tracer's trace so their spans merge back in
-                    ctx = {"trace_id": tracer.trace_id, "span_id": None}
-                outcome = _run_isolated(
-                    key, run_fn, max_seconds=key_max_seconds,
-                    max_retries=max_retries, hard_timeout=key_hard_timeout,
-                    heartbeat_interval=heartbeat_interval,
-                    start_method=start_method,
-                    profile_memory=tracer.profile_memory,
-                    trace_ctx=ctx,
-                )
-                if outcome.spans:
-                    tracer.add_foreign_records(outcome.spans)
-            elif ctx is not None:
-                # join the caller's trace: a per-key tracer parented
-                # under the remote context (RunGuard activates it)
-                key_tracer = Tracer(
-                    profile_memory=tracer.profile_memory,
-                    trace_id=ctx.get("trace_id"),
-                    parent_id=ctx.get("span_id"),
-                )
-                guard = RunGuard(max_seconds=key_max_seconds,
-                                 max_retries=max_retries, label=key,
-                                 tracer=key_tracer)
-                outcome = _outcome_from_result(key, guard.run(run_fn))
-                outcome.spans = key_tracer.to_records()
-                tracer.add_foreign_records(outcome.spans)
-            else:
-                guard = RunGuard(max_seconds=key_max_seconds,
-                                 max_retries=max_retries, label=key,
-                                 tracer=tracer)
-                outcome = _outcome_from_result(key, guard.run(run_fn))
-            outcomes.append(outcome)
-            if journal is not None:
-                journal.record(outcome)
-            logger.info(
-                "experiment %s: %s in %.3fs (%d iterations, %d attempts)",
-                key, outcome.status, outcome.elapsed, outcome.iterations,
-                outcome.attempts,
-            )
-            if callback is not None:
-                callback(outcome)
-            if not outcome.ok and not keep_going:
-                logger.warning("stopping sweep after failure in %s", key)
-                break
-    return outcomes
+    else:
+        ran = _run_in_process(
+            grid, keep_going=keep_going, max_seconds=max_seconds,
+            max_retries=max_retries, journal=journal, callback=callback,
+            shared_data=shared_data, base_seed=base_seed,
+            tracer=tracer if tracer is not None
+            else Tracer(profile_memory=profile),
+            trace_contexts=trace_contexts, deadlines=deadlines,
+        )
+    done = {**skipped, **ran}
+    return [done[key] for key in experiments if key in done]
 
 
 def summarize_outcomes(outcomes):

@@ -14,9 +14,11 @@ the single home for that policy:
   allowed to build process pools / executors directly (rule ``RL009``);
 * :data:`SERVE_ALLOWED` — the serving layer, the only place allowed to
   build HTTP servers or emit non-RFC JSON knobs (rule ``RL010``);
-* :data:`ESTIMATOR_PACKAGES` — the algorithm subpackages whose exports
-  form the estimator population (the runtime contract tool and the
-  static ``RL007`` rule agree on scope through it);
+* :data:`ESTIMATOR_PACKAGES` — re-exported from
+  :mod:`repro.core.taxonomy`: the algorithm subpackages whose exports
+  form the estimator population (the runtime contract tool, the
+  static ``RL007`` rule and the serving layer agree on scope through
+  it);
 * :data:`API_DOC_PACKAGES` — the public packages documented by
   ``tools/gen_api_docs.py``;
 * :data:`FORK_ENTRY_POINTS` — the functions that run first inside a
@@ -32,6 +34,8 @@ the single home for that policy:
 from __future__ import annotations
 
 from pathlib import Path
+
+from ..core.taxonomy import ESTIMATOR_PACKAGES
 
 __all__ = [
     "API_DOC_PACKAGES",
@@ -100,16 +104,6 @@ SERVE_ALLOWED = (
     "repro/serve/",
 )
 
-#: The algorithm subpackages whose ``__all__`` exports define the
-#: estimator population checked by ``tools/check_estimator_contract.py``.
-ESTIMATOR_PACKAGES = (
-    "repro.cluster",
-    "repro.originalspace",
-    "repro.subspace",
-    "repro.transform",
-    "repro.multiview",
-)
-
 #: ``(module, function)`` pairs that run first inside a freshly forked
 #: pool worker. Rule ``RL012`` requires their modules' import-time
 #: closure to create no threads/locks/servers at module level (those
@@ -117,7 +111,6 @@ ESTIMATOR_PACKAGES = (
 #: fork-inherited metrics registry before doing any work.
 FORK_ENTRY_POINTS = (
     ("repro.robustness.pool", "_pool_worker_main"),
-    ("repro.robustness.workers", "_child_main"),
 )
 
 #: Dotted-module prefixes whose objects are reached from multiple

@@ -11,15 +11,16 @@ injection used to prove every estimator fails structurally, never with
 an unhandled NumPy error.
 
 Three hard-enforcement modules complement the cooperative layer:
-:mod:`repro.robustness.workers` runs each experiment in a killable
-subprocess (its own process group) with a hard wall-clock deadline
-(covering hangs and crashes that never reach a ``budget_tick``),
+:mod:`repro.robustness.pool` runs an isolated sweep (``--isolate`` or
+``--jobs N``) on a work-stealing pool of killable worker subprocesses,
+each in its own process group, under a hard wall-clock deadline
+(covering hangs and crashes that never reach a ``budget_tick``), with
+crash quarantine, shared-memory data passing, and per-key
+deterministic seeds so parallel == in-process == resumed, bit for bit;
+:mod:`repro.robustness.workers` holds the process-group reaping and
+failure records it is built on; and
 :mod:`repro.robustness.checkpoint` journals completed outcomes with
-fsynced appends so an interrupted sweep resumes without recomputation,
-and :mod:`repro.robustness.pool` runs the whole grid concurrently on a
-work-stealing pool of such workers (``--jobs N``) with crash
-quarantine, shared-memory data passing, and per-key deterministic
-seeds so parallel == serial == resumed, bit for bit.
+fsynced appends so an interrupted sweep resumes without recomputation.
 
 See ``docs/robustness.md`` for the full guide.
 """
@@ -59,13 +60,7 @@ from .pool import (
     run_pool,
     shared_arrays,
 )
-from .workers import (
-    WorkerResult,
-    failure_from_worker,
-    reap_process,
-    run_in_worker,
-    worker_failure_record,
-)
+from .workers import reap_process, worker_failure_record
 
 __all__ = [
     "KNOWN_FAILURE_KINDS",
@@ -75,17 +70,14 @@ __all__ = [
     "RunResult",
     "RunJournal",
     "SharedDataset",
-    "WorkerResult",
     "active_budget",
     "budget_tick",
     "canonical_summary",
     "derive_seed",
     "experiment_seed",
-    "failure_from_worker",
     "load_journal_records",
     "reap_process",
     "resolve_jobs",
-    "run_in_worker",
     "run_pool",
     "shared_arrays",
     "worker_failure_record",

@@ -15,7 +15,7 @@ Two families of faults:
   :class:`~repro.robustness.RunGuard`).
 * **Hard faults** — failures that *defeat* the cooperative layer and
   can only be handled by process isolation
-  (:mod:`repro.robustness.workers`): :func:`hang` spins without ever
+  (:mod:`repro.robustness.pool`): :func:`hang` spins without ever
   calling ``budget_tick`` (no budget can interrupt it; only a hard
   wall-clock kill can), :func:`hard_crash` dies by signal or bare
   ``os._exit`` the way a segfault or the OOM killer would, skipping all

@@ -1,9 +1,10 @@
-"""Fault-contained parallel sweep pool: work-stealing over the grid.
+"""Fault-contained sweep pool: work-stealing over the grid.
 
-:func:`run_pool` generalises the one-at-a-time isolation of
-:mod:`repro.robustness.workers` into a concurrent executor that runs a
-whole experiment grid across ``jobs`` worker subprocesses while keeping
-every guarantee the serial path has:
+:func:`run_pool` is the one isolated executor of ``run_experiments``:
+``jobs=N`` runs the grid across ``N`` worker subprocesses, and
+``isolate=True`` at ``jobs=1`` is the same pool with one long-lived
+worker (respawned after a kill or crash). Either way every experiment
+gets these guarantees:
 
 * **work stealing** — workers pull the next pending experiment the
   moment they go idle, so a slow key never stalls the rest of the grid
@@ -11,8 +12,9 @@ every guarantee the serial path has:
 * **fault containment** — each worker is a subprocess in its *own
   process group* with a heartbeat pipe and a hard per-task wall-clock
   deadline; the parent's monitor loop reaps hung workers
-  (SIGTERM → SIGKILL, the :mod:`~repro.robustness.workers` semantics),
-  respawns replacements, and keeps the sweep going;
+  (SIGTERM → SIGKILL via :func:`~repro.robustness.workers.reap_process`),
+  respawns replacements, and keeps the sweep going; an idle worker
+  whose parent died (even by SIGKILL) notices and exits;
 * **crash quarantine** — an experiment that kills its worker is retried
   on a fresh worker at most ``crash_retries`` times; past that the key
   is recorded as ``failed/crashed`` (context ``quarantined``) and never
@@ -24,7 +26,7 @@ every guarantee the serial path has:
 * **deterministic seeding** — :func:`derive_seed` hashes the
   *experiment key* (never the scheduling slot or completion order) into
   a seed installed for the experiment body (:func:`experiment_seed`),
-  so a parallel sweep is bit-identical to a serial one and to any
+  so a parallel sweep is bit-identical to an in-process one and to any
   resumed continuation;
 * **order-independent resume** — each worker journals its own outcomes
   durably (``journal.worker-<slot>.jsonl``: one appended and
@@ -55,6 +57,7 @@ import numpy as np
 
 from ..exceptions import ValidationError
 from ..observability.logs import get_logger
+from ..observability.tracer import Tracer
 from .checkpoint import RunJournal
 from .workers import (
     reap_process,
@@ -77,6 +80,11 @@ logger = get_logger("repro.robustness.pool")
 
 #: Monitor-loop poll interval while waiting on worker pipes (seconds).
 _POLL_SECONDS = 0.05
+
+#: How often an idle worker checks that its parent is still alive. Under
+#: ``fork`` a worker inherits the parent's ends of the pipes, so a dead
+#: parent never shows up as EOF; a changed parent pid is the signal.
+_ORPHAN_CHECK_SECONDS = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +118,7 @@ def experiment_seed(default=None):
     """The per-key seed installed for the currently running experiment.
 
     Inside an experiment body executed by :func:`run_pool` (or the
-    serial ``run_experiments`` path) this returns
+    in-process ``run_experiments`` path) this returns
     ``derive_seed(key, base_seed)`` for the experiment's own key;
     outside a sweep it returns ``default``.
     """
@@ -122,7 +130,7 @@ def shared_arrays():
     """The sweep's shared dataset as ``{name: read-only ndarray}``.
 
     Populated by ``run_experiments(shared_data=...)`` — via
-    :class:`SharedDataset` under the pool, directly for serial sweeps —
+    :class:`SharedDataset` under the pool, directly for in-process sweeps —
     and empty outside a sweep.
     """
     arrays = _SHARED_ARRAYS.get()
@@ -262,20 +270,35 @@ class SharedDataset:
 # Worker side
 
 
+class _WorkerTracer(Tracer):
+    """Tracer for pool workers: iteration ticks double as heartbeats.
+
+    Every ``budget_tick`` inside the worker both feeds the span tree
+    (so ``iterations``/``timings`` ship back with the outcome) and
+    refreshes the parent's liveness clock through the worker pipe.
+    """
+
+    def __init__(self, heartbeat, profile_memory=False, **kwargs):
+        super().__init__(profile_memory=profile_memory, **kwargs)
+        self._heartbeat = heartbeat
+
+    def add_ticks(self, n=1):
+        super().add_ticks(n)
+        self._heartbeat()
+
+
 def _pool_worker_main(conn, slot, experiments, config):
     """Long-lived worker: pull tasks, journal durably, report back.
 
     The worker places itself in its own process group (so the parent
     can kill the whole tree, and a terminal Ctrl-C does not hit it
-    directly), attaches the shared dataset, and loops on the task pipe.
-    Every completed outcome is journaled to this worker's own shard
+    directly), attaches the shared dataset, and loops on the task pipe
+    until told to shut down or until its parent is gone. Every
+    completed outcome is journaled to this worker's own shard
     *before* it is reported, so a parent (or worker) death after the
     journal write can never lose the result.
     """
-    from ..experiments.harness import (
-        _outcome_from_result,
-        _WorkerTracer,
-    )
+    from ..experiments.harness import _outcome_from_result
     from ..observability.registry import (
         default_registry,
         reset_default_registry,
@@ -284,6 +307,7 @@ def _pool_worker_main(conn, slot, experiments, config):
     from .guard import RunGuard
 
     _own_process_group()
+    parent_pid = os.getppid()
     # under fork the worker inherits the parent registry's contents;
     # start from zero so the snapshot shipped back with each outcome
     # holds only this worker's work and merges without double counting
@@ -316,6 +340,10 @@ def _pool_worker_main(conn, slot, experiments, config):
     try:
         while True:
             try:
+                if not conn.poll(_ORPHAN_CHECK_SECONDS):
+                    if os.getppid() != parent_pid:
+                        break  # parent died (even by SIGKILL): exit
+                    continue
                 message = conn.recv()
             except (EOFError, OSError):
                 break  # parent is gone: stop pulling work
@@ -540,6 +568,7 @@ class _PoolRun:
             return
         worker.task = key
         worker.assigned_at = now
+        worker.last_heartbeat = None  # silence is measured per task
         limits = [limit for limit in
                   (self.hard_timeout,
                    None if key_deadline is None else key_deadline - now)
@@ -562,21 +591,13 @@ class _PoolRun:
         self._update_gauges()
 
     def _record_expired(self, key, key_deadline):
-        from ..experiments.harness import ExperimentOutcome
+        from ..experiments.harness import _expired_outcome
 
         logger.warning("experiment %s: deadline expired %.3gs ago while "
                        "queued; not running it", key,
                        time.monotonic() - key_deadline)
         self.metrics.counter("pool.tasks.expired").inc()
-        failure = worker_failure_record(
-            key, status="timeout", elapsed=0.0,
-            extra_context={"deadline_expired": True, "queued_only": True},
-        )
-        self._record(
-            ExperimentOutcome(key=key, status="failed", failure=failure,
-                              elapsed=0.0),
-            parent_journal=True,
-        )
+        self._record(_expired_outcome(key), parent_journal=True)
 
     def _update_gauges(self):
         self.metrics.gauge("pool.queue.depth").set(len(self.pending))

@@ -1,37 +1,30 @@
-"""Process isolation with hard wall-clock timeouts for guarded runs.
+"""Worker-process primitives behind the sweep pool's hard enforcement.
 
 The cooperative budgets of :mod:`repro.robustness.guard` stop a runaway
 optimiser only at the next ``budget_tick`` — a hang inside a tight inner
-loop, a C-level deadlock, or a segfault defeats them. This module adds
-the *hard* enforcement layer: :func:`run_in_worker` executes a payload
-in a ``multiprocessing`` subprocess connected to the parent by a
-message pipe, and the parent
+loop, a C-level deadlock, or a segfault defeats them. The pool of
+:mod:`repro.robustness.pool` runs every isolated experiment (``jobs > 1``
+or ``isolate=True``) in a worker subprocess and enforces limits from the
+outside with the helpers here:
 
-* **kills** the worker once a hard wall-clock deadline passes
-  (``terminate`` then ``kill`` after a grace period) and reports
-  ``status="timeout"``;
-* **detects death** — nonzero exit code or signal (segfault, OOM-kill,
-  an injected ``SIGKILL``) — and reports ``status="crashed"`` with the
-  exit code / signal name;
-* otherwise returns the payload's JSON-safe result dict
-  (``status="completed"``).
+* :func:`reap_process` **kills** a worker that must not survive
+  (``terminate`` then ``kill`` after a grace period), signalling its
+  whole process group;
+* :func:`worker_failure_record` turns a killed worker (``"timeout"``)
+  or a dead one — nonzero exit code or signal (segfault, OOM-kill, an
+  injected ``SIGKILL``) — into a structured ``"crashed"``
+  :class:`~repro.robustness.RunFailure`.
 
-The payload receives a ``heartbeat`` callable; invoking it (the harness
-wires it into the tracer's iteration ticks) updates the parent's
-liveness clock, so a timeout verdict can report how long the worker had
-been silent before it was killed.
+Every worker detaches into its **own process group** on startup
+(:func:`_own_process_group`), and reaping signals the group:
+grandchildren spawned by an experiment die with its worker, and a
+terminal Ctrl-C (delivered to the foreground group) never reaches
+workers directly — the parent reaps them on its way out, so no
+subprocess outlives the CLI.
 
-Every worker detaches into its **own process group** on startup, and
-reaping signals the group: grandchildren spawned by the payload die
-with the worker, and a terminal Ctrl-C (delivered to the foreground
-group) never reaches workers directly — the parent reaps them on its
-way out, so no subprocess outlives the CLI.
-
-The default start method is ``fork`` when the platform offers it, so
-closures and locally-defined experiments work; under ``spawn`` the
-payload must be picklable. Results cross the process boundary as plain
-dicts — see ``ExperimentOutcome.to_dict`` — never as pickled library
-objects, so a crashed worker can never poison the parent.
+The default start method is ``fork`` when the platform offers it
+(:func:`_pick_context`), so closures and locally-defined experiments
+work; under ``spawn`` the experiments must be picklable.
 """
 
 from __future__ import annotations
@@ -39,66 +32,17 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal as _signal
-import time
-from dataclasses import dataclass, field
-from typing import Any, Optional
 
-from ..exceptions import ValidationError
 from ..observability.logs import get_logger
 from .guard import RunFailure
 
-__all__ = ["WorkerResult", "failure_from_worker", "reap_process",
-           "run_in_worker", "worker_failure_record"]
+__all__ = ["reap_process", "worker_failure_record"]
 
 logger = get_logger("repro.robustness.workers")
 
 #: Seconds granted between ``terminate`` (SIGTERM) and ``kill``
 #: (SIGKILL) when reaping a timed-out worker.
 _KILL_GRACE = 2.0
-
-#: Parent poll interval while waiting on the worker pipe.
-_POLL_SECONDS = 0.05
-
-
-@dataclass
-class WorkerResult:
-    """Parent-side verdict about one isolated worker run.
-
-    ``status`` is ``"completed"`` (``value`` holds the payload's result
-    dict), ``"timeout"`` (deadline passed; worker killed), or
-    ``"crashed"`` (worker died before producing a result). ``detail``
-    carries structured context for the non-completed cases — exit code,
-    signal name, or the error the worker managed to report before dying.
-    """
-
-    status: str
-    value: Any = None
-    elapsed: float = 0.0
-    exitcode: Optional[int] = None
-    signal_name: Optional[str] = None
-    last_heartbeat_age: Optional[float] = None
-    detail: dict = field(default_factory=dict)
-
-    @property
-    def completed(self):
-        return self.status == "completed"
-
-    def describe(self):
-        """One-line human summary of a non-completed verdict."""
-        if self.status == "timeout":
-            silence = (f"; silent for {self.last_heartbeat_age:.1f}s "
-                       "before the kill"
-                       if self.last_heartbeat_age is not None else "")
-            return (f"worker exceeded its hard deadline after "
-                    f"{self.elapsed:.2f}s and was killed{silence}")
-        if self.status == "crashed":
-            how = (f"signal {self.signal_name}" if self.signal_name
-                   else f"exit code {self.exitcode}")
-            reported = self.detail.get("message")
-            extra = f" ({reported})" if reported else ""
-            return (f"worker died with {how} after "
-                    f"{self.elapsed:.2f}s{extra}")
-        return f"worker completed in {self.elapsed:.2f}s"
 
 
 def _signal_name(exitcode):
@@ -123,49 +67,6 @@ def _own_process_group():
         os.setpgid(0, 0)
     except (OSError, AttributeError): # repro: noqa[RL011] - already a group leader, or no setpgid on this platform
         pass  # already a group leader, or the platform has no setpgid
-
-
-def _child_main(conn, payload, heartbeat_interval):
-    """Worker entry point: run ``payload`` and ship the result back.
-
-    Any exception escaping the payload (the harness runs payloads under
-    a RunGuard, so this means broken worker plumbing, not a failed
-    experiment) is reported over the pipe before exiting nonzero.
-    """
-    from ..observability.registry import reset_default_registry
-
-    _own_process_group()
-    # under fork the child inherits the parent registry's contents;
-    # start from zero so metrics recorded during this payload count
-    # only the child's own activity when merged back
-    reset_default_registry()
-    last_sent = [0.0]
-
-    def heartbeat():
-        now = time.monotonic()
-        if now - last_sent[0] >= heartbeat_interval:
-            last_sent[0] = now
-            try:
-                conn.send(("heartbeat", now))
-            except (BrokenPipeError, OSError): # repro: noqa[RL011] - parent already gone; the run is moot anyway
-                pass  # parent already gone; the run is moot anyway
-
-    try:
-        value = payload(heartbeat)
-        conn.send(("outcome", value))
-        exitcode = 0
-    except BaseException as exc:  # noqa: BLE001  # repro: noqa[RL004] - reports over the pipe, then exits nonzero
-        try:
-            conn.send(("error", {
-                "error_type": type(exc).__name__,
-                "message": str(exc),
-            }))
-        except (BrokenPipeError, OSError): # repro: noqa[RL011] - parent already gone; exit code still says nonzero
-            pass
-        exitcode = 1
-    finally:
-        conn.close()
-    os._exit(exitcode)
 
 
 def _pick_context(start_method):
@@ -193,7 +94,7 @@ def reap_process(process):
 
     Signals are sent to the worker's whole *process group* (workers
     make themselves group leaders on startup), so grandchildren the
-    payload spawned die with it — nothing outlives the sweep.
+    experiment spawned die with it — nothing outlives the sweep.
     """
     if not process.is_alive():
         process.join()
@@ -217,137 +118,30 @@ def worker_failure_record(label, *, status, elapsed, exitcode=None,
                           heartbeat_age=None, extra_context=None):
     """A structured :class:`RunFailure` for a killed or dead worker.
 
-    ``status`` is ``"timeout"`` (the parent enforced a hard deadline)
-    or ``"crashed"`` (the worker died on its own); both the serial
-    isolation path and the parallel pool synthesize their verdicts
-    through this single helper so the failure schema cannot drift
-    between the two executors.
+    ``status`` is ``"timeout"`` (the parent enforced a hard deadline;
+    ``heartbeat_age`` is how long the worker had been silent before the
+    kill, when it ever sent a heartbeat) or ``"crashed"`` (the worker
+    died on its own). Every verdict the pool synthesizes goes through
+    this single helper, so the failure schema cannot drift.
     """
     from ..exceptions import WorkerCrashError, WorkerTimeoutError
 
-    verdict = WorkerResult(status=status, elapsed=elapsed,
-                           exitcode=exitcode, signal_name=signal_name,
-                           last_heartbeat_age=heartbeat_age)
-    error_type = (WorkerTimeoutError.__name__ if status == "timeout"
-                  else WorkerCrashError.__name__)
+    if status == "timeout":
+        error_type = WorkerTimeoutError.__name__
+        silence = ("" if heartbeat_age is None
+                   else f"; silent for {heartbeat_age:.1f}s before the kill")
+        message = (f"worker exceeded its hard deadline after "
+                   f"{elapsed:.2f}s and was killed{silence}")
+    else:
+        error_type = WorkerCrashError.__name__
+        how = (f"signal {signal_name}" if signal_name
+               else f"exit code {exitcode}")
+        message = f"worker died with {how} after {elapsed:.2f}s"
     context = {"exitcode": exitcode, "signal": signal_name,
                "hard_timeout": hard_timeout}
     context.update(extra_context or {})
     return RunFailure(
-        label=label, error_type=error_type, message=verdict.describe(),
+        label=label, error_type=error_type, message=message,
         traceback="", elapsed=elapsed, attempts=1, kind=status,
         context=context,
     )
-
-
-def failure_from_worker(label, worker, *, hard_timeout=None):
-    """:func:`worker_failure_record` from a :class:`WorkerResult`."""
-    return worker_failure_record(
-        label, status=worker.status, elapsed=worker.elapsed,
-        exitcode=worker.exitcode, signal_name=worker.signal_name,
-        hard_timeout=hard_timeout, heartbeat_age=worker.last_heartbeat_age,
-        extra_context=worker.detail,
-    )
-
-
-def run_in_worker(payload, *, hard_timeout=None, heartbeat_interval=1.0,
-                  start_method=None, label=""):
-    """Run ``payload(heartbeat)`` in a subprocess under a hard deadline.
-
-    Parameters
-    ----------
-    payload : callable
-        Takes one argument — a zero-arg ``heartbeat`` callable it may
-        invoke at progress points — and returns a JSON-serialisable
-        value (the harness sends ``ExperimentOutcome.to_dict()``).
-    hard_timeout : float or None
-        Wall-clock seconds before the worker is killed from the
-        outside. ``None`` waits indefinitely (crash detection only).
-    heartbeat_interval : float
-        Minimum seconds between heartbeat messages (rate limit applied
-        in the child; excess calls are free).
-    start_method : str or None
-        ``multiprocessing`` start method; default prefers ``fork``.
-    label : str
-        Identifies the worker in log messages.
-
-    Returns
-    -------
-    WorkerResult
-        Never raises for worker-side problems; ``KeyboardInterrupt`` in
-        the parent still propagates (after the worker is reaped).
-    """
-    if hard_timeout is not None:
-        hard_timeout = float(hard_timeout)
-        if not hard_timeout > 0:
-            raise ValidationError(
-                f"hard_timeout must be positive, got {hard_timeout}"
-            )
-    ctx = _pick_context(start_method)
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    process = ctx.Process(
-        target=_child_main, args=(child_conn, payload, heartbeat_interval),
-        daemon=True, name=f"repro-worker-{label or 'anon'}",
-    )
-    start = time.monotonic()
-    process.start()
-    child_conn.close()
-    try:  # close the startup race: the child does the same first thing
-        os.setpgid(process.pid, process.pid)
-    except (OSError, AttributeError): # repro: noqa[RL011] - setpgid race with the child; it sets its own group first thing
-        pass
-    deadline = None if hard_timeout is None else start + hard_timeout
-    last_heartbeat = None
-    outcome = None
-    got_outcome = False
-    error_detail = {}
-    timed_out = False
-    try:
-        while True:
-            now = time.monotonic()
-            if deadline is not None and now >= deadline:
-                timed_out = True
-                break
-            wait = _POLL_SECONDS
-            if deadline is not None:
-                wait = min(wait, max(deadline - now, 0.0))
-            if parent_conn.poll(wait):
-                try:
-                    tag, value = parent_conn.recv()
-                except (EOFError, OSError):
-                    break  # pipe closed with no outcome: child is dead/dying
-                if tag == "heartbeat":
-                    last_heartbeat = time.monotonic()
-                elif tag == "outcome":
-                    outcome = value
-                    got_outcome = True
-                    break
-                elif tag == "error":
-                    error_detail = dict(value)
-                    break
-            elif not process.is_alive() and not parent_conn.poll():
-                break  # died between polls and left nothing in the pipe
-    finally:
-        reap_process(process)
-        parent_conn.close()
-    elapsed = time.monotonic() - start
-    heartbeat_age = (None if last_heartbeat is None
-                     else elapsed - (last_heartbeat - start))
-    if got_outcome:
-        return WorkerResult(status="completed", value=outcome,
-                            elapsed=elapsed)
-    if timed_out:
-        logger.warning("worker %s killed at hard deadline %.3gs",
-                       label or process.name, hard_timeout)
-        return WorkerResult(status="timeout", elapsed=elapsed,
-                            exitcode=process.exitcode,
-                            signal_name=_signal_name(process.exitcode),
-                            last_heartbeat_age=heartbeat_age)
-    exitcode = process.exitcode
-    logger.warning("worker %s crashed (exitcode=%s)",
-                   label or process.name, exitcode)
-    return WorkerResult(status="crashed", elapsed=elapsed,
-                        exitcode=exitcode,
-                        signal_name=_signal_name(exitcode),
-                        last_heartbeat_age=heartbeat_age,
-                        detail=error_detail)

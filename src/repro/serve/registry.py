@@ -434,10 +434,10 @@ class ModelRegistry:
         """True when ``key`` has a checksum-valid entry (disk or
         memory overlay); quarantines a corrupt one as a side effect.
 
-        This is the cache-hit probe the scheduler uses: unlike
-        :meth:`touch` it reads and verifies the bytes, so a corrupt
-        entry turns into a refit at submit time instead of a 404 at
-        model-fetch time. A verified disk hit bumps LRU recency.
+        This is the cache-hit probe the scheduler uses: it reads and
+        verifies the bytes, so a corrupt entry turns into a refit at
+        submit time instead of a 404 at model-fetch time. A verified
+        disk hit bumps LRU recency.
         """
         path = self._path(key)
         if self._load_verified(path) is not None:
@@ -445,19 +445,6 @@ class ModelRegistry:
                 os.utime(path)
             return True
         return self._memory_get(key) is not None
-
-    def touch(self, key):
-        """Bump ``key``'s LRU recency without reading it.
-
-        Returns True when the entry exists — a cheap existence probe
-        for cache-hit checks that must not pay a full payload load
-        (e.g. under the scheduler's condition lock).
-        """
-        try:
-            os.utime(self._path(key))
-        except OSError:
-            return False
-        return True
 
     def __contains__(self, key):
         return self._path(key).exists()

@@ -32,8 +32,8 @@ import time
 
 import numpy as np
 
+from ..core.taxonomy import ESTIMATOR_PACKAGES
 from ..exceptions import MultiClustError, ValidationError
-from ..lint.walk import ESTIMATOR_PACKAGES
 from ..observability.logs import get_logger
 from ..observability.registry import LATENCY_BUCKETS, default_registry
 from ..observability.tracer import Tracer, merge_records

@@ -2,10 +2,10 @@
 
 Three layers under test:
 
-* ``repro.robustness.workers`` — a subprocess worker that hangs is
-  killed at the hard wall-clock deadline (``"timeout"``), one that dies
-  by signal or nonzero exit is detected (``"crashed"``), and a healthy
-  one ships its result dict back over the pipe;
+* isolated sweeps — a worker that hangs is killed at the hard
+  wall-clock deadline (``"timeout"``), one that dies by signal or
+  nonzero exit is detected (``"crashed"``), and a healthy one ships its
+  outcome back over the pipe;
 * ``repro.robustness.checkpoint`` — the journal survives a torn
   trailing write, refuses mid-file corruption, and lets a killed sweep
   resume with **zero recomputation** of completed experiments;
@@ -43,7 +43,6 @@ from repro.robustness import (
     RunJournal,
     budget_tick,
     load_journal_records,
-    run_in_worker,
 )
 
 _TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / \
@@ -64,90 +63,62 @@ def _table(x=1.0):
 
 
 # ---------------------------------------------------------------------------
-# workers: completed / timeout / crashed verdicts
+# isolated sweeps: verdicts synthesized for killed and dead workers
 
 
-def test_worker_ships_result_dict_back():
-    result = run_in_worker(lambda heartbeat: {"answer": 42})
-    assert result.completed
-    assert result.value == {"answer": 42}
-
-
-def test_worker_none_result_is_still_completed():
-    result = run_in_worker(lambda heartbeat: None)
-    assert result.completed
-    assert result.value is None
-
-
-def test_worker_hang_is_killed_at_hard_deadline():
-    def hang_payload(heartbeat):
-        while True:  # no heartbeat, no tick: pure hang
-            time.sleep(0.05)
-
-    start = time.monotonic()
-    result = run_in_worker(hang_payload, hard_timeout=0.5)
-    assert time.monotonic() - start < REAP_CEILING
-    assert result.status == "timeout"
-    assert not result.completed
-    assert "hard deadline" in result.describe()
-
-
-def test_worker_sigkill_is_reported_as_crash():
-    def suicide(heartbeat):
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    result = run_in_worker(suicide, hard_timeout=5.0)
-    assert result.status == "crashed"
-    assert result.signal_name == "SIGKILL"
-    assert "SIGKILL" in result.describe()
-
-
-def test_worker_nonzero_exit_is_reported_as_crash():
-    def bail(heartbeat):
+def test_isolated_nonzero_exit_is_reported_as_crash():
+    def bail():
         os._exit(3)
 
-    result = run_in_worker(bail)
-    assert result.status == "crashed"
-    assert result.exitcode == 3
-    assert result.signal_name is None
+    outcome, = run_experiments({"BAIL": bail}, isolate=True)
+    assert outcome.status == "failed"
+    assert outcome.failure.kind == "crashed"
+    assert outcome.failure.error_type == "WorkerCrashError"
+    assert outcome.failure.context["exitcode"] == 3
+    assert outcome.failure.context["signal"] is None
+    assert "exit code 3" in outcome.failure.message
 
 
-def test_worker_heartbeat_age_reported_on_timeout():
-    def beat_then_hang(heartbeat):
-        heartbeat()
+def test_isolated_timeout_reports_heartbeat_silence():
+    def tick_then_hang():
+        budget_tick(1)  # one heartbeat reaches the parent
         while True:
             time.sleep(0.05)
 
-    result = run_in_worker(beat_then_hang, hard_timeout=0.6,
-                           heartbeat_interval=0.0)
-    assert result.status == "timeout"
-    assert result.last_heartbeat_age is not None
-    assert 0.0 <= result.last_heartbeat_age <= REAP_CEILING
-    assert "silent for" in result.describe()
+    start = time.monotonic()
+    outcome, = run_experiments({"BEAT": tick_then_hang}, isolate=True,
+                               hard_timeout=0.6)
+    assert time.monotonic() - start < REAP_CEILING
+    assert outcome.failure.kind == "timeout"
+    assert "hard deadline" in outcome.failure.message
+    assert "silent for" in outcome.failure.message
 
 
-def test_worker_rejects_nonpositive_timeout():
-    with pytest.raises(ValidationError):
-        run_in_worker(lambda heartbeat: None, hard_timeout=0.0)
+def test_isolated_sweep_rejects_nonpositive_hard_timeout():
+    with pytest.raises(ValidationError, match="positive"):
+        run_experiments({"A": _table}, isolate=True, hard_timeout=0)
 
 
-def test_worker_starts_with_a_fresh_metrics_registry():
-    # regression: the forked child used to inherit the parent
-    # registry's contents, so merging per-worker snapshots back
-    # double-counted everything recorded before the fork
+def test_isolated_worker_starts_with_a_fresh_metrics_registry():
+    # regression: a forked worker used to inherit the parent registry's
+    # contents, so merging its snapshot back double-counted everything
+    # recorded before the fork
     from repro.observability import (
         default_registry,
         record,
         reset_default_registry,
     )
 
+    def inherited():
+        table = ResultTable("registry", ["inherited"])
+        table.add(inherited="fits_total" in default_registry().snapshot())
+        return table
+
     reset_default_registry()
     record("fits_total")
     try:
-        result = run_in_worker(
-            lambda heartbeat: default_registry().snapshot())
-        assert result.completed
-        assert "fits_total" not in result.value
+        outcome, = run_experiments({"R": inherited}, isolate=True)
+        assert outcome.table.rows == [{"inherited": False}]
     finally:
         reset_default_registry()
 

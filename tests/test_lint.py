@@ -737,16 +737,11 @@ class TestModuleNaming:
 # RL012 — fork safety
 
 
-def _entry_tree(workers_body, extra=None):
+def _entry_tree(pool_body, extra=None):
     files = {
         "repro/__init__.py": "",
         "repro/robustness/__init__.py": "",
-        "repro/robustness/workers.py": workers_body,
-        "repro/robustness/pool.py": """
-            def _pool_worker_main(queue):
-                from ..observability import reset_default_registry
-                reset_default_registry()
-            """,
+        "repro/robustness/pool.py": pool_body,
     }
     files.update(extra or {})
     return files
@@ -756,18 +751,18 @@ class TestRL012ForkSafety:
     def test_entry_point_without_registry_reset_flagged(self, tmp_path):
         report = tree_report(tmp_path, _entry_tree(
             """
-            def _child_main(conn):
+            def _pool_worker_main(conn):
                 conn.send("ready")
             """
         ), select=["RL012"])
         assert rule_ids(report) == ["RL012"]
         assert "reset_default_registry" in report.findings[0].message
-        assert report.findings[0].path.endswith("workers.py")
+        assert report.findings[0].path.endswith("pool.py")
 
     def test_entry_point_with_reset_is_clean(self, tmp_path):
         report = tree_report(tmp_path, _entry_tree(
             """
-            def _child_main(conn):
+            def _pool_worker_main(conn):
                 from ..observability import reset_default_registry
                 reset_default_registry()
                 conn.send("ready")
@@ -778,7 +773,7 @@ class TestRL012ForkSafety:
     def test_renamed_entry_point_flagged(self, tmp_path):
         report = tree_report(tmp_path, _entry_tree(
             """
-            def child_main_v2(conn):
+            def pool_worker_main_v2(conn):
                 pass
             """
         ), select=["RL012"])
@@ -790,7 +785,7 @@ class TestRL012ForkSafety:
             """
             from repro.robustness import shared
 
-            def _child_main(conn):
+            def _pool_worker_main(conn):
                 from ..observability import reset_default_registry
                 reset_default_registry()
             """,
@@ -812,7 +807,7 @@ class TestRL012ForkSafety:
             """
             import threading
 
-            def _child_main(conn):
+            def _pool_worker_main(conn):
                 from ..observability import reset_default_registry
                 reset_default_registry()
                 threading.Thread(target=conn.send).start()

@@ -193,6 +193,35 @@ def test_parallel_sweep_equivalent_to_serial(tmp_path):
         canonical_summary(pooled_journal)
 
 
+def test_in_process_sweep_equivalent_to_pool(tmp_path):
+    """The in-process path (jobs=1, no isolate) matches jobs=4 byte for
+    byte — summaries and merged journals — with a catchable fault (a
+    hard one would kill the test process itself)."""
+    def body(key):
+        def run():
+            return _table(key, seed=experiment_seed(), name=key)
+        return run
+
+    grid = {f"E{i}": body(f"E{i}") for i in range(6)}
+    faults = {"E2": "error"}
+
+    in_process = run_experiments(
+        dict(grid), jobs=1, fail_keys=faults,
+        journal=RunJournal(tmp_path / "in_process"), base_seed=3,
+    )
+    pooled = run_experiments(
+        dict(grid), jobs=4, fail_keys=faults,
+        journal=RunJournal(tmp_path / "pooled"), base_seed=3,
+    )
+    assert canonical_summary(in_process) == canonical_summary(pooled)
+    in_process_journal = load_journal_records(
+        tmp_path / "in_process" / "journal.jsonl")
+    pooled_journal = load_journal_records(
+        tmp_path / "pooled" / "journal.jsonl")
+    assert canonical_summary(in_process_journal) == \
+        canonical_summary(pooled_journal)
+
+
 def test_pool_resume_skips_completed_keys(tmp_path):
     marker = tmp_path / "runs.log"
 
@@ -523,6 +552,76 @@ def test_driver_sigint_leaves_no_worker_behind(tmp_path):
             driver.kill()
             driver.wait()
         _reap_leftover_worker(tmp_path)
+
+
+_PID_SWEEP = textwrap.dedent("""\
+    import os, sys, time
+    sys.path.insert(0, {src!r})
+    from repro.experiments.harness import ResultTable, run_experiments
+
+    TMP = {tmp!r}
+
+    def record_pid():
+        with open(os.path.join(TMP, "pids.log"), "a") as fh:
+            fh.write(f"{{os.getpid()}}\\n")
+
+    def quick(key):
+        def body():
+            record_pid()
+            with open(os.path.join(TMP, key + ".ran"), "a") as fh:
+                fh.write("ran\\n")
+            table = ResultTable(key, ["x"])
+            table.add(x=1.0)
+            return table
+        return body
+
+    def slow():
+        record_pid()
+        with open(os.path.join(TMP, "worker.pid"), "w") as fh:
+            fh.write(str(os.getpid()))
+        time.sleep(60.0)  # killed long before this
+
+    grid = {{"SLOW": slow}}
+    grid.update({{k: quick(k) for k in ("E1", "E2", "E3", "E4")}})
+    run_experiments(grid, jobs=2)
+""")
+
+
+def test_no_worker_outlives_a_sigkilled_parent(tmp_path):
+    """SIGKILL the sweep parent while one worker is busy and the other idle:
+    once the busy worker's group is reaped, every worker is gone. An
+    idle worker must notice its parent died even though, under fork, it
+    holds the parent's end of its own pipe and never sees EOF."""
+    script = tmp_path / "sweep.py"
+    script.write_text(_PID_SWEEP.format(src=_SRC, tmp=str(tmp_path)))
+    parent = subprocess.Popen(
+        [sys.executable, str(script)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    quick_done = [tmp_path / f"{k}.ran" for k in ("E1", "E2", "E3", "E4")]
+    try:
+        assert _wait_for(
+            lambda: (tmp_path / "worker.pid").exists()
+            and all(path.exists() for path in quick_done),
+            deadline=3 * REAP_CEILING), "the sweep never ran its grid"
+        os.kill(parent.pid, signal.SIGKILL)
+        parent.wait(timeout=REAP_CEILING)
+    finally:
+        if parent.poll() is None:
+            parent.kill()
+            parent.wait()
+        _reap_leftover_worker(tmp_path)
+    pids = {int(line) for line in
+            (tmp_path / "pids.log").read_text().split()}
+    assert len(pids) == 2  # the SLOW worker and the idle one
+    try:
+        assert _wait_for(lambda: all(_pid_gone(pid) for pid in pids)), \
+            f"workers {sorted(pid for pid in pids if not _pid_gone(pid))} " \
+            "outlived their SIGKILLed parent"
+    finally:
+        for pid in pids:
+            if not _pid_gone(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 # -- CLI ------------------------------------------------------------------

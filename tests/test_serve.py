@@ -96,6 +96,17 @@ class TestServableEstimators:
         for name in ("ASCLU", "OSCLU", "RESCU", "ClusterEnsemble"):
             assert name not in table
 
+    def test_serving_does_not_load_the_linter(self):
+        # the estimator population lives in repro.core.taxonomy; the
+        # serving layer must not pull the dev-only lint package in
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        probe = ("import sys, repro.serve.scheduler; "
+                 "print('repro.lint' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
 
 class TestEndToEnd:
     def test_full_round_trip_and_cache_hit(self, served):

@@ -106,19 +106,6 @@ class TestRegistryBasics:
     def test_miss_returns_none(self, tmp_path):
         assert ModelRegistry(tmp_path).get("ab12" * 8) is None
 
-    def test_touch_probes_and_bumps_without_reading(self, tmp_path):
-        # the scheduler's cache-hit check runs under its condition
-        # lock: it must not load the (potentially MBs) payload there
-        registry = ModelRegistry(tmp_path)
-        key = "ab12" * 8
-        assert registry.touch(key) is False
-        registry.put(key, {"model": {"x": 1}})
-        path = tmp_path / f"{key}.json"
-        old = path.stat().st_mtime - 10
-        os.utime(path, (old, old))
-        assert registry.touch(key) is True
-        assert path.stat().st_mtime > old  # LRU recency bumped
-
     @pytest.mark.parametrize("bad", ["", "UPPER", "../escape", "a/b",
                                      "x" * 100, "g" * 16])
     def test_malformed_keys_rejected(self, tmp_path, bad):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import importlib
 import inspect
 import pathlib
+import re
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -32,8 +33,10 @@ def first_paragraph(doc):
 
 
 def signature_of(obj):
+    """``inspect.signature`` text, with function defaults shown without
+    their memory address so the output is the same on every run."""
     try:
-        return str(inspect.signature(obj))
+        return re.sub(r" at 0x[0-9a-f]+>", ">", str(inspect.signature(obj)))
     except (TypeError, ValueError):
         return "(...)"
 
