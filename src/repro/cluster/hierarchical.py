@@ -18,6 +18,10 @@ __all__ = ["Agglomerative", "LinkageMatrix", "average_link_distance"]
 
 _LINKAGES = ("single", "complete", "average")
 
+#: rows per block when rescanning: the temporary copies stay a small
+#: fraction of the n x n matrix
+_SCAN_ROWS = 64
+
 
 def average_link_distance(d, members_a, members_b):
     """Average pairwise distance between two groups given a distance matrix."""
@@ -25,14 +29,89 @@ def average_link_distance(d, members_a, members_b):
     return float(block.mean())
 
 
+class _NearestNeighbours:
+    """Per-row nearest neighbour of a distance matrix, kept exact across
+    merges: ``nn[i] == np.argmin(row i)`` (first index on ties) and
+    ``dist[i]`` is that minimum. With a boolean ``mask``, masked entries
+    count as ``+inf``; a merge unions the merged rows of the mask."""
+
+    def __init__(self, d, mask=None):
+        n = d.shape[0]
+        self.mask = mask
+        self.nn = np.zeros(n, dtype=np.intp)
+        self.dist = np.full(n, np.inf)
+        self.rescan(d, np.arange(n))
+
+    def rescan(self, d, rows):
+        for start in range(0, rows.size, _SCAN_ROWS):
+            chunk = rows[start:start + _SCAN_ROWS]
+            block = d[chunk]
+            if self.mask is not None:
+                block[self.mask[chunk]] = np.inf
+            nn = np.argmin(block, axis=1)
+            self.nn[chunk] = nn
+            self.dist[chunk] = block[np.arange(chunk.size), nn]
+
+    def closest(self):
+        """``(i, j)`` of the first minimal entry in row-major order, or
+        ``None`` when every entry is infinite."""
+        i = int(np.argmin(self.dist))
+        if not np.isfinite(self.dist[i]):
+            return None
+        return i, int(self.nn[i])
+
+    def merged(self, d, a, b, others):
+        """Refresh after ``b`` merged into ``a``; ``d`` is already updated
+        and ``others`` are the other active rows. Only column ``a`` of
+        those rows changed (column ``b`` became +inf), so a row whose
+        neighbour was neither ``a`` nor ``b`` just compares its minimum
+        with the new entry; the rest, and row ``a``, are rescanned."""
+        if self.mask is not None:
+            union = self.mask[a] | self.mask[b]
+            self.mask[a, :] = union
+            self.mask[:, a] = union
+        self.nn[b], self.dist[b] = 0, np.inf
+        stale = (self.nn[others] == a) | (self.nn[others] == b)
+        keep = others[~stale]
+        new = d[keep, a]
+        if self.mask is not None:
+            new[self.mask[keep, a]] = np.inf
+        old = self.dist[keep]
+        closer = (new < old) | ((new == old) & (a < self.nn[keep]))
+        self.nn[keep[closer]] = a
+        self.dist[keep[closer]] = new[closer]
+        self.rescan(d, np.append(others[stale], a))
+
+
 class LinkageMatrix:
     """Incrementally maintained between-group distances under a linkage.
 
-    Uses the Lance-Williams update so merging is O(n) per step. Groups are
-    addressed by integer ids; merged ids are retired.
+    Groups are addressed by integer ids; a merge keeps the first id and
+    retires the second. Each row caches its nearest neighbour, so
+    :meth:`closest_pair` is an O(n) argmin over n cached minima that
+    returns exactly the pair a flat ``argmin`` over the whole matrix
+    would (the first minimal entry in row-major order). A merge applies
+    the Lance-Williams update to one row and column in O(n) and rescans
+    only the rows whose nearest neighbour was one of the merged groups
+    (Müllner 2011, arXiv:1109.2378): a full hierarchy typically costs
+    O(n^2), and O(n^3) when many rows shared a neighbour.
+
+    Parameters
+    ----------
+    d : array-like of shape (n, n)
+        Distances between the initial singleton groups; the diagonal is
+        ignored. The matrix is copied.
+    linkage : {"single", "complete", "average"}
+    cannot_link : array-like of bool, shape (n, n), optional
+        Symmetric object-level constraints: ``cannot_link[i, j]`` forbids
+        a group holding ``i`` from joining a group holding ``j`` in
+        ``closest_pair(constrained=True)``. A merge takes the union of
+        the two groups' constraints, so they follow the objects (COALA's
+        dissimilarity merge). The constraints are stored as booleans
+        with their own row-minimum cache, not as a second float matrix.
     """
 
-    def __init__(self, d, linkage="average"):
+    def __init__(self, d, linkage="average", *, cannot_link=None):
         if linkage not in _LINKAGES:
             raise ValidationError(f"unknown linkage {linkage!r}")
         self.linkage = linkage
@@ -44,68 +123,82 @@ class LinkageMatrix:
         self.active = set(range(n))
         self.sizes = {i: 1 for i in range(n)}
         self.members = {i: [i] for i in range(n)}
+        self._alive = np.ones(n, dtype=bool)
+        self._nearest = _NearestNeighbours(self._d)
+        self._linkable = None
+        if cannot_link is not None:
+            blocked = np.array(cannot_link, dtype=bool)
+            if blocked.shape != (n, n) or not np.array_equal(blocked,
+                                                             blocked.T):
+                raise ValidationError(
+                    "cannot_link must be a symmetric n x n boolean matrix")
+            self._linkable = _NearestNeighbours(self._d, mask=blocked)
 
     def distance(self, a, b):
         """Current linkage distance between groups ``a`` and ``b``."""
         return float(self._d[a, b])
 
-    def closest_pair(self, *, allowed=None, blocked=None):
+    def closest_pair(self, *, constrained=False):
         """The pair of active groups with minimal linkage distance.
 
-        Candidate pairs can be restricted either by a predicate
-        ``allowed(a, b) -> bool`` or — much faster — by a boolean matrix
-        ``blocked`` where ``blocked[a, b]`` forbids the pair (COALA's
-        constraint filter maintains one incrementally).
+        With ``constrained=True`` only pairs whose union violates no
+        ``cannot_link`` constraint qualify.
 
-        Returns ``(a, b, distance)`` or ``None`` when no pair qualifies.
+        Returns ``(a, b, distance)`` with ``a < b``, or ``None`` when no
+        pair has a finite distance.
         """
-        if allowed is None:
-            # Vectorised: inactive rows/cols are already +inf.
-            d = self._d
-            if blocked is not None:
-                d = np.where(blocked, np.inf, d)
-            flat = int(np.argmin(d))
-            a, b = divmod(flat, d.shape[1])
-            if not np.isfinite(d[a, b]):
-                return None
-            if a > b:
-                a, b = b, a
-            return (a, b, float(d[a, b]))
-        best = None
-        act = sorted(self.active)
-        for i, a in enumerate(act):
-            row = self._d[a]
-            for b in act[i + 1:]:
-                if not allowed(a, b):
-                    continue
-                dist = row[b]
-                if best is None or dist < best[2]:
-                    best = (a, b, float(dist))
-        return best
+        if constrained and self._linkable is None:
+            raise ValidationError(
+                "closest_pair(constrained=True) needs cannot_link")
+        pair = (self._linkable if constrained else self._nearest).closest()
+        if pair is None:
+            return None
+        a, b = sorted(pair)
+        return (a, b, float(self._d[a, b]))
 
     def merge(self, a, b):
         """Merge group ``b`` into group ``a``; returns the surviving id."""
-        if a not in self.active or b not in self.active:
-            raise ValidationError("both groups must be active")
+        if a == b or a not in self.active or b not in self.active:
+            raise ValidationError("both groups must be active and distinct")
         na, nb = self.sizes[a], self.sizes[b]
-        for c in self.active:
-            if c in (a, b):
-                continue
-            dac, dbc = self._d[a, c], self._d[b, c]
-            if self.linkage == "single":
-                new = min(dac, dbc)
-            elif self.linkage == "complete":
-                new = max(dac, dbc)
-            else:  # average
-                new = (na * dac + nb * dbc) / (na + nb)
-            self._d[a, c] = self._d[c, a] = new
-        self._d[b, :] = np.inf
-        self._d[:, b] = np.inf
+        d = self._d
+        self._alive[b] = False
+        others = np.flatnonzero(self._alive)
+        others = others[others != a]
+        dac, dbc = d[a, others], d[b, others]
+        if self.linkage == "single":
+            new = np.where(dbc < dac, dbc, dac)
+        elif self.linkage == "complete":
+            new = np.where(dbc > dac, dbc, dac)
+        else:  # average
+            new = (na * dac + nb * dbc) / (na + nb)
+        d[a, others] = new
+        d[others, a] = new
+        d[b, :] = np.inf
+        d[:, b] = np.inf
+        self._nearest.merged(d, a, b, others)
+        if self._linkable is not None:
+            self._linkable.merged(d, a, b, others)
         self.active.remove(b)
         self.sizes[a] = na + nb
         self.members[a] = self.members[a] + self.members.pop(b)
         del self.sizes[b]
         return a
+
+    def cut(self, k):
+        """Merge the closest pair until ``k`` groups remain, or until no
+        pair has a finite distance.
+
+        Returns the merges performed, in order, as ``(a, b, distance)``.
+        """
+        history = []
+        while len(self.active) > k:
+            pair = self.closest_pair()
+            if pair is None:
+                break
+            self.merge(pair[0], pair[1])
+            history.append(pair)
+        return history
 
     def current_labels(self, n_objects):
         """Label vector mapping each object to its group's rank."""
@@ -141,14 +234,6 @@ class Agglomerative(BaseClusterer):
         n = X.shape[0]
         k = check_n_clusters(self.n_clusters, n)
         lm = LinkageMatrix(pairwise_distances(X), linkage=self.linkage)
-        history = []
-        while len(lm.active) > k:
-            pair = lm.closest_pair()
-            if pair is None:
-                break
-            a, b, dist = pair
-            lm.merge(a, b)
-            history.append((a, b, dist))
+        self.merge_history_ = lm.cut(k)
         self.labels_ = lm.current_labels(n)
-        self.merge_history_ = history
         return self

@@ -12,6 +12,7 @@ Three levels, mirroring slide 24 of the tutorial:
 """
 
 from .clusterings import (
+    ProfileBinning,
     adco_dissimilarity,
     adco_similarity,
     ari_dissimilarity,
@@ -50,6 +51,7 @@ from .subspace import (
 )
 
 __all__ = [
+    "ProfileBinning",
     "adco_dissimilarity",
     "adco_similarity",
     "ari_dissimilarity",

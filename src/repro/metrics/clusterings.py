@@ -25,6 +25,7 @@ __all__ = [
     "ari_dissimilarity",
     "rand_dissimilarity",
     "vi_dissimilarity",
+    "ProfileBinning",
     "density_profile",
     "adco_similarity",
     "adco_dissimilarity",
@@ -47,40 +48,107 @@ def vi_dissimilarity(labels_a, labels_b):
     return variation_of_information(labels_a, labels_b)
 
 
+class ProfileBinning:
+    """The ADCO bins of a fixed data matrix, shared by its clusterings.
+
+    Each attribute's range is split into ``n_bins`` equal-width bins
+    (or taken from ``bin_edges``), and each (object, attribute) value is
+    binned once. :meth:`profile` then builds any clustering's density
+    profile with one ``np.bincount``, so an optimiser that scores many
+    clusterings of the same ``X`` does not re-bin it for each.
+
+    Binning follows ``np.histogram``: bin ``b`` holds
+    ``edges[b] <= x < edges[b + 1]``, the last bin also holds its right
+    edge, and values outside the edges are not counted.
+
+    Attributes
+    ----------
+    bin_edges : numpy.ndarray of shape (n_features, n_bins + 1)
+    n_bins : int
+    codes : numpy.ndarray of int, shape (n_samples, n_features)
+        Each value's bin, or -1 outside the edges.
+    """
+
+    def __init__(self, X, *, n_bins=5, bin_edges=None):
+        X = check_array(X)
+        d = X.shape[1]
+        if bin_edges is None:
+            bin_edges = np.stack([
+                np.linspace(X[:, j].min(), X[:, j].max() + 1e-12, n_bins + 1)
+                for j in range(d)
+            ])
+        else:
+            bin_edges = np.asarray(bin_edges, dtype=np.float64)
+            if bin_edges.ndim != 2 or bin_edges.shape[0] != d:
+                raise ValidationError("bin_edges must have one row per feature")
+            if np.any(bin_edges[:, :-1] > bin_edges[:, 1:]):
+                raise ValidationError("bin_edges must increase along each row")
+        self.bin_edges = bin_edges
+        self.n_bins = n_bins = bin_edges.shape[1] - 1
+        codes = np.empty(X.shape, dtype=np.int64)
+        for j in range(d):
+            edges = bin_edges[j]
+            code = np.searchsorted(edges, X[:, j], side="right") - 1
+            code[X[:, j] == edges[-1]] = n_bins - 1
+            code[code >= n_bins] = -1
+            codes[:, j] = code
+        self.codes = codes
+
+    def profile(self, labels):
+        """Per-cluster attribute histograms of ``labels``, one row per
+        non-noise cluster in label order, shape
+        ``(n_clusters, n_features * n_bins)``."""
+        n, d = self.codes.shape
+        labels = check_labels(labels, n_samples=n)
+        ids = np.unique(labels)
+        ids = ids[ids != -1]
+        width = d * self.n_bins
+        counted = (self.codes >= 0) & (labels != -1)[:, None]
+        cell = (np.searchsorted(ids, labels)[:, None] * width
+                + np.arange(d) * self.n_bins + self.codes)
+        counts = np.bincount(cell[counted], minlength=ids.size * width)
+        return counts.reshape(ids.size, width).astype(np.float64)
+
+    def similarity_to(self, labels_b):
+        """``f(labels_a) -> adco_similarity(X, labels_a, labels_b)`` with
+        the profile and self-match of ``labels_b`` computed once."""
+        prof_b = self._nonempty_profile(labels_b)
+        self_b = _greedy_match_sum(prof_b @ prof_b.T)
+
+        def similarity(labels_a):
+            prof_a = self._nonempty_profile(labels_a)
+            sim = _greedy_match_sum(prof_a @ prof_b.T)
+            # Normalise by the larger self-similarity so identical
+            # clusterings -> 1.
+            denom = max(_greedy_match_sum(prof_a @ prof_a.T), self_b)
+            if denom == 0:
+                return 0.0
+            return float(min(1.0, sim / denom))
+
+        return similarity
+
+    def _nonempty_profile(self, labels):
+        profile = self.profile(labels)
+        if profile.size == 0:
+            raise ValidationError("both clusterings must contain clusters")
+        return profile
+
+
 def density_profile(X, labels, *, n_bins=5, bin_edges=None):
     """Per-cluster attribute histograms — the ADCO "density profile".
 
     Each attribute's range is split into ``n_bins`` equal-width bins
     (shared across clusterings via ``bin_edges`` for comparability) and
-    each cluster is described by its object counts per (attribute, bin).
+    each cluster is described by its object counts per (attribute, bin),
+    binned as ``np.histogram`` does (see :class:`ProfileBinning`).
 
     Returns
     -------
     profile : numpy.ndarray of shape (n_clusters, n_features * n_bins)
     bin_edges : numpy.ndarray of shape (n_features, n_bins + 1)
     """
-    X = check_array(X)
-    labels = check_labels(labels, n_samples=X.shape[0])
-    n, d = X.shape
-    if bin_edges is None:
-        bin_edges = np.stack([
-            np.linspace(X[:, j].min(), X[:, j].max() + 1e-12, n_bins + 1)
-            for j in range(d)
-        ])
-    else:
-        bin_edges = np.asarray(bin_edges, dtype=np.float64)
-        if bin_edges.shape[0] != d:
-            raise ValidationError("bin_edges must have one row per feature")
-        n_bins = bin_edges.shape[1] - 1
-    ids = np.unique(labels)
-    ids = ids[ids != -1]
-    profile = np.zeros((ids.size, d * n_bins))
-    for ci, cid in enumerate(ids):
-        pts = X[labels == cid]
-        for j in range(d):
-            counts, _ = np.histogram(pts[:, j], bins=bin_edges[j])
-            profile[ci, j * n_bins:(j + 1) * n_bins] = counts
-    return profile, bin_edges
+    binning = ProfileBinning(X, n_bins=n_bins, bin_edges=bin_edges)
+    return binning.profile(labels), binning.bin_edges
 
 
 def adco_similarity(X, labels_a, labels_b, *, n_bins=5):
@@ -91,19 +159,7 @@ def adco_similarity(X, labels_a, labels_b, *, n_bins=5):
     matched dot products. 1 means the clusterings occupy the same dense
     regions; values near 0 mean disjoint density profiles.
     """
-    prof_a, edges = density_profile(X, labels_a, n_bins=n_bins)
-    prof_b, _ = density_profile(X, labels_b, n_bins=n_bins, bin_edges=edges)
-    if prof_a.size == 0 or prof_b.size == 0:
-        raise ValidationError("both clusterings must contain clusters")
-    dots = prof_a @ prof_b.T
-    sim = _greedy_match_sum(dots)
-    # Normalise by the larger self-similarity so identical clusterings -> 1.
-    self_a = _greedy_match_sum(prof_a @ prof_a.T)
-    self_b = _greedy_match_sum(prof_b @ prof_b.T)
-    denom = max(self_a, self_b)
-    if denom == 0:
-        return 0.0
-    return float(min(1.0, sim / denom))
+    return ProfileBinning(X, n_bins=n_bins).similarity_to(labels_b)(labels_a)
 
 
 def _greedy_match_sum(score):

@@ -81,11 +81,7 @@ def cspa_consensus(labelings, n_clusters):
     co = coassociation_matrix(labelings)
     d = 1.0 - co
     lm = LinkageMatrix(d, linkage="average")
-    while len(lm.active) > n_clusters:
-        pair = lm.closest_pair()
-        if pair is None:
-            break
-        lm.merge(pair[0], pair[1])
+    lm.cut(n_clusters)
     return lm.current_labels(co.shape[0])
 
 

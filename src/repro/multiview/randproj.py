@@ -103,11 +103,7 @@ class RandomProjectionEnsemble(BaseClusterer):
         d = 1.0 - np.clip(agg, 0.0, 1.0)
         np.fill_diagonal(d, 0.0)
         lm = LinkageMatrix(d, linkage="average")
-        while len(lm.active) > k:
-            pair = lm.closest_pair()
-            if pair is None:
-                break
-            lm.merge(pair[0], pair[1])
+        lm.cut(k)
         self.labels_ = lm.current_labels(n)
         self.aggregated_similarity_ = agg
         self.view_labelings_ = view_labelings

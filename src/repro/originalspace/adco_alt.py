@@ -21,7 +21,7 @@ from ..cluster.kmeans import kmeans_plus_plus
 from ..core.base import AlternativeClusterer
 from ..core.taxonomy import Processing, SearchSpace, TaxonomyEntry, register
 from ..exceptions import ValidationError
-from ..metrics.clusterings import adco_similarity
+from ..metrics.clusterings import ProfileBinning
 from ..utils.linalg import cdist_sq
 from ..utils.validation import (
     check_array,
@@ -80,14 +80,14 @@ class ADCOAlternative(AlternativeClusterer):
         self.adco_to_given_ = None
         self.objective_ = None
 
-    def _objective(self, X, labels, given, scale):
+    def _objective(self, X, labels, similarity_to_given, scale):
         n = X.shape[0]
         q = 0.0
         for c in np.unique(labels):
             pts = X[labels == c]
             q -= float(np.sum((pts - pts.mean(axis=0)) ** 2))
         q /= (n * scale)
-        sim = adco_similarity(X, labels, given, n_bins=self.n_bins)
+        sim = similarity_to_given(labels)
         return q - self.lam * sim, sim
 
     def fit(self, X, given):
@@ -103,11 +103,16 @@ class ADCOAlternative(AlternativeClusterer):
             raise ValidationError("given clustering length mismatch")
         rng = check_random_state(self.random_state)
         scale = max(float(np.var(X) * X.shape[1]), 1e-12)
+        # X is binned, and the given profile matched with itself, once
+        # per fit; each candidate move then costs one np.bincount.
+        similarity_to_given = ProfileBinning(
+            X, n_bins=self.n_bins).similarity_to(given_labels)
         best = None
         for _ in range(max(1, int(self.n_init))):
             protos = kmeans_plus_plus(X, k, rng)
             labels = np.argmin(cdist_sq(X, protos), axis=1)
-            obj, sim = self._objective(X, labels, given_labels, scale)
+            obj, sim = self._objective(X, labels, similarity_to_given,
+                                       scale)
             for _sweep in range(int(self.max_iter)):
                 improved = False
                 # prototype update
@@ -130,7 +135,7 @@ class ADCOAlternative(AlternativeClusterer):
                             continue
                         labels[i] = target
                         cand_obj, cand_sim = self._objective(
-                            X, labels, given_labels, scale)
+                            X, labels, similarity_to_given, scale)
                         if cand_obj > obj + 1e-12:
                             obj, sim = cand_obj, cand_sim
                             improved = True

@@ -92,18 +92,18 @@ class COALA(AlternativeClusterer):
         if given_labels.shape[0] != n:
             raise ValidationError("given clustering length mismatch")
 
-        lm = LinkageMatrix(pairwise_distances(X), linkage="average")
         # Cannot-link: objects sharing a (non-noise) given cluster. A pair
         # of groups is "Dissimilar" (merge allowed) iff the sets of given
-        # labels they touch are disjoint — maintained incrementally as a
-        # boolean conflict matrix so each step's pair search stays
-        # vectorised.
+        # labels they touch are disjoint; the linkage matrix unions the
+        # constraints of merged groups and caches each row's closest
+        # allowed neighbour, so both pair searches are O(n) per step.
         same_given = (given_labels[:, None] == given_labels[None, :])
         noise = given_labels == -1
         same_given[noise, :] = False
         same_given[:, noise] = False
         np.fill_diagonal(same_given, False)
-        conflict = same_given.copy()
+        lm = LinkageMatrix(pairwise_distances(X), linkage="average",
+                           cannot_link=same_given)
 
         q_merges = d_merges = 0
         with capture_convergence() as capture:
@@ -111,7 +111,7 @@ class COALA(AlternativeClusterer):
                 quality = lm.closest_pair()
                 if quality is None:
                     break
-                dissim = lm.closest_pair(blocked=conflict)
+                dissim = lm.closest_pair(constrained=True)
                 if dissim is None:
                     a, b, dist = quality
                     q_merges += 1
@@ -124,11 +124,7 @@ class COALA(AlternativeClusterer):
                         a, b, dist = dissim
                         d_merges += 1
                 budget_tick(objective=float(dist))
-                survivor = lm.merge(a, b)
-                other = b if survivor == a else a
-                merged = conflict[survivor] | conflict[other]
-                conflict[survivor, :] = merged
-                conflict[:, survivor] = merged
+                lm.merge(a, b)
         self.labels_ = lm.current_labels(n)
         self.n_quality_merges_ = q_merges
         self.n_dissimilarity_merges_ = d_merges

@@ -116,11 +116,7 @@ class MetaClustering(MultiClusteringEstimator):
                 d[i, j] = d[j, i] = self.dissimilarity(base[i], base[j])
         n_meta = min(self.n_meta_clusters, m)
         lm = LinkageMatrix(d, linkage="average")
-        while len(lm.active) > n_meta:
-            pair = lm.closest_pair()
-            if pair is None:
-                break
-            lm.merge(pair[0], pair[1])
+        lm.cut(n_meta)
         meta_labels = lm.current_labels(m)
         representatives = []
         for meta_id in np.unique(meta_labels):

@@ -84,6 +84,9 @@ class _State:
             self._contingency(labels, g, k, kg)
             for g, kg in zip(given_codes, given_sizes)
         ]
+        # MI of each current table; counts are integers held in floats,
+        # so the cached value equals a recomputation bit for bit.
+        self.mi = [_mi_from_counts(c) for c in self.counts]
 
     @staticmethod
     def _contingency(labels, g, k, kg):
@@ -97,7 +100,7 @@ class _State:
         return float(ratio.sum())
 
     def penalty(self):
-        return float(sum(_mi_from_counts(c) for c in self.counts))
+        return float(sum(self.mi))
 
     def move_delta_quality(self, i, a, b):
         """Change in Q(C) if object ``i`` moves from cluster a to b."""
@@ -115,13 +118,12 @@ class _State:
         delta = 0.0
         for g_idx, counts in enumerate(self.counts):
             g = self.given_codes[g_idx][i]
-            before = _mi_from_counts(counts)
             counts[a, g] -= 1
             counts[b, g] += 1
             after = _mi_from_counts(counts)
             counts[a, g] += 1
             counts[b, g] -= 1
-            delta += after - before
+            delta += after - self.mi[g_idx]
         return delta
 
     def apply_move(self, i, a, b):
@@ -136,6 +138,7 @@ class _State:
             g = self.given_codes[g_idx][i]
             counts[a, g] -= 1
             counts[b, g] += 1
+            self.mi[g_idx] = _mi_from_counts(counts)
         self.labels[i] = b
 
 

@@ -98,21 +98,48 @@ class TestLinkageMatrix:
         lm_c.merge(0, 1)
         assert np.isclose(lm_c.distance(0, 2), 5.0)
 
-    def test_allowed_predicate(self):
+    def test_cannot_link(self):
         d = np.array([
-            [0.0, 1.0, 5.0],
-            [1.0, 0.0, 3.0],
-            [5.0, 3.0, 0.0],
+            [0.0, 1.0, 5.0, 9.0],
+            [1.0, 0.0, 3.0, 9.0],
+            [5.0, 3.0, 0.0, 2.0],
+            [9.0, 9.0, 2.0, 0.0],
         ])
-        lm = LinkageMatrix(d)
-        pair = lm.closest_pair(allowed=lambda a, b: {a, b} != {0, 1})
-        assert {pair[0], pair[1]} == {1, 2}
+        cannot = np.zeros((4, 4), dtype=bool)
+        cannot[0, 1] = cannot[1, 0] = True
+        cannot[1, 3] = cannot[3, 1] = True
+        lm = LinkageMatrix(d, cannot_link=cannot)
+        assert lm.closest_pair() == (0, 1, 1.0)
+        assert lm.closest_pair(constrained=True) == (2, 3, 2.0)
+        lm.merge(2, 3)
+        # {2, 3} inherits 3's constraint against 1, so only 0 may join it
+        assert lm.closest_pair(constrained=True) == (0, 2, 7.0)
+        lm.merge(0, 2)
+        assert lm.closest_pair(constrained=True) is None
+        assert lm.closest_pair()[:2] == (0, 1)
+
+    def test_cannot_link_validated(self):
+        d = np.ones((3, 3))
+        with pytest.raises(ValidationError):
+            LinkageMatrix(d).closest_pair(constrained=True)
+        with pytest.raises(ValidationError):
+            LinkageMatrix(d, cannot_link=np.triu(np.ones((3, 3)), 1))
+        with pytest.raises(ValidationError):
+            LinkageMatrix(d, cannot_link=np.zeros((2, 2)))
+
+    def test_cut_stops_at_k(self):
+        lm = LinkageMatrix(np.ones((5, 5)) - np.eye(5))
+        history = lm.cut(2)
+        assert len(history) == 3 and len(lm.active) == 2
+        assert lm.cut(3) == []
 
     def test_merge_inactive_rejected(self):
         lm = LinkageMatrix(np.zeros((3, 3)))
         lm.merge(0, 1)
         with pytest.raises(ValidationError):
             lm.merge(0, 1)
+        with pytest.raises(ValidationError):
+            lm.merge(2, 2)
 
     def test_unknown_linkage(self):
         with pytest.raises(ValidationError):

@@ -55,6 +55,12 @@ class TestDensityProfile:
         with pytest.raises(ValidationError):
             density_profile(X, lh, bin_edges=np.zeros((1, 5)))
 
+    def test_edges_must_increase(self, four_squares):
+        X, lh, _ = four_squares
+        edges = np.tile([0.0, 2.0, 1.0, 3.0], (X.shape[1], 1))
+        with pytest.raises(ValidationError):
+            density_profile(X, lh, bin_edges=edges)
+
 
 class TestADCO:
     def test_identical_is_one(self, four_squares):
