@@ -84,10 +84,10 @@ def _coala(X, truths, w):
             "merge_distances": _trace(est)}
 
 
-def _mincentropy(X, truths, seed, n_given):
+def _mincentropy(X, truths, seed, n_given, k=3):
     from repro.originalspace import MinCEntropy
 
-    est = MinCEntropy(n_clusters=3, random_state=seed)
+    est = MinCEntropy(n_clusters=k, random_state=seed)
     est.fit(X, truths[:n_given] if n_given > 1 else truths[0])
     return {"labels": _labels(est.labels_),
             "objective": float(est.objective_),
@@ -97,15 +97,27 @@ def _mincentropy(X, truths, seed, n_given):
             "trace": _trace(est)}
 
 
-def _adco(X, truths, seed):
+def _adco(X, truths, seed, k=3):
     from repro.originalspace import ADCOAlternative
 
-    est = ADCOAlternative(n_clusters=3, max_iter=8, n_init=2,
+    est = ADCOAlternative(n_clusters=k, max_iter=8, n_init=2,
                           random_state=seed)
     est.fit(X[:50], truths[0][:50])
     return {"labels": _labels(est.labels_),
             "objective": float(est.objective_),
             "adco_to_given": float(est.adco_to_given_)}
+
+
+def _cib(X, truths, seed, k, beta=5.0):
+    from repro.originalspace import ConditionalInformationBottleneck
+
+    est = ConditionalInformationBottleneck(n_clusters=k, beta=beta,
+                                           random_state=seed)
+    est.fit(X - X.min(axis=0), truths[0])
+    return {"labels": _labels(est.labels_),
+            "objective": float(est.objective_),
+            "mutual_information_x": float(est.mutual_information_x_),
+            "conditional_information": float(est.conditional_information_)}
 
 
 def _randproj(X, truths, seed):
@@ -143,7 +155,7 @@ def cases():
     """``{family: {case_id: thunk}}`` — every pinned case, unevaluated."""
     data = _datasets()
     out = {family: {} for family in (
-        "agglomerative", "coala", "mincentropy", "adco_alternative",
+        "agglomerative", "coala", "mincentropy", "adco_alternative", "cib",
         "random_projection_ensemble", "meta_clustering", "cspa_consensus")}
 
     def add(family, case_id, fn, name, *args):
@@ -163,6 +175,16 @@ def cases():
             add("random_projection_ensemble", f"seed={seed}", _randproj,
                 name, seed)
             add("meta_clustering", f"seed={seed}", _meta, name, seed)
+            # the panel fits these at k = 2
+            add("mincentropy", f"k=2/seed={seed}", _mincentropy, name,
+                seed, 1, 2)
+            add("adco_alternative", f"k=2/seed={seed}", _adco, name, seed, 2)
+            for k in (2, 3):
+                # the default beta merges most objects into one cluster
+                # at n = 90; beta = 30 keeps k clusters
+                add("cib", f"k={k}/seed={seed}", _cib, name, seed, k)
+                add("cib", f"k={k}/beta=30/seed={seed}", _cib, name, seed,
+                    k, 30.0)
         add("mincentropy", "seed=0/two-givens", _mincentropy, name, 0, 2)
     return out
 
