@@ -102,18 +102,7 @@ class KernelKMeans(BaseClusterer):
                 for n_sweeps in range(1, max_sweeps + 1):
                     improved = False
                     for i in rng.permutation(n):
-                        a = state.labels[i]
-                        if state.sizes[a] <= 1:
-                            continue
-                        best_b, best_gain = a, 0.0
-                        for b in range(k):
-                            if b == a:
-                                continue
-                            gain = state.move_delta_quality(i, a, b)
-                            if gain > best_gain + 1e-12:
-                                best_gain, best_b = gain, b
-                        if best_b != a:
-                            state.apply_move(i, a, best_b)
+                        if state.move_if_better(i):
                             improved = True
                     budget_tick(objective=state.quality() / n)
                     if not improved:

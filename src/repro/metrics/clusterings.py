@@ -110,13 +110,15 @@ class ProfileBinning:
         return counts.reshape(ids.size, width).astype(np.float64)
 
     def similarity_to(self, labels_b):
-        """``f(labels_a) -> adco_similarity(X, labels_a, labels_b)`` with
-        the profile and self-match of ``labels_b`` computed once."""
-        prof_b = self._nonempty_profile(labels_b)
+        """``f(profile_a) -> ADCO similarity`` to ``labels_b`` of a
+        clustering whose :meth:`profile` is ``profile_a``, with the
+        profile and self-match of ``labels_b`` computed once."""
+        prof_b = self.profile(labels_b)
+        _require_clusters(prof_b)
         self_b = _greedy_match_sum(prof_b @ prof_b.T)
 
-        def similarity(labels_a):
-            prof_a = self._nonempty_profile(labels_a)
+        def similarity(prof_a):
+            _require_clusters(prof_a)
             sim = _greedy_match_sum(prof_a @ prof_b.T)
             # Normalise by the larger self-similarity so identical
             # clusterings -> 1.
@@ -127,11 +129,10 @@ class ProfileBinning:
 
         return similarity
 
-    def _nonempty_profile(self, labels):
-        profile = self.profile(labels)
-        if profile.size == 0:
-            raise ValidationError("both clusterings must contain clusters")
-        return profile
+
+def _require_clusters(profile):
+    if profile.size == 0:
+        raise ValidationError("both clusterings must contain clusters")
 
 
 def density_profile(X, labels, *, n_bins=5, bin_edges=None):
@@ -159,7 +160,8 @@ def adco_similarity(X, labels_a, labels_b, *, n_bins=5):
     matched dot products. 1 means the clusterings occupy the same dense
     regions; values near 0 mean disjoint density profiles.
     """
-    return ProfileBinning(X, n_bins=n_bins).similarity_to(labels_b)(labels_a)
+    binning = ProfileBinning(X, n_bins=n_bins)
+    return binning.similarity_to(labels_b)(binning.profile(labels_a))
 
 
 def _greedy_match_sum(score):

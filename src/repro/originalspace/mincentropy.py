@@ -12,11 +12,14 @@ subtract a mutual-information penalty, giving the combined objective::
     O(C) = Q(C)/n - beta * sum_g I(C; C_g)
 
 Optimisation is the paper's incremental single-object reassignment local
-search with restarts; cluster kernel sums and contingency tables are
-maintained incrementally so one sweep costs O(n * (n + k * k_g)).
+search with restarts. Cluster kernel sums and integer contingency tables
+are cached, so scoring one candidate move costs O(1) per given
+clustering and applying a move O(n + k * k_g).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -64,11 +67,19 @@ def _mi_from_counts(counts):
 
 
 class _State:
-    """Incremental bookkeeping for the local search."""
+    """Incremental bookkeeping for the local search.
+
+    Holds the per-cluster kernel row sums ``R``, within-cluster sums
+    ``W``, sizes, and one integer contingency table (with its MI) per
+    given clustering. :meth:`move_gains` scores every move of one object
+    from these in O(k * (1 + number of givens)) scalar steps;
+    :meth:`apply_move` updates them and recomputes the touched tables'
+    MI from the counts.
+    """
 
     def __init__(self, K, labels, k, given_codes, given_sizes):
         self.K = K
-        self.n = K.shape[0]
+        self.n = n = K.shape[0]
         self.k = k
         self.labels = labels
         # R[i, c] = sum_{j in c} K[i, j]
@@ -84,13 +95,14 @@ class _State:
             self._contingency(labels, g, k, kg)
             for g, kg in zip(given_codes, given_sizes)
         ]
-        # MI of each current table; counts are integers held in floats,
-        # so the cached value equals a recomputation bit for bit.
+        # MI of each current table, recomputed only when a move changes it
         self.mi = [_mi_from_counts(c) for c in self.counts]
+        # f(x) = x ln x at every count a move can reach
+        self.xlogx = [0.0] + [x * math.log(x) for x in range(1, n + 2)]
 
     @staticmethod
     def _contingency(labels, g, k, kg):
-        counts = np.zeros((k, kg))
+        counts = np.zeros((k, kg), dtype=np.int64)
         np.add.at(counts, (labels, g), 1)
         return counts
 
@@ -102,29 +114,63 @@ class _State:
     def penalty(self):
         return float(sum(self.mi))
 
-    def move_delta_quality(self, i, a, b):
-        """Change in Q(C) if object ``i`` moves from cluster a to b."""
-        kii = self.K[i, i]
-        wa, sa = self.W[a], self.sizes[a]
-        wb, sb = self.W[b], self.sizes[b]
-        wa2 = wa - 2.0 * self.R[i, a] + kii
-        wb2 = wb + 2.0 * self.R[i, b] + kii
-        old = (wa / sa if sa else 0.0) + (wb / sb if sb else 0.0)
-        new = (wa2 / (sa - 1) if sa > 1 else 0.0) + wb2 / (sb + 1)
-        return new - old
+    def move_gains(self, i, scale=1.0, beta=0.0):
+        """Gain ``dQ/scale - beta * dI`` of moving object ``i`` to each
+        cluster (0.0 at its own), in O(k * (1 + number of givens)).
 
-    def move_delta_penalty(self, i, a, b):
-        """Change in the MI penalty if object ``i`` moves a -> b."""
-        delta = 0.0
-        for g_idx, counts in enumerate(self.counts):
-            g = self.given_codes[g_idx][i]
-            counts[a, g] -= 1
-            counts[b, g] += 1
-            after = _mi_from_counts(counts)
-            counts[a, g] += 1
-            counts[b, g] -= 1
-            delta += after - self.mi[g_idx]
-        return delta
+        ``dQ`` is the change in ``Q(C)`` and ``dI`` in the summed MI.
+        Column marginals do not change under a move, so with
+        f(x) = x ln x and ``N`` objects each table changes its MI by
+        ``N * dI = f(n_ag - 1) - f(n_ag) + f(n_bg + 1) - f(n_bg)
+        - [f(n_a - 1) - f(n_a) + f(n_b + 1) - f(n_b)]``, where g is the
+        given cluster of ``i``.
+        """
+        a = int(self.labels[i])
+        sizes = self.sizes.tolist()
+        sa = sizes[a]
+        f = self.xlogx
+        n = self.n
+        kii = float(self.K[i, i])
+        R = self.R[i].tolist()
+        W = self.W.tolist()
+        wa = W[a]
+        new_a = (wa - 2.0 * R[a] + kii) / (sa - 1) if sa > 1 else 0.0
+        old_a = wa / sa
+        cols = [counts[:, codes[i]].tolist()
+                for counts, codes in zip(self.counts, self.given_codes)]
+        gains = [0.0] * self.k
+        for b in range(self.k):
+            if b == a:
+                continue
+            wb, sb = W[b], sizes[b]
+            wb2 = wb + 2.0 * R[b] + kii
+            old = old_a + (wb / sb if sb else 0.0)
+            new = new_a + wb2 / (sb + 1)
+            d_size = f[sa - 1] - f[sa] + f[sb + 1] - f[sb]
+            delta = 0.0
+            for col in cols:
+                nag, nbg = col[a], col[b]
+                delta += (f[nag - 1] - f[nag] + f[nbg + 1] - f[nbg]
+                          - d_size) / n
+            gains[b] = (new - old) / scale - beta * delta
+        return gains
+
+    def move_if_better(self, i, scale=1.0, beta=0.0):
+        """Move object ``i`` to the first cluster b, in index order, whose
+        :meth:`move_gains` entry beats the best so far by more than
+        1e-12, if any; return whether it moved. An object alone in its
+        cluster stays."""
+        a = int(self.labels[i])
+        if self.sizes[a] <= 1:
+            return False
+        best_b, best_gain = a, 0.0
+        for b, gain in enumerate(self.move_gains(i, scale, beta)):
+            if b != a and gain > best_gain + 1e-12:
+                best_gain, best_b = gain, b
+        if best_b == a:
+            return False
+        self.apply_move(i, a, best_b)
+        return True
 
     def apply_move(self, i, a, b):
         kii = self.K[i, i]
@@ -165,6 +211,12 @@ class MinCEntropy(AlternativeClusterer):
     convergence_trace_ : list of ConvergenceEvent — per-sweep ``O(C)``
         of the winning restart (nondecreasing: only improving moves are
         applied).
+
+    Notes
+    -----
+    Scoring one candidate move of an object costs O(1) per given
+    clustering, from cached cluster sums and integer contingency
+    counts. Applying a move costs O(n + k * k_g).
     """
 
     def __init__(self, n_clusters=2, beta=2.0, gamma=None, max_sweeps=30,
@@ -211,21 +263,7 @@ class MinCEntropy(AlternativeClusterer):
                 for n_sweeps in range(1, int(self.max_sweeps) + 1):
                     improved = False
                     for i in rng.permutation(n):
-                        a = state.labels[i]
-                        if state.sizes[a] <= 1:
-                            continue  # keep clusters non-empty
-                        best_b, best_gain = a, 0.0
-                        for b in range(k):
-                            if b == a:
-                                continue
-                            gain = (
-                                state.move_delta_quality(i, a, b) / n
-                                - beta * state.move_delta_penalty(i, a, b)
-                            )
-                            if gain > best_gain + 1e-12:
-                                best_gain, best_b = gain, b
-                        if best_b != a:
-                            state.apply_move(i, a, best_b)
+                        if state.move_if_better(i, n, beta):
                             improved = True
                     budget_tick(objective=state.quality() / n
                                 - beta * state.penalty())

@@ -103,6 +103,8 @@ DIRECTIONS = {
     "GaussianMixtureEM": "nondecreasing",
     "KernelKMeans": "nondecreasing",
     "MinCEntropy": "nondecreasing",
+    "ADCOAlternative": "nondecreasing",
+    "ConditionalInformationBottleneck": "nonincreasing",
     "ConstrainedKMeans": None,
     "KMedoids": None,
     "DecorrelatedKMeans": None,

@@ -208,6 +208,18 @@ class TestCIB:
         with pytest.raises(ValidationError, match="non-negative"):
             ConditionalInformationBottleneck().fit(X, given)
 
+    def test_zero_mass_row(self):
+        # an all-zero row (an empty document) used to reach the k-means
+        # seed as NaN and fail with a misleading "X contains NaN"
+        rng = np.random.default_rng(0)
+        X = rng.random((40, 4))
+        X[3] = 0.0
+        given = np.repeat([0, 1], 20)
+        cib = ConditionalInformationBottleneck(
+            n_clusters=2, random_state=0).fit(X, given)
+        assert cib.labels_.shape == (40,)
+        assert np.isfinite(cib.objective_)
+
     def test_terms_recorded(self):
         from repro.data import load_document_topics
         X, known, _ = load_document_topics(n_documents=60, vocab_size=10)

@@ -52,6 +52,11 @@ from repro.robustness import (
     inject_duplicate_rows,
     inject_nan_cells,
 )
+from repro.originalspace import (
+    ADCOAlternative,
+    ConditionalInformationBottleneck,
+    MinCEntropy,
+)
 from repro.transform import OrthogonalClustering
 
 _TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / \
@@ -114,6 +119,33 @@ def test_guard_tick_budget_caps_iterations():
     )
     assert not result.ok
     assert result.failure.error_type == "BudgetExceededError"
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: ConditionalInformationBottleneck(random_state=0),
+    lambda: ADCOAlternative(random_state=0),
+    lambda: MinCEntropy(random_state=0),
+], ids=["CIB", "ADCOAlternative", "MinCEntropy"])
+def test_tick_budget_stops_alternative_local_search(factory):
+    # every restart ticks at least once, so one tick cannot cover a fit
+    X = np.abs(_data()) + 0.1
+    result = RunGuard(max_ticks=1).fit(factory(), X, np.repeat([0, 1], 20))
+    assert not result.ok
+    assert result.failure.error_type == "BudgetExceededError"
+
+
+def test_budget_clause_flags_an_estimator_that_never_ticks():
+    class NoTicks:
+        def __init__(self):
+            self.n_iter_ = None
+
+        def fit(self, X):
+            self.n_iter_ = 1
+            return self
+
+    (violation,) = contract.check_budget("NoTicks", NoTicks)
+    assert "budget_tick" in violation
+    assert contract.check_budget("KMeans", KMeans) == []
 
 
 # ---------------------------------------------------------------------------

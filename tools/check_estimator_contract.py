@@ -24,7 +24,14 @@ The contract (see docs/robustness.md):
    must survive ``to_dict`` → strict-JSON text (no bare NaN/Infinity
    tokens) → ``from_dict`` with every fitted array bit-identical and,
    where ``predict`` exists, identical predictions from the rebuilt
-   estimator.
+   estimator;
+7. (reserved for the metamorphic relations of ROADMAP item 4);
+8. (cooperative budgets, see docs/robustness.md) an estimator
+   advertising ``n_iter_`` must stop with
+   :class:`~repro.exceptions.BudgetExceededError` when fitted under an
+   iteration budget that is already spent — its outer loop calls
+   :func:`~repro.robustness.budget_tick`, so ``RunGuard`` budgets can
+   stop it in-process.
 
 Exit status is the number of violations, so the script doubles as a CI
 gate (``tests/test_robustness.py`` runs it inside the tier-1 suite).
@@ -106,6 +113,8 @@ def clean_fit_args(cls):
     X = np.concatenate([rng.normal(size=(20, 4)),
                         rng.normal(size=(20, 4)) + 4.0])
     first, rest = fit_family(cls)
+    if cls.__name__ == "ConditionalInformationBottleneck":
+        return [np.abs(X) + 0.1, np.repeat([0, 1], 20)]
     if first == "X":
         args = [X]
     elif first == "views":
@@ -258,6 +267,30 @@ def check_telemetry(name, cls):
     return []
 
 
+def check_budget(name, cls):
+    """Contract item 8: a spent iteration budget stops the fit."""
+    from repro.robustness import RunGuard, active_budget
+
+    if not hasattr(cls(), "n_iter_"):
+        return []
+    args = clean_fit_args(cls)
+    if args is None:
+        return []
+    guard = RunGuard(max_ticks=1)
+    with warnings.catch_warnings(), guard:
+        warnings.simplefilter("ignore")
+        active_budget().tick()  # spend the only tick before fitting
+        cls().fit(*args)
+    if guard.result.status == "ok":
+        return [f"{name}: advertises n_iter_ but a spent budget did not "
+                "stop its fit — call budget_tick once per outer iteration"]
+    error = guard.result.failure.error_type
+    if error != "BudgetExceededError":
+        return [f"{name}: fit under a spent budget raised {error}, not "
+                "BudgetExceededError"]
+    return []
+
+
 def check_estimator(name, cls):
     """Return a list of violation strings for one estimator class."""
     from repro.exceptions import MultiClustError
@@ -319,6 +352,7 @@ def main(argv=None):
         violations.extend(check_estimator(name, cls))
         violations.extend(check_telemetry(name, cls))
         violations.extend(check_serialization(name, cls))
+        violations.extend(check_budget(name, cls))
     for line in violations:
         print(f"VIOLATION: {line}")
     print(f"checked {n_checked} estimators, {len(violations)} violation(s)")
