@@ -106,7 +106,10 @@ def rbf_kernel(X, gamma=None):
     if gamma is None:
         pos = d2[d2 > 0]
         med = np.median(pos) if pos.size else 1.0
-        gamma = 1.0 / (2.0 * med) if med > 0 else 1.0
+        # below the smallest normal float 1 / (2 med) overflows to inf
+        # and inf * 0 puts NaN on the diagonal; such distances count as 0
+        gamma = (1.0 / (2.0 * med) if med > np.finfo(np.float64).tiny
+                 else 1.0)
     return np.exp(-gamma * d2)
 
 

@@ -96,6 +96,13 @@ class TestKernels:
         assert np.allclose(np.diag(K), 1.0)
         assert (K <= 1.0 + 1e-12).all() and (K > 0).all()
 
+    def test_rbf_subnormal_distances_stay_finite(self):
+        # a median squared distance of ~7e-321 used to make gamma inf
+        # and the diagonal NaN
+        K = rbf_kernel(np.array([[8.5e-161], [0.0]]))
+        assert np.isfinite(K).all()
+        assert np.array_equal(np.diag(K), [1.0, 1.0])
+
     def test_rbf_explicit_gamma(self):
         X = np.array([[0.0], [1.0]])
         K = rbf_kernel(X, gamma=2.0)
