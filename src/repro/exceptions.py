@@ -51,11 +51,12 @@ class WorkerCrashError(MultiClustError):
 class IntegrityError(MultiClustError):
     """Raised (or recorded) when stored bytes fail their content checksum.
 
-    Serving-layer storage — :class:`repro.serve.ModelRegistry` entries
-    and :class:`repro.robustness.RunJournal` lines — carries an in-band
-    sha256 over the canonical payload bytes. A mismatch means silent
-    corruption (bit rot, torn write that still parses, hand editing):
-    the entry is quarantined and recomputed, never served.
+    :func:`repro.io.unseal` raises it for a durable record (a
+    :class:`repro.serve.ModelRegistry` entry or
+    :class:`repro.robustness.RunJournal` line) that is not a sealed
+    envelope or whose sha256 over the stored payload bytes no longer
+    matches: silent corruption (bit rot, torn write that still parses,
+    hand editing). The entry is quarantined and recomputed, never served.
     """
 
 

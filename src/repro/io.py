@@ -22,28 +22,36 @@ single place that policy is fixed:
   ``null`` and infinities to token strings, then serialise with
   ``allow_nan=False`` so a violation can never reach the wire.
 
-Durable text files (the run journal, trace shards) are written through
-two primitives: :func:`write_text_atomic` replaces a whole file so a
-crash leaves the old or the new version, and :func:`append_text_durable`
-appends and then calls ``fsync``, so a crash leaves at most a torn
-trailing line.
+It is also the one place that knows how a durable record is stored
+(run journal, model registry, trace shards, lint cache, reports):
+:func:`write_text_atomic` replaces a whole file so a crash leaves the
+old or the new version, and :func:`sweep_stale_temps` removes the temp
+files of writers killed mid-write; :func:`append_text_durable` appends
+and ``fsync``\\ s, so a crash leaves at most a torn trailing line;
+:func:`seal` / :func:`unseal` write and read one envelope line,
+``{"sha256": "<hex>", "payload": <P>}``, checksummed over the stored
+bytes of ``<P>``; :func:`quarantine` moves a record that fails
+:func:`unseal` aside, next to an ``IntegrityError`` record.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib
 import json
 import math
 import os
 import pathlib
+import threading
+import time
 import types
 
 import numpy as np
 
 from .core.clustering import Clustering
 from .core.subspace import SubspaceCluster, SubspaceClustering
-from .exceptions import ValidationError
+from .exceptions import IntegrityError, ValidationError
 from .observability.logs import get_logger
 from .observability.telemetry import ConvergenceEvent
 
@@ -60,8 +68,12 @@ __all__ = [
     "sanitize_json",
     "dumps",
     "payload_checksum",
+    "seal",
+    "unseal",
+    "quarantine",
     "write_text_atomic",
     "append_text_durable",
+    "sweep_stale_temps",
     "save_json",
     "load_json",
 ]
@@ -524,30 +536,107 @@ def dumps(obj, **kwargs):
     return json.dumps(sanitize_json(obj), **kwargs)
 
 
-def payload_checksum(payload):
-    """sha256 hex over a payload's canonical (sorted-key strict-JSON)
-    bytes.
+def payload_checksum(data):
+    """sha256 hex over a payload's stored bytes: the checksum
+    :func:`seal` stores and :func:`unseal` recomputes."""
+    return hashlib.sha256(data).hexdigest()
 
-    The in-band integrity checksum stored with every
-    :class:`repro.serve.ModelRegistry` entry and
-    :class:`repro.robustness.RunJournal` line; loads recompute it and
-    quarantine anything that does not match (see ``docs/robustness.md``).
+
+#: Directory, next to a durable file, that :func:`quarantine` fills.
+QUARANTINE_DIR = "quarantine"
+
+#: What precedes the checksum and the payload in a sealed line.
+_SEAL_HEAD = b'{"sha256": "'
+_SEAL_MID = b'", "payload": '
+
+
+def seal(payload):
+    """``payload`` as one checksummed strict-JSON envelope line:
+    ``{"sha256": "<hex>", "payload": <P>}`` and a newline, in that key
+    order, where ``<P>`` is :func:`dumps` of the payload and the checksum
+    is :func:`payload_checksum` over exactly those bytes."""
+    body = dumps(payload)
+    checksum = payload_checksum(body.encode("utf-8"))
+    return f'{{"sha256": "{checksum}", "payload": {body}}}\n'
+
+
+def unseal(data):
+    """The payload of a line written by :func:`seal` (``str`` or
+    ``bytes``, trailing newline optional).
+
+    Raises :class:`~repro.exceptions.IntegrityError` when the line is not
+    a sealed envelope or its payload bytes do not match the stored
+    checksum. The bytes are hashed once and parsed once.
     """
-    blob = dumps(payload, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    head, sep, body = data.removesuffix(b"\n").partition(_SEAL_MID)
+    if not (sep and head.startswith(_SEAL_HEAD) and body.endswith(b"}")):
+        raise IntegrityError("missing integrity envelope (sha256/payload)")
+    stored = head[len(_SEAL_HEAD):].decode("ascii", "replace")
+    actual = payload_checksum(body[:-1])
+    if stored != actual:
+        raise IntegrityError(f"checksum mismatch (stored {stored[:16]}..., "
+                             f"computed {actual[:16]}...)")
+    try:
+        return json.loads(body[:-1])
+    except ValueError as exc:
+        raise IntegrityError(f"unparseable payload: {exc}") from exc
+
+
+def quarantine(path, reason, line=None, data=None):
+    """Move a record that failed verification out of the read path.
+
+    A whole file moves to ``<dir>/quarantine/<name>``; line ``line`` of a
+    JSONL file is written there as ``<name>.line-<line>`` from its bytes
+    ``data``. Next to it lands ``<stem>.error.json``, a structured
+    ``IntegrityError`` record (``error``, ``file``, ``key`` or ``line``,
+    ``reason``, ``quarantined_at``). Never raises: when the quarantine
+    cannot be written the record is dropped anyway (a whole file is
+    unlinked so it cannot be read again).
+    """
+    path = pathlib.Path(path)
+    qdir = path.parent / QUARANTINE_DIR
+    logger.error("%s%s failed verification (%s); quarantining", path,
+                 "" if line is None else f":{line}", reason)
+    if line is None:
+        target, stem = qdir / path.name, path.stem
+        error = {"key": path.stem, "file": path.name}
+    else:
+        target = qdir / f"{path.name}.line-{line}"
+        stem = target.name
+        error = {"file": str(path), "line": line}
+    error.update(error="IntegrityError", reason=reason,
+                 quarantined_at=time.time())
+    try:
+        qdir.mkdir(parents=True, exist_ok=True)
+        if line is None:
+            os.replace(path, target)
+        else:
+            target.write_bytes(data + b"\n")
+        write_text_atomic(qdir / f"{stem}.error.json",
+                          dumps(error, sort_keys=True) + "\n")
+    except OSError as exc:
+        logger.error("could not quarantine %s: %s (dropped anyway)",
+                     path, exc)
+        if line is None:
+            with contextlib.suppress(OSError):  # repro: noqa[RL011] - last resort: a corrupt file must not stay readable
+                path.unlink()
 
 
 def write_text_atomic(path, text):
     """Durably replace ``path`` with ``text``.
 
-    Temp file in the same directory, ``fsync``, ``os.replace``, then a
-    best-effort directory ``fsync`` so the rename survives power loss
-    too: a crash at any instant leaves the old file or the new one,
-    never a mix. On failure the temp file is removed and the
+    Temp file in the same directory (``.<name>.tmp-<pid>-<thread>``, so
+    concurrent writers never share one), ``fsync``, ``os.replace``,
+    then a best-effort directory ``fsync`` so the rename survives power
+    loss too: a crash at any instant leaves the old file or the new
+    one, never a mix. On failure the temp file is removed and the
     ``OSError`` propagates.
     """
     path = pathlib.Path(path)
-    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
+    tmp = path.with_name(
+        f".{path.name}.tmp-{os.getpid()}-{threading.get_ident()}")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -583,6 +672,31 @@ def append_text_durable(path, text):
         os.fsync(fh.fileno())
 
 
+def sweep_stale_temps(directory):
+    """Remove the temp files that :func:`write_text_atomic` writers
+    killed before their rename left in ``directory``.
+
+    Temp names end in ``.tmp-<pid>-<thread>``; one whose pid still runs
+    is left alone, because it is about to be replaced into place.
+    """
+    for stale in pathlib.Path(directory).glob("*.tmp-*"):
+        try:
+            os.kill(int(stale.name.rpartition(".tmp-")[2].split("-")[0]), 0)
+        except ProcessLookupError:
+            pass  # its writer is gone
+        except (ValueError, OverflowError, PermissionError):
+            continue  # not a pid, or one we may not signal: leave it
+        else:
+            continue  # a live writer is about to replace it into place
+        try:
+            stale.unlink()
+        except OSError as exc:
+            logger.warning("could not remove stale temp file %s: %s",
+                           stale, exc)
+        else:
+            logger.info("removed stale temp file %s", stale.name)
+
+
 def _to_payload(obj):
     if isinstance(obj, Clustering):
         return clustering_to_dict(obj)
@@ -606,9 +720,7 @@ def save_json(obj, path):
     """Write a supported object to ``path`` as strict JSON; returns the
     path."""
     payload = _to_payload(obj)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(payload, indent=2, sort_keys=True))
-        fh.write("\n")
+    write_text_atomic(path, dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
 

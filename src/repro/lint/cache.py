@@ -12,11 +12,11 @@ file's bytes and on the rule catalog itself. This module memoises it:
   or the walk policy silently discards every entry and forces a full
   re-analysis — a stale rule result can never masquerade as a clean
   file;
-* writes are **atomic** (temp file + ``os.replace``, the same
-  write-then-replace discipline as ``RunJournal`` and the model
-  registry), with a pid- and thread-suffixed temp name so concurrent
-  ``repro lint`` invocations cannot tear each other's cache — last
-  writer wins, both leave valid JSON behind;
+* writes go through :func:`repro.io.write_text_atomic`, the durable
+  write ``RunJournal`` and the model registry use (temp file, ``fsync``,
+  ``os.replace``), whose pid- and thread-suffixed temp names mean
+  concurrent ``repro lint`` invocations cannot tear each other's cache
+  — last writer wins, both leave valid JSON behind;
 * a corrupt or unreadable cache file is *ignored*, never fatal: the
   engine re-analyses from scratch and rewrites it.
 
@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import threading
 from pathlib import Path
+
+from ..io import write_text_atomic
 
 __all__ = ["CACHE_VERSION", "LintCache", "content_sha", "rule_catalog_hash"]
 
@@ -161,19 +161,12 @@ class LintCache:
             "catalog": self.catalog_hash,
             "files": merged,
         }
-        tmp = self.path.with_name(
-            f".{self.path.name}.tmp-{os.getpid()}-{threading.get_ident()}")
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(json.dumps(payload, sort_keys=True) + "\n",
-                           encoding="utf-8")
-            os.replace(tmp, self.path)
+            write_text_atomic(self.path,
+                              json.dumps(payload, sort_keys=True) + "\n")
         except OSError:
             self.degraded = True
-            try:
-                tmp.unlink()
-            except OSError:
-                self.degraded = True  # temp cleanup is best-effort too
         return not self.degraded
 
     @staticmethod

@@ -50,6 +50,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..io import write_text_atomic
 from .index import ModuleRecord, ProgramIndex, module_name_for_path
 
 __all__ = [
@@ -356,8 +357,7 @@ def write_baseline(path, findings):
         for f in sorted(findings)
     ]
     payload = {"version": BASELINE_VERSION, "findings": entries}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n",
-                          encoding="utf-8")
+    write_text_atomic(path, json.dumps(payload, indent=2) + "\n")
     return len(entries)
 
 

@@ -59,7 +59,7 @@ import time
 import numpy as np
 
 from ..exceptions import ValidationError
-from ..io import dumps, estimator_to_dict
+from ..io import dumps, estimator_to_dict, write_text_atomic
 from ..observability.logs import get_logger
 
 __all__ = ["run_chaos", "SCENARIOS", "SMOKE_SCENARIOS"]
@@ -742,8 +742,5 @@ def render_report(report):
 
 def write_report(report, path):
     """Persist the report as indented JSON (the BENCH artifact)."""
-    payload = dumps(report, indent=2)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(payload)
-        fh.write("\n")
+    write_text_atomic(path, dumps(report, indent=2) + "\n")
     return path

@@ -2,24 +2,28 @@
 
 A :class:`RunJournal` persists every completed
 :class:`~repro.experiments.ExperimentOutcome` of a sweep as one JSON
-record per line. Durability without quadratic cost:
+record per line, through :mod:`repro.io`'s record primitive. Durability
+without quadratic cost:
 
-* every :meth:`~RunJournal.record` encodes its outcome once (checksum
-  included), **appends** that one line and ``fsync``\\ s it before
-  returning, so a journal's writes grow linearly with its records. A
-  crash — power loss, SIGKILL, OOM — at any instant loses at most the
-  torn trailing line of the record being written;
-* the whole file is rewritten atomically (temporary file, ``fsync``,
-  ``os.replace``, directory fsync) from the cached lines in only three
-  cases: the first write after opening the journal (which drops a torn
-  tail a killed predecessor left, and any superseded duplicates),
-  healing from degraded mode, and :meth:`~RunJournal.consolidate`;
+* every :meth:`~RunJournal.record` encodes its outcome once as a line
+  sealed by :func:`~repro.io.seal`, **appends** it and ``fsync``\\ s it
+  before returning, so a journal's writes grow linearly with its
+  records. A crash — power loss, SIGKILL, OOM — at any instant loses at
+  most the torn trailing line of the record being written;
+* the whole file is rewritten by :func:`~repro.io.write_text_atomic`
+  from the cached lines in only three cases: the first write after
+  opening the journal (which drops a torn tail a killed predecessor
+  left, and any superseded duplicates), healing from degraded mode, and
+  :meth:`~RunJournal.consolidate`. Opening a journal sweeps the temp
+  files of killed writers (:func:`~repro.io.sweep_stale_temps`);
 * loading tolerates a **truncated trailing line**: the partial record
   is dropped with a warning and everything before it is kept.
   Corruption *before* the last line is refused loudly — that is not a
   torn write, and silently dropping completed work would cause the very
-  recomputation the journal exists to avoid. Within one file the last
-  record for a key wins.
+  recomputation the journal exists to avoid. A line that parses but
+  fails :func:`~repro.io.unseal` is quarantined
+  (:func:`~repro.io.quarantine`) and its key re-runs. Within one file
+  the last record for a key wins.
 
 ``run_experiments(..., journal=...)`` consults the journal before each
 experiment: a key whose prior outcome was ``"ok"`` is skipped (surfaced
@@ -43,7 +47,7 @@ from __future__ import annotations
 import json
 import pathlib
 
-from ..exceptions import ValidationError
+from ..exceptions import IntegrityError, ValidationError
 from ..observability.logs import get_logger
 
 __all__ = ["RunJournal", "canonical_summary", "load_journal_records"]
@@ -54,38 +58,6 @@ logger = get_logger("repro.robustness.checkpoint")
 JOURNAL_NAME = "journal.jsonl"
 
 
-def _quarantine_journal_line(path, line_no, line, reason):
-    """Preserve a checksum-failed journal line for the operator.
-
-    The bad line moves to ``<dir>/quarantine/`` next to a structured
-    ``IntegrityError`` record (mirroring the model-registry quarantine)
-    and is dropped from the load. Best-effort: a quarantine that cannot
-    be written still drops the corrupt record from the results.
-    """
-    from ..observability.registry import record as record_metric
-
-    record_metric("robustness.journal.integrity_quarantined")
-    logger.error("%s:%d: journal record failed its checksum (%s); "
-                 "quarantining the line", path, line_no, reason)
-    try:
-        qdir = pathlib.Path(path).parent / "quarantine"
-        qdir.mkdir(parents=True, exist_ok=True)
-        name = f"{pathlib.Path(path).name}.line-{line_no}"
-        (qdir / name).write_text(line + "\n", encoding="utf-8")
-        error_record = {
-            "error": "IntegrityError",
-            "file": str(path),
-            "line": line_no,
-            "reason": reason,
-        }
-        (qdir / f"{name}.error.json").write_text(
-            json.dumps(error_record, sort_keys=True) + "\n",
-            encoding="utf-8")
-    except OSError as exc:
-        logger.error("could not quarantine %s:%d: %s (record dropped "
-                     "anyway)", path, line_no, exc)
-
-
 def load_journal_records(path):
     """Parse a JSONL journal, tolerating a truncated trailing line.
 
@@ -94,16 +66,19 @@ def load_journal_records(path):
     raises :class:`~repro.exceptions.ValidationError` because it means
     real corruption, not an interrupted append.
 
-    Records carrying an in-band ``"sha256"`` (written by every
-    :meth:`RunJournal.record`) are verified against the checksum of the
-    rest of the record; a *parseable* record whose bytes no longer match
-    — bit rot or hand editing rather than a torn write — is quarantined
-    (see :func:`_quarantine_journal_line`) and dropped, so silently
-    corrupted results are recomputed instead of trusted. Checksum-less
-    records (older journals, hand-written fixtures) load as before.
+    Every :meth:`RunJournal.record` line is sealed
+    (:func:`repro.io.seal`). A *parseable* line that fails
+    :func:`repro.io.unseal` — bit rot, hand editing, or a record in an
+    older envelope format — is quarantined (:func:`repro.io.quarantine`)
+    and dropped, so its experiment is recomputed instead of trusted. A
+    plain record with neither ``sha256`` nor ``payload`` (a hand-written
+    fixture) loads as it is.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    from ..io import quarantine, unseal  # lazy: io imports core
+    from ..observability.registry import record as record_metric
+
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
     while lines and not lines[-1].strip():
         lines.pop()
     records = []
@@ -111,34 +86,32 @@ def load_journal_records(path):
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if line_no == len(lines):
-                logger.warning(
-                    "%s:%d: dropping truncated trailing journal record "
-                    "(torn write recovered)", path, line_no,
-                )
-                break
-            raise ValidationError(
-                f"{path}:{line_no}: corrupt journal record ({exc}); "
-                "only the trailing line may be truncated"
-            ) from exc
+            record = unseal(line)
+        except IntegrityError as exc:
+            try:
+                record = json.loads(line)
+            except ValueError as parse_exc:
+                if line_no == len(lines):
+                    logger.warning(
+                        "%s:%d: dropping truncated trailing journal record "
+                        "(torn write recovered)", path, line_no,
+                    )
+                    break
+                raise ValidationError(
+                    f"{path}:{line_no}: corrupt journal record "
+                    f"({parse_exc}); only the trailing line may be "
+                    "truncated"
+                ) from parse_exc
+            if isinstance(record, dict) and record.keys() & {"sha256",
+                                                             "payload"}:
+                record_metric("robustness.journal.integrity_quarantined")
+                quarantine(path, str(exc), line=line_no, data=line)
+                continue
         if not isinstance(record, dict):
             raise ValidationError(
                 f"{path}:{line_no}: journal record must be a JSON object, "
                 f"got {type(record).__name__}"
             )
-        expected = record.pop("sha256", None)
-        if expected is not None:
-            from ..io import payload_checksum  # lazy: io imports core
-
-            actual = payload_checksum(record)
-            if actual != expected:
-                _quarantine_journal_line(
-                    path, line_no, line,
-                    f"checksum mismatch (stored {str(expected)[:16]}..., "
-                    f"computed {actual[:16]}...)")
-                continue
         records.append(record)
     return records
 
@@ -184,14 +157,13 @@ def canonical_summary(records):
 
 
 def _encode(outcome):
-    """One checksummed journal line for ``outcome`` (span records live
-    in the trace shards, not the journal)."""
-    from ..io import dumps, payload_checksum  # lazy: io imports core
+    """One sealed journal line for ``outcome`` (span records live in the
+    trace shards, not the journal)."""
+    from ..io import seal  # lazy: io imports core
 
     rec = outcome.to_dict()
     rec.pop("spans", None)
-    rec["sha256"] = payload_checksum(rec)
-    return dumps(rec) + "\n"
+    return seal(rec)
 
 
 def _read_outcomes(path):
@@ -229,6 +201,9 @@ class RunJournal:
         if path.is_dir() or (not path.suffix and not path.exists()):
             path = path / JOURNAL_NAME
         path.parent.mkdir(parents=True, exist_ok=True)
+        from ..io import sweep_stale_temps  # lazy: io imports core
+
+        sweep_stale_temps(path.parent)
         self.path = path
         self._outcomes = {}
         #: key -> encoded line of its outcome, so a rewrite re-encodes

@@ -7,13 +7,14 @@ share one cache entry, and *any* difference (one more sample, one
 changed param, another seed) yields a different key.
 
 The registry is deliberately *process-dumb*: one ``<key>.json`` file
-per model, written with the same write-then-:func:`os.replace` idiom as
-:class:`~repro.robustness.RunJournal`, so
+per model, written through the record primitive of :mod:`repro.io`
+like :class:`~repro.robustness.RunJournal`, so
 
 * concurrent writers of the same key race safely (the last atomic
   replace wins; readers only ever see a complete file);
 * a writer killed mid-write leaves only a dot-prefixed temp file that
-  the next :class:`ModelRegistry` construction sweeps away;
+  the next :class:`ModelRegistry` construction sweeps away
+  (:func:`repro.io.sweep_stale_temps`);
 * pool workers and the HTTP front-end coordinate through the filesystem
   alone — no shared in-process state is required for correctness.
 
@@ -22,12 +23,12 @@ mtime, and ``put`` evicts the oldest entries beyond ``max_entries``.
 
 Two self-healing layers sit on top (see ``docs/robustness.md``):
 
-* **integrity** — every entry is stored as ``{"payload": ...,
-  "sha256": <hex over the canonical payload bytes>}``; every load
-  verifies. An entry that fails to parse or to verify is *quarantined*
-  (moved to ``<cache>/quarantine/`` next to a structured
-  ``IntegrityError`` record) and reported as a miss, so a bit-flipped
-  cache entry costs a refit, never a wrong answer;
+* **integrity** — every entry is one :func:`repro.io.seal` line, and
+  every load verifies it with :func:`repro.io.unseal`. An entry that
+  fails to read or to verify is *quarantined* by
+  :func:`repro.io.quarantine` (moved to ``<cache>/quarantine/`` next to
+  a structured ``IntegrityError`` record) and reported as a miss, so a
+  bit-flipped cache entry costs a refit, never a wrong answer;
 * **degraded in-memory mode** — an ``OSError`` during a cache write
   (ENOSPC, EIO, or the optional ``max_bytes`` size cap) switches the
   cache directory into in-memory-only mode: the payload lands in a
@@ -46,25 +47,29 @@ import os
 import pathlib
 import re
 import threading
-import time
 
 import numpy as np
 
-from ..exceptions import ValidationError
-from ..io import dumps, encode_value, payload_checksum
+from ..exceptions import IntegrityError, ValidationError
+from ..io import (
+    QUARANTINE_DIR,
+    dumps,
+    encode_value,
+    quarantine,
+    seal,
+    sweep_stale_temps,
+    unseal,
+    write_text_atomic,
+)
 from ..observability.logs import get_logger
 from ..observability.registry import record
 
 __all__ = ["ModelRegistry", "coerce_given_labels", "dataset_fingerprint",
-           "model_key", "payload_checksum"]
+           "model_key"]
 
 logger = get_logger("repro.serve.registry")
 
 _KEY_RE = re.compile(r"^[0-9a-f]{8,64}$")
-
-#: Subdirectory (inside a cache dir) holding quarantined entries and
-#: their structured ``IntegrityError`` records.
-QUARANTINE_DIR = "quarantine"
 
 #: Process-local overlay for cache dirs whose disk writes failed:
 #: ``{(cache_dir, key): payload}``. Shared by every ModelRegistry
@@ -73,17 +78,6 @@ QUARANTINE_DIR = "quarantine"
 _MEMORY = {}
 _DEGRADED_DIRS = set()
 _MEMORY_LOCK = threading.Lock()
-
-
-def _pid_alive(pid):
-    """True when ``pid`` is a running process we could signal."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    return True
 
 
 def coerce_given_labels(given):
@@ -177,7 +171,7 @@ class ModelRegistry:
         self.max_bytes = None if max_bytes is None else int(max_bytes)
         self._lock = threading.Lock()
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self._sweep_stale_tmp()
+        sweep_stale_temps(self.cache_dir)
 
     @property
     def _dir_key(self):
@@ -193,24 +187,6 @@ class ModelRegistry:
         """Number of payloads held only in the in-memory overlay."""
         with _MEMORY_LOCK:
             return sum(1 for d, _ in _MEMORY if d == self._dir_key)
-
-    def _sweep_stale_tmp(self):
-        """Remove temp files abandoned by dead writers.
-
-        A live writer's temp file (its pid, parsed from the suffix, is
-        still running) is left alone — it is about to be atomically
-        replaced into place.
-        """
-        for stale in self.cache_dir.glob(".*.tmp-*"):
-            try:
-                pid = int(stale.name.rpartition("-")[2])
-            except ValueError:
-                pid = None
-            if pid is not None and pid > 0 and _pid_alive(pid):
-                continue
-            with contextlib.suppress(OSError):  # repro: noqa[RL011] - stale tmp sweep is advisory hygiene, never correctness
-                stale.unlink()
-                logger.info("removed stale temp file %s", stale.name)
 
     def _path(self, key):
         key = str(key)
@@ -231,11 +207,11 @@ class ModelRegistry:
     def put(self, key, payload):
         """Store ``payload`` under ``key`` durably — or in memory.
 
-        The disk write is atomic (temp file + fsync + ``os.replace``):
-        a concurrent reader sees either the old complete entry or the
-        new complete one, never a torn file, and a crash mid-write
-        changes nothing. The entry is written with its in-band
-        ``sha256`` so every future load can verify it.
+        The entry is one line sealed by :func:`~repro.io.seal` and
+        written by :func:`~repro.io.write_text_atomic`: a concurrent
+        reader sees either the old complete entry or the new complete
+        one, never a torn file, a crash mid-write changes nothing, and
+        every future load can verify it.
 
         An ``OSError`` during the write — real ENOSPC/EIO, or the
         simulated ENOSPC of an exceeded ``max_bytes`` cap — does not
@@ -246,30 +222,19 @@ class ModelRegistry:
         disk write heals the mode and flushes the overlay.
         """
         path = self._path(key)
-        blob = dumps({"payload": payload,
-                      "sha256": payload_checksum(payload)},
-                     sort_keys=True)
-        tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
+        line = seal(payload)
         try:
             if self.max_bytes is not None:
-                needed = self._dir_usage_bytes() + len(blob) + 1
+                needed = self._dir_usage_bytes() + len(line)
                 if needed > self.max_bytes:
                     raise OSError(  # repro: noqa[RL016] - simulated ENOSPC: the cap must trip the same degraded path a real full disk does
                         errno.ENOSPC,
                         f"cache size cap exceeded ({needed} > "
                         f"{self.max_bytes} bytes)", str(path))
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(blob)
-                fh.write("\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
+            write_text_atomic(path, line)
         except OSError as exc:
             self._enter_degraded(key, payload, exc)
-            with contextlib.suppress(OSError):  # repro: noqa[RL011] - temp file cleanup on a failing disk is best-effort
-                tmp.unlink()
             return key
-        self._fsync_dir()
         self._heal_degraded()
         self._evict()
         return key
@@ -323,13 +288,10 @@ class ModelRegistry:
             # the flag; a failing one re-enters degraded mode quietly
             self.put(*held)
             return not self.degraded
-        probe = self.cache_dir / f".heal-probe-{os.getpid()}.tmp"
+        probe = self.cache_dir / ".heal-probe"
         try:
-            with open(probe, "w", encoding="utf-8") as fh:
-                fh.write("ok")
-                fh.flush()
-                os.fsync(fh.fileno())
-            probe.unlink()
+            write_text_atomic(probe, "ok")
+            probe.unlink(missing_ok=True)
         except OSError as exc:
             logger.warning("cache dir %s still degraded: %s",
                            self.cache_dir, exc)
@@ -354,63 +316,29 @@ class ModelRegistry:
                     json.loads(path.read_text(encoding="utf-8")))
         return records
 
-    def _quarantine(self, path, reason):
-        """Move a corrupt entry out of the serving path, loudly.
-
-        The entry file is atomically renamed into ``quarantine/`` and a
-        structured ``IntegrityError`` record is written next to it, so
-        operators can inspect the corrupt bytes while the service
-        transparently refits. Never raises — a quarantine that fails
-        (e.g. the same disk is dying) still results in a miss.
-        """
-        qdir = self.quarantine_dir()
-        record("serve.cache.integrity_quarantined")
-        logger.error("integrity failure on %s (%s); quarantining",
-                     path.name, reason)
-        try:
-            qdir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, qdir / path.name)
-            error_record = {
-                "error": "IntegrityError",
-                "key": path.stem,
-                "file": path.name,
-                "reason": reason,
-                "quarantined_at": time.time(),
-            }
-            error_path = qdir / f"{path.stem}.error.json"
-            error_path.write_text(dumps(error_record, sort_keys=True) + "\n",
-                                  encoding="utf-8")
-        except OSError as exc:
-            logger.error("could not quarantine %s: %s (entry removed from "
-                         "serving path anyway)", path.name, exc)
-            with contextlib.suppress(OSError):  # repro: noqa[RL011] - last resort: a corrupt entry must not stay servable
-                path.unlink()
-
     def _load_verified(self, path):
-        """Parse + checksum-verify one entry file; quarantines on any
-        failure and returns ``None`` (a miss)."""
+        """Read and :func:`~repro.io.unseal` one entry file; quarantines
+        on any failure and returns ``None`` (a miss)."""
         try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
+            data = path.read_bytes()
         except FileNotFoundError:
             return None
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
-            self._quarantine(path, f"unparseable entry: {exc}")
-            return None
-        if (not isinstance(doc, dict) or "payload" not in doc
-                or "sha256" not in doc):
-            self._quarantine(path, "missing integrity envelope "
-                                   "(payload/sha256)")
-            return None
-        payload = doc["payload"]
-        expected = doc["sha256"]
-        actual = payload_checksum(payload)
-        if actual != expected:
-            self._quarantine(
-                path, f"checksum mismatch (stored {str(expected)[:16]}..., "
-                      f"computed {actual[:16]}...)")
-            return None
-        return payload
+        except OSError as exc:
+            reason = f"unreadable entry: {exc}"
+        else:
+            try:
+                return unseal(data)
+            except IntegrityError as exc:
+                reason = str(exc)
+        record("serve.cache.integrity_quarantined")
+        quarantine(path, reason)
+        return None
+
+    @staticmethod
+    def _touch(path):
+        """Bump an entry's LRU recency."""
+        with contextlib.suppress(OSError):  # repro: noqa[RL011] - LRU recency is advisory; a failed utime must not fail the read
+            os.utime(path)
 
     def get(self, key, touch=True):
         """The payload stored under ``key``, or ``None`` on a miss.
@@ -426,8 +354,7 @@ class ModelRegistry:
         if payload is None:
             return self._memory_get(key)
         if touch:
-            with contextlib.suppress(OSError):  # repro: noqa[RL011] - LRU recency is advisory; a failed utime must not fail the read
-                os.utime(path)
+            self._touch(path)
         return payload
 
     def verify(self, key):
@@ -441,8 +368,7 @@ class ModelRegistry:
         """
         path = self._path(key)
         if self._load_verified(path) is not None:
-            with contextlib.suppress(OSError):  # repro: noqa[RL011] - LRU recency is advisory; a failed utime must not fail the probe
-                os.utime(path)
+            self._touch(path)
             return True
         return self._memory_get(key) is not None
 
@@ -475,15 +401,3 @@ class ModelRegistry:
                     path.unlink()
                     logger.info("evicted %s (LRU, cap %d)",
                                 path.name, self.max_entries)
-
-    def _fsync_dir(self):
-        try:  # directory fsync is best-effort (not all platforms allow it)
-            dir_fd = os.open(self.cache_dir, os.O_RDONLY)
-        except OSError: # repro: noqa[RL011] - not all platforms allow opening a directory
-            return
-        try:
-            os.fsync(dir_fd)
-        except OSError: # repro: noqa[RL011] - directory fsync is best-effort by design (entry file is fsynced)
-            pass
-        finally:
-            os.close(dir_fd)

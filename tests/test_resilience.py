@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.io import payload_checksum
+from repro.io import payload_checksum, unseal
 from repro.observability import default_registry, reset_default_registry
 from repro.observability.registry import LATENCY_BUCKETS, Histogram
 from repro.robustness import RunJournal
@@ -73,9 +73,14 @@ class TestIntegrity:
     def test_entries_carry_checksum_envelope(self, tmp_path):
         registry = ModelRegistry(tmp_path)
         registry.put(KEY, {"model": [1, 2, 3]})
-        doc = json.loads((tmp_path / f"{KEY}.json").read_text())
-        assert doc["sha256"] == payload_checksum(doc["payload"])
-        assert doc["payload"] == {"model": [1, 2, 3]}
+        line = (tmp_path / f"{KEY}.json").read_bytes()
+        doc = json.loads(line)
+        assert list(doc) == ["sha256", "payload"]
+        # the checksum covers the payload's stored bytes, as written
+        head = b'"payload": '
+        body = line[line.index(head) + len(head):-len(b"}\n")]
+        assert doc["sha256"] == payload_checksum(body)
+        assert json.loads(body) == doc["payload"] == {"model": [1, 2, 3]}
 
     def test_bit_flip_quarantined_not_served(self, tmp_path):
         reset_default_registry()
@@ -226,7 +231,7 @@ class TestJournalResilience:
         assert default_registry().snapshot()[
             "robustness.journal.degraded"]["value"] == 0
         lines = journal.path.read_text(encoding="utf-8").splitlines()
-        assert [json.loads(line)["key"] for line in lines] == \
+        assert [unseal(line)["key"] for line in lines] == \
             ["A", "B", "C", "D"]  # every line whole: no torn fragment
         assert RunJournal(journal.path).completed_keys() == \
             {"A", "B", "C", "D"}
@@ -239,7 +244,7 @@ class TestJournalResilience:
         lines = journal.path.read_text(encoding="utf-8").splitlines()
         pos = lines[1].index('"key": "B"') + len('"key": "')
         lines[1] = lines[1][:pos] + "Z" + lines[1][pos + 1:]  # flip a byte
-        assert json.loads(lines[1])["key"] == "Z"  # still parses
+        assert json.loads(lines[1])["payload"]["key"] == "Z"  # still parses
         journal.path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
         reloaded = RunJournal(journal.path)
