@@ -1,5 +1,6 @@
-"""Golden outputs: seed-exact results of the hierarchical and alternative
-clusterers, pinned across refactors and kernel optimisations.
+"""Golden outputs: seed-exact results of the hierarchical, alternative
+and spectral clusterers, pinned across refactors and kernel
+optimisations.
 
 ``tools/gen_golden.py`` defines the cases and wrote ``tests/golden/``.
 Labels and merge pairs must match exactly, floats to rtol 1e-9.

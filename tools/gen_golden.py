@@ -151,12 +151,37 @@ def _cspa(X, truths, seed):
     return {"labels": _labels(cspa_consensus(labelings, 3))}
 
 
+def _spectral(X, truths, seed, k):
+    from repro.cluster import SpectralClustering
+
+    est = SpectralClustering(n_clusters=k, random_state=seed).fit(X)
+    return {"labels": _labels(est.labels_)}
+
+
+def _msc(X, truths, seed, k):
+    from repro.multiview import MultipleSpectralViews
+
+    est = MultipleSpectralViews(n_clusters=k, random_state=seed).fit(X)
+    return {"labelings": [_labels(lab) for lab in est.labelings_],
+            "pairwise_hsic": [[float(h) for h in row]
+                              for row in est.pairwise_hsic_],
+            "trace": _trace(est)}
+
+
+def _mv_spectral(X, truths, seed, k):
+    from repro.multiview import MultiViewSpectral
+
+    est = MultiViewSpectral(n_clusters=k, random_state=seed)
+    return {"labels": _labels(est.fit([X[:, :2], X[:, 2:]]).labels_)}
+
+
 def cases():
     """``{family: {case_id: thunk}}`` — every pinned case, unevaluated."""
     data = _datasets()
     out = {family: {} for family in (
         "agglomerative", "coala", "mincentropy", "adco_alternative", "cib",
-        "random_projection_ensemble", "meta_clustering", "cspa_consensus")}
+        "random_projection_ensemble", "meta_clustering", "cspa_consensus",
+        "spectral", "msc", "mv_spectral")}
 
     def add(family, case_id, fn, name, *args):
         X, truths = data[name]
@@ -185,6 +210,11 @@ def cases():
                 add("cib", f"k={k}/seed={seed}", _cib, name, seed, k)
                 add("cib", f"k={k}/beta=30/seed={seed}", _cib, name, seed,
                     k, 30.0)
+                add("spectral", f"k={k}/seed={seed}", _spectral, name,
+                    seed, k)
+                add("msc", f"k={k}/seed={seed}", _msc, name, seed, k)
+                add("mv_spectral", f"k={k}/seed={seed}", _mv_spectral,
+                    name, seed, k)
         add("mincentropy", "seed=0/two-givens", _mincentropy, name, 0, 2)
     return out
 
