@@ -133,7 +133,8 @@ class MultipleSpectralViews(MultiClusteringEstimator):
                     embeddings[v] = U
                     # Structure term: project onto directions aligned with
                     # the spectral embedding's cluster geometry.
-                    S = Xc.T @ (U @ U.T) @ Xc
+                    XU = Xc.T @ U
+                    S = XU @ XU.T
                     # HSIC penalty (linear kernel): push away from the other
                     # views' occupied directions.
                     if self.lam > 0:

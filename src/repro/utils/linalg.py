@@ -36,7 +36,13 @@ def cdist_sq(A, B):
 
 
 def pairwise_sq_distances(X):
-    """All-pairs squared Euclidean distances of the rows of ``X``."""
+    """All-pairs squared Euclidean distances of the rows of ``X``.
+
+    Exactly symmetric: ``X`` is converted once, so the Gram product
+    sees one operand twice (converted separately, as from float32, the
+    two triangles of a general product can differ in the last bit).
+    """
+    X = np.asarray(X, dtype=np.float64)
     d2 = cdist_sq(X, X)
     np.fill_diagonal(d2, 0.0)
     return d2
@@ -100,11 +106,15 @@ def logsumexp(a, axis=None):
 def rbf_kernel(X, gamma=None):
     """Gaussian RBF kernel matrix ``exp(-gamma |x-y|^2)``.
 
-    When ``gamma`` is ``None`` the median-distance heuristic is used.
+    When ``gamma`` is ``None`` the median-distance heuristic is used:
+    the median positive squared distance. It is taken over the strict
+    upper triangle; the full matrix holds each of those values twice,
+    so its median is the same number.
     """
     d2 = pairwise_sq_distances(X)
     if gamma is None:
-        pos = d2[d2 > 0]
+        r = np.arange(d2.shape[0])
+        pos = d2[(r[:, None] < r) & (d2 > 0)]
         med = np.median(pos) if pos.size else 1.0
         # below the smallest normal float 1 / (2 med) overflows to inf
         # and inf * 0 puts NaN on the diagonal; such distances count as 0

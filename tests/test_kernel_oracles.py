@@ -14,6 +14,15 @@
   modified tables, CIB's ``_terms``, and ADCO's per-cluster objective.
   Scores must match to 1e-12 (ADCO bit for bit), and after any sequence
   of applied moves the cache must equal a fresh build.
+* :func:`repro.cluster.spectral_embedding` takes the top-k eigenvectors
+  from a certified block subspace iteration; the reference is a dense
+  ``eigh``. Whenever the ``spectral.embedding`` span says the block path
+  ran, the projectors must agree to 1e-10; an affinity whose top
+  eigenvalue repeats at position k must fall back to the dense path and
+  return exactly what it returns.
+* :func:`repro.utils.linalg.rbf_kernel` takes the median distance over
+  the strict upper triangle; the reference is the median over every
+  positive entry of the full matrix. The kernels must be bit-identical.
 """
 
 import numpy as np
@@ -21,15 +30,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.cluster import LinkageMatrix
+from repro.cluster import LinkageMatrix, normalized_laplacian, spectral_embedding
+from repro.cluster.spectral import (
+    _MAX_STEPS,
+    _block_eigenvectors,
+    _normalized_affinity,
+)
 from repro.metrics import adco_similarity, density_profile
 from repro.metrics.clusterings import ProfileBinning
+from repro.observability import Tracer
 from repro.originalspace import ConditionalInformationBottleneck
 from repro.originalspace.adco_alt import _State as ADCOState
 from repro.originalspace.cib import _State as CIBState
 from repro.originalspace.mincentropy import _State as MinCEntropyState
 from repro.originalspace.mincentropy import _mi_from_counts
-from repro.utils.linalg import pairwise_distances, rbf_kernel
+from repro.utils.linalg import (
+    pairwise_distances,
+    pairwise_sq_distances,
+    rbf_kernel,
+)
 
 
 class NaiveLinkage:
@@ -452,3 +471,128 @@ class TestADCOMoveOracle:
         assert np.array_equal(state.profile, fresh.profile)
         assert state.objective == fresh.objective
         assert state.similarity == fresh.similarity
+
+
+# -- spectral embedding --------------------------------------------------------
+
+
+@st.composite
+def spectral_problems(draw):
+    """An affinity and a component count, n in [25, 70] so the block
+    path is tried: RBF kernels of clustered points (bandwidth from the
+    median heuristic or fixed) or random non-negative symmetric graphs
+    of varying density."""
+    n = draw(st.integers(25, 70))
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 5))
+        centers = rng.uniform(-5, 5, size=(draw(st.integers(1, 5)), d))
+        X = (centers[rng.integers(len(centers), size=n)]
+             + draw(st.sampled_from([0.1, 0.5, 2.0]))
+             * rng.standard_normal((n, d)))
+        W = rbf_kernel(X, gamma=draw(st.sampled_from([None, 0.1, 1.0])))
+    else:
+        A = rng.random((n, n)) * (rng.random((n, n))
+                                  < draw(st.floats(0.05, 1.0)))
+        W = np.triu(A, 1)
+        W = W + W.T
+    np.fill_diagonal(W, 0.0)
+    return W, k
+
+
+def dense_embedding(W, k):
+    """The dense path: ``eigh`` of the normalised Laplacian, its ``k``
+    smallest eigenvectors, rows scaled to unit norm."""
+    vals, vecs = np.linalg.eigh(normalized_laplacian(W))
+    U = vecs[:, np.argsort(vals)[:k]]
+    norms = np.linalg.norm(U, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return U / norms
+
+
+def _embed_traced(W, k):
+    with Tracer() as tracer:
+        U = spectral_embedding(W, k)
+    [span] = tracer.spans
+    return U, span.attrs
+
+
+class TestSpectralEmbeddingOracle:
+    @given(spectral_problems())
+    @settings(max_examples=80, deadline=None)
+    def test_block_projector_matches_eigh(self, problem):
+        W, k = problem
+        _, attrs = _embed_traced(W, k)
+        if attrs["solver"] != "block":
+            assert attrs["solver"] == "eigh"
+            return
+        M = _normalized_affinity(W)
+        U, steps = _block_eigenvectors(M, k)
+        assert steps == attrs["steps"]
+        vals, vecs = np.linalg.eigh(M)
+        U0 = vecs[:, np.argsort(vals)[::-1][:k]]
+        assert np.abs(U @ U.T - U0 @ U0.T).max() <= 1e-10
+
+    @given(st.integers(1, 3), st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_repeated_eigenvalue_at_k_takes_eigh(self, k, seed):
+        # k + 1 identical components: eigenvalue 1 of M repeats k + 1
+        # times, so the gap at position k is zero
+        m = 25 // (k + 1) + 1
+        C = np.triu(np.random.default_rng(seed).random((m, m)), 1)
+        W = np.kron(np.eye(k + 1), C + C.T)
+        U, attrs = _embed_traced(W, k)
+        assert attrs == {"solver": "eigh", "steps": _MAX_STEPS}
+        assert np.array_equal(U, dense_embedding(W, k))
+
+    def test_large_negative_eigenvalues_are_not_certified(self):
+        # Top-2 eigenvalues 1 and 0.05, but seven eigenvalues near -0.9
+        # dominate the iteration: the block converges to {1, -0.9...},
+        # whose top-2 Ritz pairs have tiny residuals and a positive gap.
+        rng = np.random.default_rng(0)
+        n = 60
+        vals = np.concatenate([[1.0, 0.05], -np.linspace(0.9, 0.96, 7),
+                               rng.uniform(-0.01, 0.01, n - 9)])
+        V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        M = (V * vals) @ V.T
+        M = (M + M.T) / 2
+        U, _ = _block_eigenvectors(M, 2)
+        if U is not None:
+            assert np.abs(U @ U.T - V[:, :2] @ V[:, :2].T).max() <= 1e-10
+
+
+# -- rbf_kernel median ---------------------------------------------------------
+
+
+@st.composite
+def point_sets(draw):
+    """Points with duplicate rows, on integer grids, in float32 (wide
+    enough that two separate float64 copies give an asymmetric Gram
+    product) or plain float64; n in [1, 60]."""
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(
+        ["float", "integer-grid", "duplicate-rows", "float32"]))
+    if kind == "float32":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return (rng.standard_normal((n, 300)) + 100).astype(np.float32)
+    d = draw(st.integers(1, 4))
+    if kind == "integer-grid":
+        return draw(arrays(np.float64, (n, d), elements=st.integers(0, 3)))
+    X = draw(arrays(np.float64, (n, d), elements=st.floats(-5, 5)))
+    if kind == "duplicate-rows":
+        X = X[draw(arrays(np.int64, n, elements=st.integers(0, n - 1)))]
+    return X
+
+
+class TestRBFMedianOracle:
+    @given(point_sets())
+    @settings(max_examples=120, deadline=None)
+    def test_gamma_matches_full_matrix_median(self, X):
+        d2 = pairwise_sq_distances(X)
+        assert np.array_equal(d2, d2.T)
+        pos = d2[d2 > 0]
+        med = np.median(pos) if pos.size else 1.0
+        gamma = (1.0 / (2.0 * med) if med > np.finfo(np.float64).tiny
+                 else 1.0)
+        assert np.array_equal(rbf_kernel(X), np.exp(-gamma * d2))
