@@ -3,8 +3,8 @@
 from repro.experiments import run_a4_miner_scaling
 
 
-def test_a4_miner_scaling(benchmark, show_table):
-    table = benchmark.pedantic(run_a4_miner_scaling, rounds=1, iterations=1)
+def test_a4_miner_scaling(show_table):
+    table = run_a4_miner_scaling()
     show_table(table)
     subclu = [r for r in table.rows if r["miner"] == "SUBCLU"]
     assert subclu[-1]["seconds"] >= subclu[0]["seconds"]

@@ -3,8 +3,8 @@
 from repro.experiments import run_a5_adaptive_grid
 
 
-def test_a5_adaptive_grid(benchmark, show_table):
-    table = benchmark.pedantic(run_a5_adaptive_grid, rounds=2, iterations=1)
+def test_a5_adaptive_grid(show_table):
+    table = run_a5_adaptive_grid()
     show_table(table)
     f1 = {r["method"]: r["object_f1"] for r in table.rows}
     assert f1["MAFIA (adaptive windows)"] >= f1["CLIQUE (fixed grid)"]

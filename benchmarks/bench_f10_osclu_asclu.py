@@ -3,11 +3,8 @@
 from repro.experiments import run_f10_osclu_asclu
 
 
-def test_f10_osclu_asclu(benchmark, show_table):
-    table = benchmark.pedantic(
-        run_f10_osclu_asclu, kwargs={"n_samples": 240},
-        rounds=2, iterations=1,
-    )
+def test_f10_osclu_asclu(show_table):
+    table = run_f10_osclu_asclu(n_samples=240)
     show_table(table)
     rows = {r["quantity"]: r["value"] for r in table.rows}
     assert rows["ASCLU reuses known concept"] is False

@@ -3,11 +3,8 @@
 from repro.experiments import run_f11_enclus_entropy
 
 
-def test_f11_enclus_entropy(benchmark, show_table):
-    table = benchmark.pedantic(
-        run_f11_enclus_entropy, kwargs={"n_samples": 240},
-        rounds=2, iterations=1,
-    )
+def test_f11_enclus_entropy(show_table):
+    table = run_f11_enclus_entropy(n_samples=240)
     show_table(table)
     planted = [r for r in table.rows if r["kind"] == "planted"]
     noise = [r for r in table.rows if r["kind"] == "noise"]

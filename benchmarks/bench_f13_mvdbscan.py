@@ -3,11 +3,8 @@
 from repro.experiments import run_f13_mvdbscan
 
 
-def test_f13_mvdbscan(benchmark, show_table):
-    table = benchmark.pedantic(
-        run_f13_mvdbscan, kwargs={"n_samples": 240},
-        rounds=3, iterations=1,
-    )
+def test_f13_mvdbscan(show_table):
+    table = run_f13_mvdbscan(n_samples=240)
     show_table(table)
     rows = {(r["scenario"], r["method"]): r for r in table.rows}
     assert rows[("sparse views", "union")]["coverage"] > \

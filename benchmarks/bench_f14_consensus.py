@@ -3,11 +3,8 @@
 from repro.experiments import run_f14_consensus
 
 
-def test_f14_consensus(benchmark, show_table):
-    table = benchmark.pedantic(
-        run_f14_consensus, kwargs={"n_samples": 200, "n_runs": 8},
-        rounds=1, iterations=1,
-    )
+def test_f14_consensus(show_table):
+    table = run_f14_consensus(n_samples=200, n_runs=8)
     show_table(table)
     rows = {r["method"]: r for r in table.rows}
     ens = [v for k, v in rows.items() if "ensemble" in k][0]

@@ -3,11 +3,8 @@
 from repro.experiments import run_f16_msc
 
 
-def test_f16_msc(benchmark, show_table):
-    table = benchmark.pedantic(
-        run_f16_msc, kwargs={"n_samples": 150, "n_seeds": 5},
-        rounds=1, iterations=1,
-    )
+def test_f16_msc(show_table):
+    table = run_f16_msc(n_samples=150, n_seeds=5)
     show_table(table)
     rows = {r["lam"]: r for r in table.rows}
     assert rows[2.0]["mean_pairwise_hsic"] < rows[0.0]["mean_pairwise_hsic"]

@@ -3,11 +3,8 @@
 from repro.experiments import run_f2_coala_tradeoff
 
 
-def test_f2_coala_tradeoff(benchmark, show_table):
-    table = benchmark.pedantic(
-        run_f2_coala_tradeoff, kwargs={"n_samples": 160},
-        rounds=2, iterations=1,
-    )
+def test_f2_coala_tradeoff(show_table):
+    table = run_f2_coala_tradeoff(n_samples=160)
     show_table(table)
     diss = table.column("dissimilarity_to_given")
     assert diss[0] > diss[-1]

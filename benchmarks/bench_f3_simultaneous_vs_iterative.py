@@ -3,11 +3,8 @@
 from repro.experiments import run_f3_simultaneous_vs_iterative
 
 
-def test_f3_simultaneous_vs_iterative(benchmark, show_table):
-    table = benchmark.pedantic(
-        run_f3_simultaneous_vs_iterative, kwargs={"n_samples": 160},
-        rounds=2, iterations=1,
-    )
+def test_f3_simultaneous_vs_iterative(show_table):
+    table = run_f3_simultaneous_vs_iterative(n_samples=160)
     show_table(table)
     rows = {r["strategy"]: r for r in table.rows}
     assert rows["naive chain: C3 = alt(C2) only"][

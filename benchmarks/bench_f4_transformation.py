@@ -3,11 +3,8 @@
 from repro.experiments import run_f4_transformation
 
 
-def test_f4_transformation(benchmark, show_table):
-    table = benchmark.pedantic(
-        run_f4_transformation, kwargs={"n_samples": 160},
-        rounds=3, iterations=1,
-    )
+def test_f4_transformation(show_table):
+    table = run_f4_transformation(n_samples=160)
     show_table(table)
     rows = {r["method"]: r for r in table.rows}
     assert rows["Davidson&Qi 2008 (SVD stretcher inversion)"][

@@ -3,12 +3,9 @@
 from repro.experiments import run_f6_distance_concentration
 
 
-def test_f6_distance_concentration(benchmark, show_table):
-    table = benchmark.pedantic(
-        run_f6_distance_concentration,
-        kwargs={"dims": (2, 5, 10, 20, 50, 100), "n_samples": 120},
-        rounds=3, iterations=1,
-    )
+def test_f6_distance_concentration(show_table):
+    table = run_f6_distance_concentration(dims=(2, 5, 10, 20, 50, 100),
+                                          n_samples=120)
     show_table(table)
     contrasts = table.column("relative_contrast")
     assert contrasts[0] > contrasts[-1]

@@ -3,11 +3,8 @@
 from repro.experiments import run_f7_clique_pruning
 
 
-def test_f7_clique_pruning(benchmark, show_table):
-    table = benchmark.pedantic(
-        run_f7_clique_pruning,
-        kwargs={"feature_counts": (6, 8, 10, 12), "n_samples": 240},
-        rounds=1, iterations=1,
-    )
+def test_f7_clique_pruning(show_table):
+    table = run_f7_clique_pruning(feature_counts=(6, 8, 10, 12),
+                                  n_samples=240)
     show_table(table)
     assert all(r["identical_results"] for r in table.rows)

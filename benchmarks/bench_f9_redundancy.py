@@ -3,11 +3,8 @@
 from repro.experiments import run_f9_redundancy
 
 
-def test_f9_redundancy(benchmark, show_table):
-    table = benchmark.pedantic(
-        run_f9_redundancy, kwargs={"n_samples": 240},
-        rounds=1, iterations=1,
-    )
+def test_f9_redundancy(show_table):
+    table = run_f9_redundancy(n_samples=240)
     show_table(table)
     rows = {r["method"]: r for r in table.rows}
     assert rows["CLIQUE (ALL)"]["redundancy_ratio"] > \

@@ -6,8 +6,8 @@ Times one complete two-pass lint of the library in its two operating
 modes — **cold** (no incremental cache: discovery + parse + all rules
 + the whole-program pass) and **warm** (a prewarmed cache: pass 1
 served from disk, pass 2 live) — and, for scale, the engine's cost
-components in isolation: parse-only (rules disabled) and the
-single-rule RL003 run the ``check_no_print`` wrapper performs. Each
+components in isolation: parse-only (rules disabled) and a
+single-rule RL003 run. Each
 configuration is timed as the *minimum* over ``--repeats`` rounds —
 the standard microbenchmark estimator for the noise-free cost — and
 the rounds interleave the configurations so interpreter warm-up hits

@@ -3,7 +3,7 @@
 from repro.experiments import run_t1_taxonomy
 
 
-def test_t1_taxonomy_table(benchmark, show_table):
-    table = benchmark(run_t1_taxonomy)
+def test_t1_taxonomy_table(show_table):
+    table = run_t1_taxonomy()
     show_table(table)
     assert len(table.rows) >= 20

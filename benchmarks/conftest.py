@@ -1,9 +1,9 @@
 """Benchmark-suite helpers.
 
-Each ``bench_*`` file regenerates one tutorial table/figure: it prints
-the experiment's :class:`ResultTable` once (so running the suite
-reproduces EXPERIMENTS.md) and times the underlying computation with
-pytest-benchmark.
+Each ``bench_*`` file regenerates one tutorial table/figure: it runs
+the experiment once, prints its :class:`ResultTable` (so running the
+suite reproduces EXPERIMENTS.md) and asserts the claim's shape.
+Per-experiment seconds come from ``python -m repro run <id>``.
 """
 
 import pytest

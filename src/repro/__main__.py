@@ -565,7 +565,6 @@ def _report_trace(path):
 #: The standalone gates consolidated under ``repro check`` (each keeps
 #: its own entry point; the subcommand just runs them in sequence).
 _CHECK_TOOLS = (
-    "check_no_print.py",
     "check_outcome_schema.py",
     "check_trace_schema.py",
     "check_estimator_contract.py",

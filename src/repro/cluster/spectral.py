@@ -43,6 +43,10 @@ _RESIDUAL_TOL = 1e-12
 #: angle between the Ritz space and the true top-k eigenspace
 _ANGLE_TOL = 1e-10
 
+#: the block solver gives up once max residual + Ritz gap is at most
+#: this: certifying would need a residual of ``_ANGLE_TOL`` times it
+_TIE_TOL = 1e-6
+
 
 def _normalized_affinity(W):
     """``M = D^{-1/2} W D^{-1/2}`` of a validated symmetric affinity.
@@ -88,8 +92,14 @@ def _block_eigenvectors(M, k):
     iteration favours eigenvalues of large magnitude, so the block is
     also refused while a Ritz value lies at or below ``-theta_k``: a
     negative eigenvalue that large could crowd a top-``k`` eigenvector
-    out of the block. A repeated eigenvalue at position ``k`` never
-    certifies, and a block of a third of ``n`` or more is not tried.
+    out of the block. A block of a third of ``n`` or more is not tried.
+
+    A repeated eigenvalue at position ``k`` never certifies, so the
+    solver gives up once the max residual ``r`` plus ``g`` is at most
+    ``_TIE_TOL``: ``theta_k`` is within ``r`` of an eigenvalue and
+    ``theta_{k+1} <= lambda_{k+1}`` (interlacing), so eigenvalues ``k``
+    and ``k + 1`` are at most ``r + g`` apart, and certifying would need
+    a residual of at most 1e-16, below the unit roundoff of ``M @ Q``.
     """
     n = M.shape[0]
     b = max(k + 5, 8)
@@ -113,6 +123,8 @@ def _block_eigenvectors(M, k):
                     and residual <= _ANGLE_TOL * gap
                     and theta[-1] > -theta[k - 1]):
                 return U[:, :k], step
+            if residual + gap <= _TIE_TOL:
+                break  # (near-)repeated eigenvalue at k: cannot certify
             Q, _ = np.linalg.qr(MU)
     except np.linalg.LinAlgError:
         pass  # a failed small solve gives up like an uncertified block

@@ -165,7 +165,8 @@ class ExperimentOutcome:
     the experiment (every ``budget_tick`` across all nested fits);
     ``timings`` maps each direct child span (estimator fits, traced
     substeps) to cumulative seconds; ``peak_kb`` is the tracemalloc
-    peak when the sweep ran with ``profile=True``.
+    peak when the sweep's tracer profiles memory
+    (``Tracer(profile_memory=True)``, the CLI's ``--profile``).
 
     ``spans`` — present only for traced cross-process runs — holds the
     worker-side span records (``Tracer.to_records()`` dicts carrying
@@ -431,8 +432,7 @@ def _run_in_process(grid, *, keep_going, max_seconds, max_retries, journal,
 
 def _run_pooled(grid, *, jobs, keep_going, max_seconds, max_retries,
                 hard_timeout, crash_retries, journal, callback, shared_data,
-                base_seed, heartbeat_interval, start_method, profile_memory,
-                tracer, trace_path, trace_contexts, deadlines):
+                base_seed, tracer, trace_path, trace_contexts, deadlines):
     """The isolated branch of :func:`run_experiments` (``isolate`` or
     ``jobs > 1``): seeding, isolation and journaling are delegated to
     :func:`repro.robustness.pool.run_pool`. Returns ``{key: outcome}``.
@@ -471,8 +471,8 @@ def _run_pooled(grid, *, jobs, keep_going, max_seconds, max_retries,
             max_retries=max_retries, hard_timeout=hard_timeout,
             crash_retries=crash_retries, journal=journal,
             callback=fold, shared_data=shared_data,
-            base_seed=base_seed, heartbeat_interval=heartbeat_interval,
-            start_method=start_method, profile_memory=profile_memory,
+            base_seed=base_seed,
+            profile_memory=tracer is not None and tracer.profile_memory,
             keep_going=keep_going, trace=sweep_trace,
             trace_path=trace_path, trace_contexts=trace_contexts,
             deadlines={key: value for key, value in deadlines.items()
@@ -489,10 +489,8 @@ def _run_pooled(grid, *, jobs, keep_going, max_seconds, max_retries,
 
 def run_experiments(experiments, *, keep_going=True, max_seconds=None,
                     max_retries=0, fail_keys=(), callback=None,
-                    tracer=None, profile=False, isolate=False,
-                    hard_timeout=None, journal=None,
-                    heartbeat_interval=1.0, start_method=None,
-                    jobs=1, crash_retries=0, shared_data=None,
+                    tracer=None, isolate=False, hard_timeout=None,
+                    journal=None, jobs=1, crash_retries=0, shared_data=None,
                     base_seed=0, trace_contexts=None, trace_path=None,
                     deadlines=None):
     """Run a mapping of ``{key: experiment_fn}`` fault-tolerantly.
@@ -528,9 +526,8 @@ def run_experiments(experiments, *, keep_going=True, max_seconds=None,
         ``--trace FILE``). Isolated workers trace themselves and ship
         the summary back with the outcome; their spans reach
         ``tracer`` only with ``trace_path`` or ``trace_contexts``.
-    profile : bool
-        When creating the internal tracer, capture tracemalloc peaks
-        (ignored when ``tracer`` is given — configure it directly).
+        Tracemalloc peaks are captured when ``tracer.profile_memory``
+        is set, in workers too.
     isolate : bool
         Run the sweep on the pool of :mod:`repro.robustness.pool` even
         at ``jobs=1``: one long-lived worker subprocess, respawned
@@ -551,11 +548,6 @@ def run_experiments(experiments, *, keep_going=True, max_seconds=None,
         is recorded durably as soon as it completes, so a sweep killed
         at any point resumes without recomputation. A path constructs
         a resuming :class:`~repro.robustness.RunJournal`.
-    heartbeat_interval : float
-        Seconds between worker liveness messages (isolated sweeps only).
-    start_method : str or None
-        ``multiprocessing`` start method (isolated sweeps only; default
-        prefers ``fork`` so closures work as experiments).
     jobs : int
         Worker-process count. ``1`` (the default) runs in-process
         unless ``isolate`` is set; ``0`` or ``None`` means all cores;
@@ -651,11 +643,7 @@ def run_experiments(experiments, *, keep_going=True, max_seconds=None,
             max_seconds=max_seconds, max_retries=max_retries,
             hard_timeout=hard_timeout, crash_retries=crash_retries,
             journal=journal, callback=callback, shared_data=shared_data,
-            base_seed=base_seed, heartbeat_interval=heartbeat_interval,
-            start_method=start_method,
-            profile_memory=(tracer.profile_memory if tracer is not None
-                            else profile),
-            tracer=tracer, trace_path=trace_path,
+            base_seed=base_seed, tracer=tracer, trace_path=trace_path,
             trace_contexts=trace_contexts, deadlines=deadlines,
         )
     else:
@@ -663,8 +651,7 @@ def run_experiments(experiments, *, keep_going=True, max_seconds=None,
             grid, keep_going=keep_going, max_seconds=max_seconds,
             max_retries=max_retries, journal=journal, callback=callback,
             shared_data=shared_data, base_seed=base_seed,
-            tracer=tracer if tracer is not None
-            else Tracer(profile_memory=profile),
+            tracer=tracer if tracer is not None else Tracer(),
             trace_contexts=trace_contexts, deadlines=deadlines,
         )
     done = {**skipped, **ran}

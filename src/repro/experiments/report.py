@@ -105,7 +105,7 @@ CLAIMS = {
     "F12": ("Slides 101-104 — co-EM's bootstrapped hypotheses agree with "
             "the shared structure at least as well as single-view EM, and "
             "the two views converge to agreement.",
-            "Single-view EM: ARI ~0.96-0.99. co-EM: ARI 1.000 with >99% "
+            "Single-view EM: ARI ~0.96-1.00. co-EM: ARI 1.000 with >99% "
             "inter-view agreement."),
     "F13": ("Slides 105-107 — union cores win on sparse views, "
             "intersection cores win on unreliable views.",
@@ -122,7 +122,7 @@ CLAIMS = {
     "F15": ("Slide 29 — meta clustering's blind generation produces many "
             "near-duplicate solutions; grouping at the meta level "
             "compresses them into a few diverse representatives.",
-            "~31% of base-clustering pairs are near-duplicates; the meta-"
+            "~49% of base-clustering pairs are near-duplicates; the meta-"
             "medoid representatives are mutually diverse and cover both "
             "planted truths at ARI 1.0."),
     "F16": ("Slide 90 — mSC's HSIC penalty steers the spectral views "
@@ -190,7 +190,7 @@ figures/claims (F1-F16); each experiment below plants the figure's
 premise in synthetic data with known ground truth and measures whether
 the claimed shape emerges. Regenerate any table with
 
-    pytest benchmarks/bench_<id>_*.py --benchmark-only
+    pytest benchmarks/bench_<id>_*.py
 
 or `python -m repro run <id>`; this whole document is the output of
 `python -m repro report`. All numbers are from the default experiment
@@ -207,7 +207,7 @@ _ABLATION_HEADER = '''
 
 The DESIGN.md inventory calls out several design choices; each ablation
 isolates one and verifies its claimed failure modes at the extremes.
-Regenerate via `pytest benchmarks/bench_a*.py --benchmark-only` or
+Regenerate via `pytest benchmarks/bench_a*.py` or
 `python -m repro run A1` etc.
 '''
 

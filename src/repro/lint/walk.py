@@ -1,15 +1,15 @@
 """Shared source-tree discovery for the lint engine and ``tools/``.
 
 Every script that walks the library — the lint engine itself,
-``tools/check_no_print.py``, ``tools/check_estimator_contract.py``,
-``tools/gen_api_docs.py`` — historically re-implemented its own file or
+``tools/check_estimator_contract.py``, ``tools/gen_api_docs.py`` —
+historically re-implemented its own file or
 package discovery, each with a private allow/deny list. This module is
 the single home for that policy:
 
 * :func:`walk_source_tree` — deterministic (sorted) iteration over the
   library's ``.py`` files, skipping caches, egg-info and VCS droppings;
 * :data:`PRINT_ALLOWED` — the CLI front-ends where printing *is* the
-  job (rule ``RL003`` and ``tools/check_no_print.py`` share it);
+  job (rule ``RL003``);
 * :data:`POOL_ALLOWED` — the fault-contained run layer, the only place
   allowed to build process pools / executors directly (rule ``RL009``);
 * :data:`SERVE_ALLOWED` — the serving layer, the only place allowed to

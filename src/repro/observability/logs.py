@@ -4,7 +4,7 @@ Every subsystem logs under ``repro.<subsystem>`` (``repro.cluster``,
 ``repro.subspace``, ``repro.experiments``, ``repro.robustness``, ...),
 so applications can dial one subsystem up without drowning in another.
 The library itself never calls ``print`` outside the CLI and the report
-generator — ``tools/check_no_print.py`` enforces this in tier-1.
+generator — lint rule ``RL003`` enforces this in tier-1.
 
 Library modules::
 

@@ -44,6 +44,7 @@ import contextlib
 import contextvars
 import functools
 import json
+import numbers
 import os
 import time
 import tracemalloc
@@ -361,13 +362,22 @@ class Tracer:
 
 
 def _json_safe(obj):
-    """Coerce attrs to JSON-serialisable values (repr as last resort)."""
+    """Coerce span attrs or a failure context to JSON-serialisable
+    values: NumPy bools, integers and reals become Python ``bool``,
+    ``int`` and ``float``; anything else unknown becomes its ``repr``."""
     if isinstance(obj, dict):
         return {str(k): _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
+    if obj is None or isinstance(obj, (str, bool)):
         return obj
+    if isinstance(obj, numbers.Integral):
+        return int(obj)
+    if isinstance(obj, numbers.Real):
+        return float(obj)
+    if getattr(obj, "dtype", None) is not None and \
+            getattr(obj, "shape", None) == ():
+        return _json_safe(obj.item())  # np.bool_ is no numbers.Integral
     return repr(obj)
 
 

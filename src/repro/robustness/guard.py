@@ -23,7 +23,7 @@ Three cooperating pieces make any ``fit`` bounded and recoverable:
 
       # 2. retry-with-reseed for stochastic optimisers: each retry
       #    clones the estimator with a bumped random_state and an
-      #    exponentially enlarged budget (``backoff``)
+      #    wall-clock budget doubled per attempt
       result = guard.fit(estimator, X)
 
       # 3. context manager (single attempt, captures the exception)
@@ -56,7 +56,7 @@ from typing import Any, Optional
 from ..exceptions import BudgetExceededError, MultiClustError, ValidationError
 from ..observability.logs import get_logger
 from ..observability.telemetry import emit_objective
-from ..observability.tracer import _ACTIVE_TRACER
+from ..observability.tracer import _ACTIVE_TRACER, _json_safe
 
 __all__ = [
     "KNOWN_FAILURE_KINDS",
@@ -117,21 +117,6 @@ def _span_summary(span):
     if span.peak_bytes is not None:
         telemetry["peak_kb"] = round(span.peak_bytes / 1024.0, 1)
     return (timings or None), telemetry
-
-
-def _json_safe_context(obj):
-    """Coerce a failure context to JSON-serialisable values."""
-    if isinstance(obj, dict):
-        return {str(k): _json_safe_context(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe_context(v) for v in obj]
-    if isinstance(obj, (str, bool)) or obj is None:
-        return obj
-    if isinstance(obj, numbers.Integral):
-        return int(obj)
-    if isinstance(obj, numbers.Real):
-        return float(obj)
-    return repr(obj)
 
 
 def budget_tick(n=1, objective=None):
@@ -275,7 +260,7 @@ class RunFailure:
             "traceback": self.traceback,
             "elapsed": self.elapsed,
             "attempts": self.attempts,
-            "context": _json_safe_context(self.context),
+            "context": _json_safe(self.context),
         }
 
     @classmethod
@@ -370,8 +355,8 @@ class RunGuard:
     ----------
     max_seconds : float or None
         Per-attempt wall-clock budget. Retry attempt ``i`` receives
-        ``max_seconds * backoff**i`` (exponential backoff on budget), so
-        a stochastic optimiser that timed out gets more room under its
+        ``max_seconds * 2**i`` (exponential backoff on budget), so a
+        stochastic optimiser that timed out gets more room under its
         new seed.
     max_ticks : int or None
         Per-attempt iteration budget (outer optimiser iterations,
@@ -379,13 +364,8 @@ class RunGuard:
     max_retries : int
         Extra attempts after the first failure. :meth:`fit` reseeds the
         estimator between attempts; :meth:`run` simply re-invokes.
-    backoff : float >= 1
-        Budget growth factor per retry.
     label : str
         Identifies the run in :class:`RunFailure` records.
-    catch : tuple of exception types
-        What to convert into failures. Defaults to ``(Exception,)`` —
-        ``KeyboardInterrupt``/``SystemExit`` always propagate.
     tracer : :class:`repro.observability.Tracer` or None
         When given, every attempt runs inside a span named after
         ``label`` (attempt number in the span attrs) and the returned
@@ -395,26 +375,24 @@ class RunGuard:
 
     Notes
     -----
-    ``ValidationError`` and ``NotImplementedError`` are captured but
-    never retried: invalid input does not become valid under a new seed.
+    Every ``Exception`` becomes a failure; ``KeyboardInterrupt`` and
+    ``SystemExit`` propagate. ``ValidationError`` and
+    ``NotImplementedError`` are captured but never retried: invalid
+    input does not become valid under a new seed.
     """
 
     _NO_RETRY = (ValidationError, NotImplementedError)
 
     def __init__(self, max_seconds=None, max_ticks=None, max_retries=0,
-                 backoff=2.0, label="", catch=(Exception,), tracer=None):
+                 label="", tracer=None):
         if max_retries < 0:
             raise ValidationError(
                 f"max_retries must be >= 0, got {max_retries}"
             )
-        if not backoff >= 1.0:
-            raise ValidationError(f"backoff must be >= 1, got {backoff}")
         self.max_seconds = max_seconds
         self.max_ticks = max_ticks
         self.max_retries = int(max_retries)
-        self.backoff = float(backoff)
         self.label = label
-        self.catch = tuple(catch)
         self.tracer = tracer
         self.result = None
         self._token = None
@@ -426,7 +404,7 @@ class RunGuard:
         """Fresh budget for attempt ``attempt`` (0-based), with backoff."""
         seconds = self.max_seconds
         if seconds is not None:
-            seconds = seconds * self.backoff ** attempt
+            seconds = seconds * 2.0 ** attempt
         if seconds is None and self.max_ticks is None:
             return None
         return RunBudget(max_seconds=seconds, max_ticks=self.max_ticks)
@@ -465,7 +443,7 @@ class RunGuard:
                     elapsed=time.perf_counter() - start, attempts=attempts,
                     timings=timings, telemetry=telemetry,
                 )
-            except self.catch as exc:
+            except Exception as exc:
                 last_exc = exc
                 if isinstance(exc, self._NO_RETRY):
                     logger.debug(
@@ -510,7 +488,7 @@ class RunGuard:
         it via ``get_params`` and, when the estimator has an int-or-None
         ``random_state`` parameter, bumps the seed so the optimiser
         explores a different basin; the wall-clock budget grows by
-        ``backoff`` per attempt. Returns a :class:`RunResult` whose
+        a factor of 2 per attempt. Returns a :class:`RunResult` whose
         value is the fitted estimator.
         """
         def attempt_fn(attempt):
@@ -555,7 +533,7 @@ class RunGuard:
         if exc is None:
             self.result = RunResult(status="ok", elapsed=elapsed)
             return False
-        if isinstance(exc, self.catch):
+        if isinstance(exc, Exception):
             failure = RunFailure.from_exception(
                 exc, label=self.label, elapsed=elapsed, attempts=1
             )

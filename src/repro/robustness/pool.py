@@ -86,6 +86,9 @@ _POLL_SECONDS = 0.05
 #: parent never shows up as EOF; a changed parent pid is the signal.
 _ORPHAN_CHECK_SECONDS = 0.5
 
+#: Least time between two liveness messages a busy worker sends.
+_HEARTBEAT_SECONDS = 1.0
+
 
 # ---------------------------------------------------------------------------
 # Deterministic per-key seeds
@@ -325,11 +328,10 @@ def _pool_worker_main(conn, slot, experiments, config):
                    if config.get("trace_shard_path") else None)
 
     last_sent = [0.0]
-    heartbeat_interval = config.get("heartbeat_interval", 1.0)
 
     def heartbeat():
         now = time.monotonic()
-        if now - last_sent[0] >= heartbeat_interval:
+        if now - last_sent[0] >= _HEARTBEAT_SECONDS:
             last_sent[0] = now
             try:
                 conn.send(("heartbeat", now))
@@ -450,8 +452,7 @@ class _PoolRun:
 
     def __init__(self, experiments, *, jobs, max_seconds, max_retries,
                  hard_timeout, crash_retries, journal, callback,
-                 shared_descriptor, base_seed, heartbeat_interval,
-                 start_method, profile_memory, keep_going,
+                 shared_descriptor, base_seed, profile_memory, keep_going,
                  trace=None, trace_path=None, trace_contexts=None,
                  deadlines=None):
         from ..observability.registry import default_registry
@@ -461,7 +462,6 @@ class _PoolRun:
         self.config = {
             "max_seconds": max_seconds,
             "max_retries": max_retries,
-            "heartbeat_interval": heartbeat_interval,
             "profile_memory": profile_memory,
             "shared_descriptor": shared_descriptor,
             "trace": trace,
@@ -478,7 +478,7 @@ class _PoolRun:
         self.keep_going = keep_going
         self.trace_path = trace_path
         self.trace_contexts = dict(trace_contexts or {})
-        self.ctx = _pick_context(start_method)
+        self.ctx = _pick_context()
         self.pending = deque(self.experiments)
         self.results = {}
         self.crash_counts = {}
@@ -788,7 +788,6 @@ class _PoolRun:
 def run_pool(experiments, *, jobs=None, max_seconds=None, max_retries=0,
              hard_timeout=None, crash_retries=0, journal=None,
              callback=None, shared_data=None, base_seed=0,
-             heartbeat_interval=1.0, start_method=None,
              profile_memory=False, keep_going=True,
              trace=None, trace_path=None, trace_contexts=None,
              deadlines=None):
@@ -860,8 +859,7 @@ def run_pool(experiments, *, jobs=None, max_seconds=None, max_retries=0,
             max_retries=max_retries, hard_timeout=hard_timeout,
             crash_retries=crash_retries, journal=journal,
             callback=callback, shared_descriptor=descriptor,
-            base_seed=base_seed, heartbeat_interval=heartbeat_interval,
-            start_method=start_method, profile_memory=profile_memory,
+            base_seed=base_seed, profile_memory=profile_memory,
             keep_going=keep_going, trace=trace, trace_path=trace_path,
             trace_contexts=trace_contexts, deadlines=abs_deadlines,
         )

@@ -69,11 +69,10 @@ def _own_process_group():
         pass  # already a group leader, or the platform has no setpgid
 
 
-def _pick_context(start_method):
-    if start_method is None:
-        methods = multiprocessing.get_all_start_methods()
-        start_method = "fork" if "fork" in methods else "spawn"
-    return multiprocessing.get_context(start_method)
+def _pick_context():
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context(
+        "fork" if "fork" in methods else "spawn")
 
 
 def _signal_group(pid, signum):

@@ -543,7 +543,8 @@ class TestSpectralEmbeddingOracle:
         C = np.triu(np.random.default_rng(seed).random((m, m)), 1)
         W = np.kron(np.eye(k + 1), C + C.T)
         U, attrs = _embed_traced(W, k)
-        assert attrs == {"solver": "eigh", "steps": _MAX_STEPS}
+        assert attrs["solver"] == "eigh"
+        assert 1 <= attrs["steps"] < _MAX_STEPS
         assert np.array_equal(U, dense_embedding(W, k))
 
     def test_large_negative_eigenvalues_are_not_certified(self):

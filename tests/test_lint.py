@@ -266,11 +266,12 @@ class TestRL003NoPrint:
     def test_print_call_flagged(self):
         result = findings_for("def f():\n    print('hi')\n")
         assert rule_ids(result) == ["RL003"]
-        # legacy (line, col) shape relied on by tools/check_no_print.py
         assert (result.findings[0].line, result.findings[0].col) == (2, 4)
 
     def test_docstring_mention_clean(self):
         result = findings_for('def f():\n    """Never print here."""\n')
+        assert result.findings == []
+        result = findings_for('x = "print(this)"\n# print neither\n')
         assert result.findings == []
 
     def test_cli_front_end_is_allowed(self):
@@ -1465,13 +1466,13 @@ class TestReproCheck:
         from repro import __main__ as repro_main
 
         # one fast representative tool keeps the test cheap; the full
-        # four-tool sweep is exercised by CI calling `repro check` itself
+        # three-tool sweep is exercised by CI calling `repro check` itself
         monkeypatch.setattr(repro_main, "_CHECK_TOOLS",
-                            ("check_no_print.py",))
+                            ("check_outcome_schema.py",))
         code = repro_main.main(["check", "--no-cache"])
         out = capsys.readouterr().out
         assert "repro lint" in out
-        assert "tools/check_no_print.py" in out
+        assert "tools/check_outcome_schema.py" in out
         assert "PASS" in out
         assert "gate(s):" in out
         assert code == 0
