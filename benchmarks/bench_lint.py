@@ -2,38 +2,33 @@
 
 Usage:  python benchmarks/bench_lint.py
 
-Times one complete two-pass lint of the library in its two operating
-modes — **cold** (no incremental cache: discovery + parse + all rules
-+ the whole-program pass) and **warm** (a prewarmed cache: pass 1
-served from disk, pass 2 live) — and, for scale, the engine's cost
-components in isolation: parse-only (rules disabled) and a
-single-rule RL003 run. Each
-configuration is timed as the *minimum* over ``--repeats`` rounds —
-the standard microbenchmark estimator for the noise-free cost — and
-the rounds interleave the configurations so interpreter warm-up hits
-them alike.
+Times one complete two-pass lint of the library — discovery, parse, the
+one walk of each file with every rule, and the whole-program pass — and,
+for scale, the parse-only component (no rules). Each configuration is
+timed as the *minimum* over ``--repeats`` rounds — the standard
+microbenchmark estimator for the noise-free cost — and the rounds
+interleave the configurations so interpreter warm-up hits them alike.
 
-Writes the committed ``BENCH_lint.json`` at the repo root with two
-explicit budgets: the gate runs inside tier-1 CI on every change, so a
-cold run must stay under ``--budget-cold`` (default 5 s) and the warm
-run every iteration loop actually experiences under ``--budget-warm``
-(default 1.5 s). Exit status 1 when either is over budget.
+Writes the committed ``BENCH_lint.json`` at the repo root with one
+explicit budget: the gate runs inside tier-1 CI and ``repro check`` on
+every change, so a full-tree lint must stay under ``--budget`` (default
+1.5 s). Exit status 1 when it is over budget.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
+import platform
 import sys
-import tempfile
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from repro.lint import (  # noqa: E402
-    LintCache,
     LintEngine,
     all_rule_classes,
     walk_source_tree,
@@ -41,52 +36,30 @@ from repro.lint import (  # noqa: E402
 
 OUTPUT = ROOT / "BENCH_lint.json"
 
-
-def _configurations(cache_path):
-    """Name -> (engine factory, cache factory) per timed configuration."""
-    return [
-        ("full_cold", lambda: LintEngine(), lambda: None),
-        ("full_warm", lambda: LintEngine(),
-         lambda: LintCache(cache_path)),
-        ("parse_only", lambda: LintEngine(rules=[]), lambda: None),
-        ("rl003_only", lambda: LintEngine(select=["RL003"]),
-         lambda: None),
-    ]
-
-
-def _one_run_seconds(factory, cache_factory, files):
-    engine = factory()
-    cache = cache_factory()
-    start = time.perf_counter()
-    report = engine.lint_paths(files, cache=cache)
-    seconds = time.perf_counter() - start
-    hits = cache.hits if cache is not None else 0
-    return seconds, report, hits
+#: Name -> engine factory per timed configuration.
+CONFIGURATIONS = [
+    ("full", lambda: LintEngine()),
+    ("parse_only", lambda: LintEngine(rules=[])),
+]
 
 
 def measure(repeats=5):
     """Min-of-N timings for each configuration; returns the report dict."""
     files = list(walk_source_tree())
-    with tempfile.TemporaryDirectory() as tmp:
-        cache_path = pathlib.Path(tmp) / "lint_cache.json"
-        configs = _configurations(cache_path)
-        times = {name: [] for name, _, _ in configs}
-        reports = {}
-        hits = {}
-        # warm-up round: imports, the evidence corpus, and — for the
-        # warm configuration — the cache file itself
-        for name, factory, cache_factory in configs:
-            _one_run_seconds(factory, cache_factory, files)
-        for round_no in range(repeats):
-            order = configs[round_no % len(configs):] + \
-                configs[:round_no % len(configs)]
-            for name, factory, cache_factory in order:
-                seconds, report, run_hits = _one_run_seconds(
-                    factory, cache_factory, files)
-                times[name].append(seconds)
-                reports[name] = report
-                hits[name] = run_hits
-    full = reports["full_cold"]
+    times = {name: [] for name, _ in CONFIGURATIONS}
+    reports = {}
+    # warm-up round: imports and the evidence corpus
+    for _, factory in CONFIGURATIONS:
+        factory().lint_paths(files)
+    for round_no in range(repeats):
+        shift = round_no % len(CONFIGURATIONS)
+        for name, factory in CONFIGURATIONS[shift:] + CONFIGURATIONS[:shift]:
+            engine = factory()
+            start = time.perf_counter()
+            report = engine.lint_paths(files)
+            times[name].append(time.perf_counter() - start)
+            reports[name] = report
+    full = reports["full"]
     best = {name: min(vals) for name, vals in times.items()}
     return {
         "benchmark": "repro.lint full-tree gate",
@@ -95,23 +68,22 @@ def measure(repeats=5):
             "timing": "min seconds per configuration, rounds interleaved",
             "rules": [cls.id for cls in all_rule_classes()],
         },
+        "host": {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+        },
         "tree": {
             "files": full.files_checked,
             "findings": len(full.findings),
             "pragma_suppressed": full.suppressed_pragma,
-            "warm_cache_hits": hits["full_warm"],
         },
         "timings": {
-            "full_cold_s": round(best["full_cold"], 4),
-            "full_warm_s": round(best["full_warm"], 4),
+            "full_s": round(best["full"], 4),
             "parse_only_s": round(best["parse_only"], 4),
-            "rl003_only_s": round(best["rl003_only"], 4),
-            "rules_overhead_s": round(
-                best["full_cold"] - best["parse_only"], 4),
-            "cache_speedup": round(
-                best["full_cold"] / max(best["full_warm"], 1e-9), 1),
-            "ms_per_file_cold": round(1000.0 * best["full_cold"]
-                                      / max(full.files_checked, 1), 3),
+            "rules_overhead_s": round(best["full"] - best["parse_only"], 4),
+            "ms_per_file": round(1000.0 * best["full"]
+                                 / max(full.files_checked, 1), 3),
+            "full_runs_s": [round(t, 4) for t in times["full"]],
         },
     }
 
@@ -119,34 +91,25 @@ def measure(repeats=5):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--budget-cold", type=float, default=5.0,
-                        help="max allowed cold full-tree seconds "
-                             "(default 5.0)")
-    parser.add_argument("--budget-warm", type=float, default=1.5,
-                        help="max allowed warm (cached) full-tree seconds "
-                             "(default 1.5)")
+    parser.add_argument("--budget", type=float, default=1.5,
+                        help="max allowed full-tree seconds (default 1.5)")
     parser.add_argument("--no-write", action="store_true",
                         help="measure without rewriting BENCH_lint.json")
     args = parser.parse_args(argv)
 
     report = measure(repeats=args.repeats)
-    cold_s = report["timings"]["full_cold_s"]
-    warm_s = report["timings"]["full_warm_s"]
+    full_s = report["timings"]["full_s"]
     report["summary"] = {
-        "budget_cold_s": args.budget_cold,
-        "budget_warm_s": args.budget_warm,
-        "within_budget": (cold_s <= args.budget_cold
-                          and warm_s <= args.budget_warm),
+        "budget_s": args.budget,
+        "within_budget": full_s <= args.budget,
     }
     if not args.no_write:
         OUTPUT.write_text(json.dumps(report, indent=2) + "\n",
                           encoding="utf-8")
         print(f"wrote {OUTPUT}")
     print(f"full tree: {report['tree']['files']} files, "
-          f"cold {cold_s:.3f}s (budget {args.budget_cold:.1f}s), "
-          f"warm {warm_s:.3f}s (budget {args.budget_warm:.1f}s, "
-          f"{report['tree']['warm_cache_hits']} cache hits, "
-          f"{report['timings']['cache_speedup']}x) -> "
+          f"{full_s:.3f}s (budget {args.budget:.1f}s), parse only "
+          f"{report['timings']['parse_only_s']:.3f}s -> "
           f"{'OK' if report['summary']['within_budget'] else 'OVER BUDGET'}")
     return 0 if report["summary"]["within_budget"] else 1
 

@@ -95,14 +95,10 @@ def _build_parser():
         "lint_args", nargs=argparse.REMAINDER,
         help="arguments forwarded to 'python -m repro.lint'",
     )
-    check = sub.add_parser(
+    sub.add_parser(
         "check",
         help="run every static gate (lint + the tools/ checks) with one "
              "pass/fail summary table",
-    )
-    check.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the lint gate's incremental cache for this run",
     )
     serve = sub.add_parser(
         "serve",
@@ -571,36 +567,23 @@ _CHECK_TOOLS = (
 )
 
 
-def _check_command(args):
+def _check_command():
     """Run lint plus every ``tools/check_*.py`` gate; print a summary.
 
-    The lint gate runs in-process (with the committed baseline and the
-    incremental cache); the tools run as subprocesses because each is
-    its own entry point with a violation-count exit status. Exit 0 only
-    when every gate passes.
+    The lint gate runs in-process; the tools run as subprocesses because
+    each is its own entry point with a violation-count exit status.
+    Exit 0 only when every gate passes.
     """
     import subprocess
     import time as _time
 
-    from .lint.cache import LintCache
-    from .lint.engine import LintEngine, format_human, load_baseline
+    from .lint.engine import LintEngine, format_human
     from .lint.walk import PACKAGE_ROOT, REPO_ROOT, SRC_ROOT
 
     rows = []  # (gate, status, seconds, detail)
 
     started = _time.monotonic()
-    baseline = None
-    baseline_path = REPO_ROOT / "tools" / "lint_baseline.json"
-    if baseline_path.is_file():
-        try:
-            baseline = load_baseline(baseline_path)
-        except (OSError, ValueError) as exc:
-            print(f"warning: ignoring unreadable baseline: {exc}",
-                  file=sys.stderr)
-    cache = None if args.no_cache else \
-        LintCache(REPO_ROOT / ".lint_cache.json")
-    report = LintEngine().lint_paths([PACKAGE_ROOT], baseline=baseline,
-                                     cache=cache)
+    report = LintEngine().lint_paths([PACKAGE_ROOT])
     if not report.ok:
         print(format_human(report))
     rows.append(("repro lint", report.ok, _time.monotonic() - started,
@@ -671,7 +654,7 @@ def main(argv=None):
 
         return lint_main(args.lint_args)
     if args.command == "check":
-        return _check_command(args)
+        return _check_command()
     if args.command == "serve":
         return _serve_command(args)
     if args.command == "chaos":

@@ -620,7 +620,7 @@ def quarantine(path, reason, line=None, data=None):
         logger.error("could not quarantine %s: %s (dropped anyway)",
                      path, exc)
         if line is None:
-            with contextlib.suppress(OSError):  # repro: noqa[RL011] - last resort: a corrupt file must not stay readable
+            with contextlib.suppress(OSError):  # last resort: a corrupt file must not stay readable
                 path.unlink()
 
 

@@ -5,28 +5,24 @@ comparable under one roof; that only holds if every estimator obeys the
 same invariants — seeded RNG threading, pure-NumPy substrates, the
 ``get_params``/fitted-attribute contract, logging-only output. This
 package checks those invariants *statically*, in two passes: pass 1
-parses each file once and runs the per-file rules
-(``RL001``–``RL011``); pass 2 assembles per-file facts into a
-whole-program index (module/import graph, docs corpus) and runs the
-cross-module rules (``RL012``–``RL018``) — fork-safety, lock
-discipline, resource lifecycle, metric-name consistency, the exception
-taxonomy, dead exports, dead pragmas. Pass-1 results are memoised in
-an incremental cache keyed by content sha and rule-catalog hash, so a
-warm whole-tree lint skips parsing entirely. Suppression is explicit:
-inline ``# repro: noqa[RL0xx]`` pragmas (dead ones are themselves
-findings) and a committed baseline for grandfathered findings.
+parses each file and walks its AST exactly once, running the per-file
+rules (``RL001``–``RL010``) and recording each cross-module rule's
+facts on the way; pass 2 assembles those facts into a whole-program
+index (module/import graph, docs corpus) and runs the cross-module
+rules (``RL012``–``RL018``) — fork-safety, lock discipline, resource
+lifecycle, metric-name consistency, the exception taxonomy, dead
+exports, dead pragmas. Suppression is explicit: inline
+``# repro: noqa[RL0xx]`` pragmas, and dead ones are themselves
+findings.
 
 Run it as ``python -m repro.lint`` (or ``python -m repro lint``); the
 rule catalog, suppression policy and JSON output schema are documented
-in ``docs/static-analysis.md``. The allow/deny lists shared with the
-``tools/`` scripts live in :mod:`repro.lint.walk`.
+in ``docs/static-analysis.md``.
 """
 
 from __future__ import annotations
 
-from .cache import CACHE_VERSION, LintCache, rule_catalog_hash
 from .engine import (
-    BASELINE_VERSION,
     DEAD_PRAGMA_RULE_ID,
     FileLint,
     Finding,
@@ -34,34 +30,21 @@ from .engine import (
     LintReport,
     PARSE_RULE_ID,
     Rule,
+    SCHEMA_VERSION,
     all_rule_classes,
-    format_github,
     format_human,
     format_json,
-    load_baseline,
     register,
     resolve_rules,
-    write_baseline,
 )
 from .index import ModuleRecord, ProgramIndex, module_name_for_path
 from . import rules  # noqa: F401 - importing populates the registry
-from .walk import (
-    API_DOC_PACKAGES,
-    ESTIMATOR_PACKAGES,
-    PACKAGE_ROOT,
-    PRINT_ALLOWED,
-    walk_source_tree,
-)
+from .walk import PACKAGE_ROOT, PRINT_ALLOWED, walk_source_tree
 
 __all__ = [
-    "API_DOC_PACKAGES",
-    "BASELINE_VERSION",
-    "CACHE_VERSION",
     "DEAD_PRAGMA_RULE_ID",
-    "ESTIMATOR_PACKAGES",
     "FileLint",
     "Finding",
-    "LintCache",
     "LintEngine",
     "LintReport",
     "ModuleRecord",
@@ -70,15 +53,12 @@ __all__ = [
     "PRINT_ALLOWED",
     "ProgramIndex",
     "Rule",
+    "SCHEMA_VERSION",
     "all_rule_classes",
-    "format_github",
     "format_human",
     "format_json",
-    "load_baseline",
     "module_name_for_path",
     "register",
     "resolve_rules",
-    "rule_catalog_hash",
     "walk_source_tree",
-    "write_baseline",
 ]

@@ -4,19 +4,11 @@ Usage::
 
     PYTHONPATH=src python -m repro.lint                  # lint src/repro
     PYTHONPATH=src python -m repro.lint --format json path/to/file.py
-    PYTHONPATH=src python -m repro.lint --format github  # CI annotations
-    PYTHONPATH=src python -m repro.lint --baseline tools/lint_baseline.json
     PYTHONPATH=src python -m repro.lint --select RL003,RL004
-    PYTHONPATH=src python -m repro.lint --no-cache       # force cold run
     PYTHONPATH=src python -m repro lint ...              # same, subcommand
 
-Exit status: 0 — clean (all findings fixed, pragma-suppressed or
-baselined), 1 — unsuppressed findings, 2 — usage or I/O error.
-
-The incremental cache (``.lint_cache.json`` at the repo root,
-gitignored) is a CLI concern: library callers of
-:meth:`LintEngine.lint_paths` get no cache unless they pass one, so
-tests and tools always see fresh analysis.
+Exit status: 0 — clean (all findings fixed or pragma-suppressed),
+1 — unsuppressed findings, 2 — usage error.
 """
 
 from __future__ import annotations
@@ -24,35 +16,19 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .engine import (
-    LintEngine,
-    all_rule_classes,
-    format_github,
-    format_human,
-    format_json,
-    load_baseline,
-    prune_baseline,
-    write_baseline,
-)
+from .engine import LintEngine, all_rule_classes, format_human, format_json
 
 __all__ = ["main"]
 
 _FORMATS = {
     "human": format_human,
     "json": format_json,
-    "github": format_github,
 }
 
 
 def _rule_ids(value):
     """``"RL001, rl002"`` -> ``["RL001", "RL002"]``."""
     return [part.strip().upper() for part in value.split(",") if part.strip()]
-
-
-def _default_cache_path():
-    from .walk import REPO_ROOT
-
-    return REPO_ROOT / ".lint_cache.json"
 
 
 def build_parser():
@@ -68,18 +44,7 @@ def build_parser():
     )
     parser.add_argument(
         "--format", choices=sorted(_FORMATS), default="human",
-        help="output format (json follows the documented schema; github "
-             "emits ::error workflow annotations)",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="JSON baseline of grandfathered findings to subtract",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite --baseline FILE: current findings for the linted "
-             "files, old entries kept for other still-existing files "
-             "(deleted/renamed files are pruned); exits 0",
+        help="output format (json follows the documented schema)",
     )
     parser.add_argument(
         "--select", action="append", default=None, metavar="RL0xx[,..]",
@@ -88,15 +53,6 @@ def build_parser():
     parser.add_argument(
         "--ignore", action="append", default=None, metavar="RL0xx[,..]",
         help="skip these rule ids (repeatable, comma-separated)",
-    )
-    parser.add_argument(
-        "--cache", default=None, metavar="FILE",
-        help="incremental cache file (default: .lint_cache.json at the "
-             "repo root)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the incremental cache for this run",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -127,47 +83,12 @@ def main(argv=None):
         print(exc, file=sys.stderr)
         return 2
 
-    baseline = None
-    if args.baseline is not None:
-        try:
-            baseline = load_baseline(args.baseline)
-        except FileNotFoundError:
-            if not args.update_baseline:
-                print(f"cannot load baseline: {args.baseline} not found",
-                      file=sys.stderr)
-                return 2
-        except (OSError, ValueError) as exc:
-            print(f"cannot load baseline: {exc}", file=sys.stderr)
-            return 2
-
-    cache = None
-    if not args.no_cache:
-        from .cache import LintCache
-
-        cache = LintCache(args.cache or _default_cache_path())
-
     if args.paths:
         paths = args.paths
     else:
         from .walk import PACKAGE_ROOT
 
         paths = [PACKAGE_ROOT]
-    report = engine.lint_paths(
-        paths,
-        baseline=None if args.update_baseline else baseline,
-        cache=cache,
-    )
-
-    if args.update_baseline:
-        if args.baseline is None:
-            print("--update-baseline requires --baseline FILE",
-                  file=sys.stderr)
-            return 2
-        merged = prune_baseline(baseline, report.linted_paths,
-                                report.findings)
-        count = write_baseline(args.baseline, merged)
-        print(f"wrote {count} finding(s) to {args.baseline}")
-        return 0
-
+    report = engine.lint_paths(paths)
     print(_FORMATS[args.format](report))
     return 0 if report.ok else 1

@@ -1,12 +1,14 @@
-"""Two-pass AST lint engine: per-file rules, whole-program rules, cache.
+"""Two-pass AST lint engine: one walk per file, then whole-program rules.
 
-**Pass 1** parses each source file exactly once (``ast.parse`` plus one
-``tokenize`` pass for suppression pragmas) and dispatches every node to
-the rules that registered interest in its type, so adding a per-file
-rule costs one method call per matching node, not another traversal.
-Alongside the dispatch, every rule's :meth:`Rule.collect` hook may
-export JSON-safe *facts* about the file (imports, exports, raise sites,
-metric names, …).
+**Pass 1** parses each source file once and walks its AST once. The
+walk dispatches every node to the rules that registered interest in
+its type, so adding a rule costs one method call per matching node, not
+another traversal. During that same walk the cross-module rules record
+*facts* about the file (imports, raise sites, metric names, …) in
+``ctx.facts``; whether a node sits at module top level, inside a
+function or under a held lock is read from ``ctx.ancestors``, never
+from line spans. After the walk a rule's :meth:`Rule.finish` hook may
+judge what it gathered (``RL014`` judges each scope there).
 
 **Pass 2** assembles the per-file facts into a
 :class:`~repro.lint.index.ProgramIndex` — module graph, import-time
@@ -16,22 +18,15 @@ cross-module rules (``RL012``–``RL017``) live: fork-safety of the pool
 workers' import closure, lock discipline in the threaded serve layer,
 metric-name consistency against the canonical catalog.
 
-Pass 1 results are memoised in an incremental cache
-(:class:`~repro.lint.cache.LintCache`) keyed by content sha and a
-rule-catalog hash, so a warm whole-tree lint skips parsing entirely;
-pass 2 always runs live on the (cached) facts.
-
-Three layers of noise control keep the gate usable as the tree grows:
+Two layers of noise control keep the gate usable as the tree grows:
 
 * **pragmas** — ``# repro: noqa[RL001,RL005] - justification`` on the
   flagged line suppresses exactly those rule ids there (blanket
   suppression is deliberately unsupported: every exemption names the
   invariant it waives). A pragma that suppresses nothing is itself
   reported under :data:`DEAD_PRAGMA_RULE_ID`, so the exemption audit
-  can never rot;
-* **baselines** — a committed JSON file of grandfathered findings
-  (matched by ``(path, rule, message)`` so unrelated edits do not churn
-  line numbers) lets a new rule land strict while old debt is paid off;
+  can never rot. Only files whose text contains ``noqa[`` are
+  tokenized;
 * **selection** — ``--select``/``--ignore`` restrict the active rule
   set for focused runs.
 
@@ -50,11 +45,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..io import write_text_atomic
 from .index import ModuleRecord, ProgramIndex, module_name_for_path
 
 __all__ = [
-    "BASELINE_VERSION",
     "DEAD_PRAGMA_RULE_ID",
     "FileLint",
     "Finding",
@@ -62,14 +55,12 @@ __all__ = [
     "LintReport",
     "PARSE_RULE_ID",
     "Rule",
+    "SCHEMA_VERSION",
     "all_rule_classes",
-    "format_github",
     "format_human",
     "format_json",
-    "load_baseline",
     "register",
     "resolve_rules",
-    "write_baseline",
 ]
 
 #: Reserved id for "the file could not be parsed/read at all".
@@ -81,11 +72,14 @@ PARSE_RULE_ID = "RL000"
 #: engine sees which pragmas were consumed).
 DEAD_PRAGMA_RULE_ID = "RL018"
 
-#: Schema version of both the baseline file and the JSON output.
-BASELINE_VERSION = 1
+#: Schema version of the JSON output.
+SCHEMA_VERSION = 2
 
 _RULE_ID_RE = re.compile(r"^RL\d{3}$")
 _PRAGMA_RE = re.compile(r"#\s*repro:\s*noqa\[([A-Za-z0-9_,\s]+)\]")
+
+#: Node types whose body runs later, when called — not where defined.
+FUNCTION_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
 @dataclass(frozen=True, order=True)
@@ -104,12 +98,6 @@ class Finding:
         return (f"{self.path}:{self.line}:{self.col + 1}: "
                 f"{self.rule} {self.message}")
 
-    def render_github(self):
-        """A GitHub Actions ``::error`` workflow annotation line."""
-        message = self.message.replace("%", "%25").replace("\n", "%0A")
-        return (f"::error file={self.path},line={self.line},"
-                f"col={self.col + 1},title={self.rule}::{message}")
-
     def to_dict(self):
         """JSON-ready mapping (documented in docs/static-analysis.md)."""
         return {
@@ -120,11 +108,6 @@ class Finding:
             "severity": self.severity,
             "message": self.message,
         }
-
-    @property
-    def baseline_key(self):
-        """Line-independent identity used for baseline matching."""
-        return (self.path, self.rule, self.message)
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +160,14 @@ class Rule:
     Subclasses set ``id`` (``RL0xx``), ``title`` (short slug), a
     ``rationale`` (one paragraph for ``--list-rules`` and the docs),
     ``severity`` and ``node_types`` — the AST node classes the engine
-    dispatches to :meth:`visit` during the shared pass-1 traversal.
+    dispatches to :meth:`visit` during its one walk of each file.
 
-    Cross-module rules additionally implement :meth:`collect` — export
-    JSON-safe facts about one file — and :meth:`check_program` — yield
-    findings against the assembled :class:`ProgramIndex`. A rule may be
-    purely whole-program (``node_types = ()``), purely per-file, or
-    both.
+    A per-file rule yields findings from :meth:`visit` (or from
+    :meth:`finish`, once the walk is done). A cross-module rule records
+    facts in ``ctx.facts[self.id]`` from :meth:`visit` and yields
+    findings from :meth:`check_program` against the assembled
+    :class:`ProgramIndex`. A rule may be purely whole-program, purely
+    per-file, or both.
     """
 
     id = PARSE_RULE_ID
@@ -196,15 +180,9 @@ class Rule:
         """Yield :class:`Finding` objects for one dispatched node."""
         return ()
 
-    def collect(self, ctx):
-        """Pass-1 fact extraction: return a JSON-safe value (or None).
-
-        Whatever is returned is cached with the file and later exposed
-        through :meth:`ProgramIndex.facts`, keyed by this rule's id —
-        so it must survive a JSON round-trip (lists, dicts with string
-        keys, scalars).
-        """
-        return None
+    def finish(self, ctx):
+        """Yield findings judged from what :meth:`visit` gathered."""
+        return ()
 
     def check_program(self, index):
         """Pass-2 hook: yield findings against the whole-program index."""
@@ -231,20 +209,39 @@ class Rule:
 
 
 class ModuleContext:
-    """Per-file state shared by all rules during the single traversal."""
+    """Per-file state shared by all rules during the single walk."""
 
     #: Node types that start a new variable scope: loop-enclosure
     #: queries stop at these.
-    _SCOPE_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
-                    ast.ClassDef, ast.Module)
+    _SCOPE_TYPES = FUNCTION_TYPES + (ast.ClassDef, ast.Module)
 
-    def __init__(self, path, text, tree):
+    def __init__(self, path):
         self.path = path
-        self.text = text
-        self.tree = tree
         #: Ancestor chain of the node currently being visited
         #: (outermost first, excluding the node itself).
         self.ancestors = []
+        #: ``{rule id: facts}`` the rules record during the walk; pass 2
+        #: reads the cross-module rules' facts from the program index.
+        self.facts = {}
+        #: Import declarations for the program index (see
+        #: :class:`~repro.lint.index.ModuleRecord`).
+        self.imports = []
+
+    def in_function(self, node):
+        """True when ``node`` runs only when a function is called: it
+        sits in the body of a def or lambda. Decorators, defaults and
+        annotations run where the function is defined, so they do not
+        count."""
+        child = node
+        for parent in reversed(self.ancestors):
+            if isinstance(parent, ast.Lambda):
+                if child is parent.body:
+                    return True
+            elif isinstance(parent, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if isinstance(child, ast.stmt):
+                    return True
+            child = parent
+        return False
 
     def enclosing_loops(self):
         """``for``/``while`` nodes around the current node, innermost
@@ -258,27 +255,54 @@ class ModuleContext:
         return loops
 
 
-class _Dispatcher:
-    """Single traversal that feeds each node to interested rules."""
+class _ImportFacts:
+    """Records each import statement for the program index.
 
-    def __init__(self, rules, ctx, out):
-        self._by_type = {}
-        for rule in rules:
-            for node_type in rule.node_types:
-                self._by_type.setdefault(node_type, []).append(rule)
-        self._ctx = ctx
-        self._out = out
+    ``toplevel`` marks statements that execute at import time (no def
+    or lambda encloses them) — the set the fork-safety closure follows.
+    Class bodies *do* execute at import, so they count.
+    """
 
-    def run(self, tree):
-        self._visit(tree)
+    node_types = (ast.Import, ast.ImportFrom)
 
-    def _visit(self, node):
-        for rule in self._by_type.get(type(node), ()):
-            self._out.extend(rule.visit(node, self._ctx))
-        self._ctx.ancestors.append(node)
-        for child in ast.iter_child_nodes(node):
-            self._visit(child)
-        self._ctx.ancestors.pop()
+    def visit(self, node, ctx):
+        toplevel = not ctx.in_function(node)
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                ctx.imports.append({
+                    "module": alias.name, "names": [], "level": 0,
+                    "toplevel": toplevel, "line": node.lineno,
+                })
+        else:
+            ctx.imports.append({
+                "module": node.module or "",
+                "names": [a.name for a in node.names if a.name != "*"],
+                "level": node.level or 0,
+                "toplevel": toplevel, "line": node.lineno,
+            })
+        return ()
+
+
+def _walk(tree, rules, ctx, out):
+    """The one traversal of ``tree``: feed each node to interested rules."""
+    by_type = {}
+    for rule in [*rules, _ImportFacts()]:
+        for node_type in rule.node_types:
+            by_type.setdefault(node_type, []).append(rule)
+    ancestors = ctx.ancestors
+    children = ast.iter_child_nodes
+
+    def visit(node):
+        for rule in by_type.get(type(node), ()):
+            out.extend(rule.visit(node, ctx))
+        ancestors.append(node)
+        for child in children(node):
+            visit(child)
+        ancestors.pop()
+
+    visit(tree)
+    for rule in rules:
+        out.extend(rule.finish(ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +314,12 @@ def _suppressions(text):
 
     Comments are found with :mod:`tokenize`, so the pragma syntax
     appearing inside a string literal or docstring does not suppress
-    anything.
+    anything. Text without ``noqa[`` cannot hold a pragma and is not
+    tokenized.
     """
     out = {}
+    if "noqa[" not in text:
+        return out
     try:
         tokens = tokenize.generate_tokens(io.StringIO(text).readline)
         for tok in tokens:
@@ -318,91 +345,6 @@ class FileLint:
 
 
 # ---------------------------------------------------------------------------
-# Baselines
-
-
-def load_baseline(path):
-    """Load a baseline file into a matchable counter.
-
-    Raises
-    ------
-    OSError
-        The file cannot be read.
-    ValueError
-        The file is not valid baseline JSON.
-    """
-    raw = Path(path).read_text(encoding="utf-8")
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"baseline {path}: invalid JSON ({exc})") from exc
-    if not isinstance(data, dict) or "findings" not in data:
-        raise ValueError(f"baseline {path}: expected an object with a "
-                         "'findings' list")
-    counter = Counter()
-    for entry in data["findings"]:
-        try:
-            counter[(entry["path"], entry["rule"], entry["message"])] += 1
-        except (TypeError, KeyError) as exc:
-            raise ValueError(
-                f"baseline {path}: entry {entry!r} lacks path/rule/message"
-            ) from exc
-    return counter
-
-
-def write_baseline(path, findings):
-    """Write ``findings`` as a baseline file (sorted, deterministic)."""
-    entries = [
-        {"path": f.path, "rule": f.rule, "message": f.message}
-        for f in sorted(findings)
-    ]
-    payload = {"version": BASELINE_VERSION, "findings": entries}
-    write_text_atomic(path, json.dumps(payload, indent=2) + "\n")
-    return len(entries)
-
-
-def prune_baseline(baseline, linted_paths, findings):
-    """Merge semantics for ``--update-baseline``.
-
-    The rewritten baseline is: the current findings for the files this
-    run linted, plus the old entries for files *outside* this run that
-    still exist on disk. Entries for deleted or renamed files are
-    dropped instead of being carried forever, and updating from a
-    partial path set no longer erases the rest of the baseline.
-
-    Parameters
-    ----------
-    baseline : Counter or None
-        The previously loaded baseline (``(path, rule, message)`` ->
-        count), or None when starting fresh.
-    linted_paths : set of str
-        Display paths of the files this run analysed.
-    findings : iterable of Finding
-        The run's unsuppressed findings.
-
-    Returns
-    -------
-    list of Finding
-        Entries ready for :func:`write_baseline`.
-    """
-    from .walk import REPO_ROOT
-
-    merged = list(findings)
-    for (path, rule, message), count in (baseline or {}).items():
-        if path in linted_paths:
-            continue  # superseded by this run's findings (possibly none)
-        candidate = Path(path)
-        exists = (candidate.is_file() if candidate.is_absolute()
-                  else ((REPO_ROOT / path).is_file()
-                        or (Path.cwd() / path).is_file()))
-        if not exists:
-            continue  # deleted or renamed: prune
-        merged.extend([Finding(path=path, line=1, col=0, rule=rule,
-                               severity="error", message=message)] * count)
-    return merged
-
-
-# ---------------------------------------------------------------------------
 # Engine
 
 
@@ -413,7 +355,6 @@ class LintReport:
     findings: list = field(default_factory=list)
     files_checked: int = 0
     suppressed_pragma: int = 0
-    suppressed_baseline: int = 0
 
     @property
     def ok(self):
@@ -426,14 +367,11 @@ class LintReport:
     def to_dict(self):
         """The documented JSON output schema."""
         return {
-            "version": BASELINE_VERSION,
+            "version": SCHEMA_VERSION,
             "files_checked": self.files_checked,
             "findings": [f.to_dict() for f in self.findings],
             "counts": self.counts(),
-            "suppressed": {
-                "pragma": self.suppressed_pragma,
-                "baseline": self.suppressed_baseline,
-            },
+            "suppressed": {"pragma": self.suppressed_pragma},
         }
 
 
@@ -452,40 +390,26 @@ class LintEngine:
 
     # -- pass 1: one file --------------------------------------------------
 
-    def analyze_text(self, text, path="<snippet>"):
-        """Parse + per-file rules + fact extraction for one source text.
+    def _analyze(self, text, path):
+        """Parse and walk one source text.
 
-        Returns a JSON-safe record — exactly what the incremental cache
-        stores per file: raw (pre-pragma) findings, the pragma map, the
-        per-rule facts, and the import declarations the program index
-        needs.
+        Returns ``(findings, ctx)``: the per-file findings before
+        pragmas, and the walked :class:`ModuleContext` (None when the
+        text does not parse).
         """
-        record = {"findings": [], "suppressions": {}, "facts": {},
-                  "imports": []}
         try:
             tree = ast.parse(text)
         except SyntaxError as exc:
-            record["findings"].append(Finding(
+            return [Finding(
                 path=path, line=exc.lineno or 1,
                 col=max((exc.offset or 1) - 1, 0), rule=PARSE_RULE_ID,
                 severity="error",
                 message=f"file does not parse: {exc.msg}",
-            ).to_dict())
-            return record
-        ctx = ModuleContext(path, text, tree)
-        raw = []
-        _Dispatcher(self.rules, ctx, raw).run(tree)
-        record["findings"] = [f.to_dict() for f in sorted(raw)]
-        record["suppressions"] = {
-            str(line): sorted(ids)
-            for line, ids in _suppressions(text).items()
-        }
-        for rule in self.rules:
-            facts = rule.collect(ctx)
-            if facts is not None:
-                record["facts"][rule.id] = facts
-        record["imports"] = _collect_imports(tree)
-        return record
+            )], None
+        ctx = ModuleContext(path)
+        findings = []
+        _walk(tree, self.rules, ctx, findings)
+        return findings, ctx
 
     def lint_text(self, text, path="<snippet>"):
         """Lint one source string; returns a :class:`FileLint`.
@@ -493,12 +417,10 @@ class LintEngine:
         Per-file rules only — the whole-program pass needs a tree
         (:meth:`lint_paths`).
         """
-        record = self.analyze_text(text, path=path)
-        suppressions = {int(line): set(ids)
-                        for line, ids in record["suppressions"].items()}
+        findings, ctx = self._analyze(text, path)
+        suppressions = _suppressions(text) if ctx else {}
         result = FileLint()
-        for entry in record["findings"]:
-            finding = Finding(**entry)
+        for finding in sorted(findings):
             if finding.rule in suppressions.get(finding.line, ()):
                 result.suppressed += 1
             else:
@@ -511,16 +433,12 @@ class LintEngine:
         try:
             text = Path(path).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
-            finding = Finding(
-                path=display, line=1, col=0, rule=PARSE_RULE_ID,
-                severity="error", message=f"file cannot be read: {exc}",
-            )
-            return FileLint(findings=[finding])
+            return FileLint(findings=[_unreadable(display, exc)])
         return self.lint_text(text, path=display)
 
     # -- pass 1 + pass 2: trees --------------------------------------------
 
-    def lint_paths(self, paths, baseline=None, cache=None, docs_corpus=None):
+    def lint_paths(self, paths, docs_corpus=None):
         """Lint files and/or directories; returns a :class:`LintReport`.
 
         Parameters
@@ -528,19 +446,11 @@ class LintEngine:
         paths : iterable of path-like
             Files are linted directly; directories are expanded through
             :func:`repro.lint.walk.walk_source_tree`.
-        baseline : Counter or None
-            Grandfathered findings (from :func:`load_baseline`); each
-            baseline entry absorbs at most one matching finding.
-        cache : LintCache or None
-            Incremental cache for pass-1 results; hit entries skip
-            parsing entirely. The cache is saved (atomically) before
-            returning.
         docs_corpus : str or None
             Text the dead-export rule accepts as usage evidence; None
             loads the repo's hand-written docs plus test/tool sources
             (:func:`repro.lint.walk.evidence_corpus`).
         """
-        from .cache import content_sha
         from .walk import evidence_corpus, walk_source_tree
 
         files = []
@@ -555,63 +465,39 @@ class LintEngine:
                     files.append(item)
 
         report = LintReport(files_checked=len(files))
-        entries = []  # (display, analysis record)
+        findings = []
+        records = []
+        suppressions = {}
         for item in files:
             display = _display_path(item)
             try:
                 text = Path(item).read_text(encoding="utf-8")
             except (OSError, UnicodeDecodeError) as exc:
-                entries.append((display, {
-                    "findings": [Finding(
-                        path=display, line=1, col=0, rule=PARSE_RULE_ID,
-                        severity="error",
-                        message=f"file cannot be read: {exc}",
-                    ).to_dict()],
-                    "suppressions": {}, "facts": {}, "imports": [],
-                    "module": Path(item).stem, "is_package": False,
-                }))
+                findings.append(_unreadable(display, exc))
+                records.append(ModuleRecord(
+                    path=display, name=Path(item).stem, is_package=False,
+                    facts={}, imports=[]))
                 continue
-            sha = content_sha(text)
-            entry = cache.lookup(display, sha) if cache is not None else None
-            if entry is None or entry.get("rules") != self.active_ids:
-                entry = self.analyze_text(text, path=display)
-                module, is_package = module_name_for_path(item)
-                entry["module"] = module
-                entry["is_package"] = bool(is_package)
-                entry["sha"] = sha
-                entry["rules"] = self.active_ids
-                if cache is not None:
-                    cache.store(display, entry)
-            entries.append((display, entry))
+            file_findings, ctx = self._analyze(text, display)
+            findings.extend(file_findings)
+            module, is_package = module_name_for_path(item)
+            records.append(ModuleRecord(
+                path=display, name=module, is_package=is_package,
+                facts=ctx.facts if ctx else {},
+                imports=ctx.imports if ctx else []))
+            per_line = _suppressions(text) if ctx else {}
+            if per_line:
+                suppressions[display] = per_line
 
         # pass 2: assemble the index and run the cross-module rules
         if docs_corpus is None:
             docs_corpus = evidence_corpus()
-        records = [
-            ModuleRecord(
-                path=display, name=entry.get("module") or Path(display).stem,
-                is_package=entry.get("is_package", False),
-                facts=entry.get("facts") or {},
-                imports=entry.get("imports") or [],
-            )
-            for display, entry in entries
-        ]
         index = ProgramIndex(records, docs_corpus=docs_corpus)
-        findings = []
-        for display, entry in entries:
-            findings.extend(Finding(**f) for f in entry["findings"])
         for rule in self.rules:
             findings.extend(rule.check_program(index))
 
         # apply pragmas over both passes, tracking which ids they used
-        suppressions = {}
-        for display, entry in entries:
-            per_line = {int(line): set(ids)
-                        for line, ids in entry["suppressions"].items()}
-            if per_line:
-                suppressions[display] = per_line
         used = set()
-        surviving = []
         for finding in findings:
             declared = suppressions.get(finding.path, {}).get(finding.line,
                                                               ())
@@ -619,31 +505,16 @@ class LintEngine:
                 report.suppressed_pragma += 1
                 used.add((finding.path, finding.line, finding.rule))
             else:
-                surviving.append(finding)
-        surviving.extend(self._dead_pragmas(suppressions, used, report))
-
-        # baseline last: it grandfathers pragma-surviving findings only
-        if baseline:
-            remaining = Counter(baseline)
-            for finding in surviving:
-                if remaining[finding.baseline_key] > 0:
-                    remaining[finding.baseline_key] -= 1
-                    report.suppressed_baseline += 1
-                else:
-                    report.findings.append(finding)
-        else:
-            report.findings = surviving
+                report.findings.append(finding)
+        report.findings.extend(self._dead_pragmas(suppressions, used, report))
         report.findings.sort()
-        if cache is not None:
-            cache.save()
-        report.linted_paths = {display for display, _ in entries}
         return report
 
     def _dead_pragmas(self, suppressions, used, report):
         """Findings for pragma ids that suppressed nothing this run.
 
         Only judged for ids in the active rule set (a ``--select
-        RL003`` run cannot tell whether an RL011 pragma is live), plus
+        RL003`` run cannot tell whether an RL005 pragma is live), plus
         ids that are not registered rules at all (those can *never*
         suppress — a typo'd pragma is silent debt). A dead-pragma
         finding is itself suppressible by naming
@@ -694,42 +565,10 @@ class LintEngine:
         return any((path, line, rule_id) in used for rule_id in declared)
 
 
-def _collect_imports(tree):
-    """JSON-safe import declarations for the program index.
-
-    ``toplevel`` marks statements that execute at import time (not
-    nested in a function/lambda) — the set the fork-safety closure
-    follows. Class bodies *do* execute at import, so they count.
-    """
-    out = []
-    func_spans = []
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            func_spans.append((node.lineno, node.end_lineno or node.lineno))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                out.append({
-                    "module": alias.name, "names": [], "level": 0,
-                    "toplevel": _outside(func_spans, node.lineno),
-                    "line": node.lineno,
-                })
-        elif isinstance(node, ast.ImportFrom):
-            out.append({
-                "module": node.module or "",
-                "names": [a.name for a in node.names if a.name != "*"],
-                "level": node.level or 0,
-                "toplevel": _outside(func_spans, node.lineno),
-                "line": node.lineno,
-            })
-    return out
-
-
-def _outside(spans, line):
-    """True when ``line`` falls outside every function span."""
-    return not any(start < line <= end for start, end in spans
-                   if start != line)
+def _unreadable(display, exc):
+    """The RL000 finding for a file that cannot be read."""
+    return Finding(path=display, line=1, col=0, rule=PARSE_RULE_ID,
+                   severity="error", message=f"file cannot be read: {exc}")
 
 
 def _display_path(path):
@@ -752,12 +591,8 @@ def _display_path(path):
 def format_human(report):
     """One line per finding plus a summary, ready to print."""
     lines = [finding.render() for finding in report.findings]
-    suppressed = []
-    if report.suppressed_pragma:
-        suppressed.append(f"{report.suppressed_pragma} pragma-suppressed")
-    if report.suppressed_baseline:
-        suppressed.append(f"{report.suppressed_baseline} baselined")
-    tail = f" ({', '.join(suppressed)})" if suppressed else ""
+    tail = (f" ({report.suppressed_pragma} pragma-suppressed)"
+            if report.suppressed_pragma else "")
     lines.append(f"checked {report.files_checked} file(s): "
                  f"{len(report.findings)} finding(s){tail}")
     return "\n".join(lines)
@@ -766,15 +601,3 @@ def format_human(report):
 def format_json(report):
     """The documented JSON schema, indented and newline-terminated."""
     return json.dumps(report.to_dict(), indent=2)
-
-
-def format_github(report):
-    """GitHub Actions workflow annotations: one ``::error`` per finding.
-
-    The summary goes on a plain last line (annotations are only emitted
-    for findings, so a clean run prints just the summary).
-    """
-    lines = [finding.render_github() for finding in report.findings]
-    lines.append(f"checked {report.files_checked} file(s): "
-                 f"{len(report.findings)} finding(s)")
-    return "\n".join(lines)

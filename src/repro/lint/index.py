@@ -1,8 +1,9 @@
 """Whole-program index: the pass-2 view the cross-module rules query.
 
-Pass 1 of the engine analyses each file in isolation (parse, per-file
-rule dispatch, fact extraction); this module assembles those per-file
-results into one project-wide structure for pass 2:
+Pass 1 of the engine analyses each file in isolation (parse, then one
+walk that runs the per-file rules and records facts); this module
+assembles those per-file results into one project-wide structure for
+pass 2:
 
 * a **module graph** — every linted file becomes a :class:`ModuleRecord`
   with a dotted module name derived from its package layout, and the
@@ -12,9 +13,8 @@ results into one project-wide structure for pass 2:
   follows only module-top-level imports, because that is what actually
   executes when a pool worker forks and re-imports nothing (rule
   ``RL012`` reasons about exactly this set);
-* a **fact store** — whatever each rule's ``collect`` hook exported per
-  file, keyed by rule id then module name, JSON-safe so the incremental
-  cache can persist it;
+* a **fact store** — whatever each rule recorded per file during the
+  walk, keyed by rule id then module name;
 * the **docs corpus** — the hand-written markdown next to the tree
   (``docs/*.md`` minus the generated ``api.md``), which rule ``RL017``
   accepts as usage evidence for an export.
@@ -92,11 +92,11 @@ class ModuleRecord:
         self.name = name
         #: Whether the file is a package ``__init__.py``.
         self.is_package = is_package
-        #: ``{rule id: whatever that rule's collect() exported}``.
+        #: ``{rule id: the facts that rule recorded during the walk}``.
         self.facts = facts or {}
         #: Raw import declarations: list of dicts with ``module``,
         #: ``names``, ``level``, ``toplevel``, ``line`` (see the
-        #: engine's ``_collect_imports``).
+        #: engine's ``_ImportFacts``).
         self.imports = imports or []
 
     def resolved_imports(self, toplevel_only=False):
@@ -128,8 +128,8 @@ class ProgramIndex:
     # -- fact access -------------------------------------------------------
 
     def facts(self, rule_id):
-        """``{module name: facts}`` for modules where ``rule_id``'s
-        collect hook exported something."""
+        """``{module name: facts}`` for modules where ``rule_id``
+        recorded something."""
         out = {}
         for record in self.records:
             if rule_id in record.facts:

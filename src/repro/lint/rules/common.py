@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import ast
 
-__all__ = ["exception_names", "names_in", "terminal_name"]
+__all__ = ["names_in", "terminal_name"]
 
 
 def terminal_name(func):
@@ -20,15 +20,3 @@ def names_in(node):
     """Every ``Name`` identifier appearing inside ``node``."""
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
-
-def exception_names(type_node):
-    """Exception class names in an ``except`` clause (tuple or single)."""
-    if type_node is None:
-        return frozenset()
-    names = set()
-    for child in ast.walk(type_node):
-        if isinstance(child, ast.Name):
-            names.add(child.id)
-        elif isinstance(child, ast.Attribute):
-            names.add(child.attr)
-    return frozenset(names)

@@ -14,7 +14,6 @@ import re
 
 from ..engine import Rule, register
 from ..walk import POOL_ALLOWED, PRINT_ALLOWED, SERVE_ALLOWED
-from .common import exception_names as _exception_names
 from .common import names_in as _names_in
 from .common import terminal_name as _terminal_name
 
@@ -612,113 +611,4 @@ class NoAdHocHTTPServer(Rule):
                     "json emission with allow_nan=True writes bare "
                     "NaN/Infinity tokens (not RFC JSON); use "
                     "repro.io.dumps, which sanitises non-finite floats",
-                )
-
-
-#: Exception names whose silent swallow hides disk failure. Subclasses
-#: like FileNotFoundError are deliberately NOT listed: passing on a
-#: *specific* expected condition is handling, passing on the whole
-#: OSError family is hoping.
-_OS_ERROR_NAMES = frozenset({"OSError", "IOError", "EnvironmentError"})
-
-#: Call names that read as file I/O when they appear inside a ``try``
-#: whose ``except Exception`` swallows silently.
-_FILE_IO_CALLEES = frozenset({
-    "open", "write", "writelines", "fsync", "fdatasync", "flush",
-    "replace", "rename", "renames", "unlink", "remove", "truncate",
-    "write_text", "write_bytes", "mkdir", "makedirs", "utime",
-})
-
-
-def _swallows_silently(body):
-    """True when a handler body discards the exception without any
-    acknowledgement: only ``pass`` / ``...`` / bare ``return`` /
-    ``continue`` statements (a logged, counted, re-raised, or
-    value-returning handler is handling, not swallowing)."""
-    for stmt in body:
-        if isinstance(stmt, (ast.Pass, ast.Continue)):
-            continue
-        if isinstance(stmt, ast.Return) and stmt.value is None:
-            continue
-        if (isinstance(stmt, ast.Expr)
-                and isinstance(stmt.value, ast.Constant)
-                and stmt.value.value is Ellipsis):
-            continue
-        return False
-    return True
-
-
-def _calls_file_io(body):
-    """True when any call in ``body`` looks like file I/O."""
-    return any(
-        isinstance(node, ast.Call)
-        and _terminal_name(node.func) in _FILE_IO_CALLEES
-        for stmt in body for node in ast.walk(stmt)
-    )
-
-
-@register
-class NoSwallowedOSError(Rule):
-    id = "RL011"
-    title = "no-swallowed-oserror"
-    rationale = (
-        "A silently swallowed OSError/IOError turns disk failure into "
-        "wrong behaviour: a cache write that 'succeeded' into nowhere, "
-        "a journal record that never landed, an eviction that left the "
-        "file behind. The robustness layer's contract "
-        "(docs/robustness.md) is that I/O failure is *accounted for* — "
-        "degraded-mode gauges, quarantine records, failure kinds — so "
-        "every ``except OSError: pass`` (and every "
-        "``contextlib.suppress(OSError)``) must either handle the "
-        "error or carry a pragma naming why best-effort is correct "
-        "there. ``except Exception: pass`` around file writes is the "
-        "same hazard wearing a broader mask."
-    )
-    node_types = (ast.Try, ast.With)
-
-    def visit(self, node, ctx):
-        if isinstance(node, ast.Try):
-            yield from self._check_try(node, ctx)
-        else:
-            yield from self._check_with(node, ctx)
-
-    def _check_try(self, node, ctx):
-        for handler in node.handlers:
-            if not _swallows_silently(handler.body):
-                continue
-            names = _exception_names(handler.type)
-            swallowed = sorted(names & _OS_ERROR_NAMES)
-            if swallowed:
-                yield self.finding(
-                    ctx, handler,
-                    f"except {'/'.join(swallowed)} with a silent body "
-                    "swallows disk failure; handle it (log + degrade, "
-                    "metric, failure record) or pragma why best-effort "
-                    "is correct here",
-                )
-            elif "Exception" in names and _calls_file_io(node.body):
-                yield self.finding(
-                    ctx, handler,
-                    "except Exception silently swallowed around file "
-                    "I/O; catch OSError and handle it, or pragma why "
-                    "best-effort is correct here",
-                )
-
-    def _check_with(self, node, ctx):
-        for item in node.items:
-            call = item.context_expr
-            if not isinstance(call, ast.Call):
-                continue
-            if _terminal_name(call.func) != "suppress":
-                continue
-            suppressed = set()
-            for arg in call.args:
-                suppressed |= _exception_names(arg)
-            swallowed = sorted(suppressed & _OS_ERROR_NAMES)
-            if swallowed:
-                yield self.finding(
-                    ctx, node,
-                    f"contextlib.suppress({', '.join(swallowed)}) "
-                    "swallows disk failure by construction; handle the "
-                    "error or pragma why best-effort is correct here",
                 )

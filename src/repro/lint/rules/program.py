@@ -5,10 +5,13 @@ the *import closure* of the pool-worker entry points, lock discipline
 on every method of a class taken together, metric-name consistency on
 one catalog versus call sites spread across packages, and dead exports
 on the absence of a reference anywhere in the tree. Each rule therefore
-splits in two: a ``collect`` hook that exports JSON-safe facts about
-one file during pass 1 (cached with the file), and a ``check_program``
-hook that judges the assembled :class:`~repro.lint.index.ProgramIndex`
-in pass 2.
+splits in two: its ``visit`` records facts about one file in
+``ctx.facts`` during the engine's single walk (deciding "top level",
+"inside a function" and "lock held" from ``ctx.ancestors``), and its
+``check_program`` judges the assembled
+:class:`~repro.lint.index.ProgramIndex` in pass 2. ``RL014`` is
+per-file: it groups nodes by scope during the walk and judges each
+scope in ``finish``.
 
 Rationale per rule id lives in docs/static-analysis.md.
 """
@@ -18,11 +21,14 @@ from __future__ import annotations
 import ast
 import re
 
-from ..engine import DEAD_PRAGMA_RULE_ID, Rule, register
-from ..walk import ESTIMATOR_PACKAGES, FORK_ENTRY_POINTS, THREAD_SHARED
+from ...core.taxonomy import ESTIMATOR_PACKAGES
+from ..engine import DEAD_PRAGMA_RULE_ID, FUNCTION_TYPES, Rule, register
+from ..walk import FORK_ENTRY_POINTS, THREAD_SHARED
 from .common import terminal_name
 
 __all__ = []  # rules are reached through the registry, not imports
+
+_DEF_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _is_self_attr(node):
@@ -32,14 +38,13 @@ def _is_self_attr(node):
             and node.value.id == "self")
 
 
-def _function_spans(tree):
-    """Line spans of every function/lambda body in the tree."""
-    spans = []
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            spans.append((node.lineno, node.end_lineno or node.lineno))
-    return spans
+def _file_facts(rule, ctx, make):
+    """``rule``'s facts for the file being walked, made on first use
+    (a file that records nothing has no facts for that rule)."""
+    facts = ctx.facts.get(rule.id)
+    if facts is None:
+        facts = ctx.facts[rule.id] = make()
+    return facts
 
 
 # ---------------------------------------------------------------------------
@@ -75,31 +80,29 @@ class ForkSafety(Rule):
         "and every fork entry point must reset the default registry "
         "before doing any work."
     )
-    node_types = ()
+    node_types = (ast.Call,) + _DEF_TYPES
 
-    def collect(self, ctx):
-        spans = _function_spans(ctx.tree)
-        module_level = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = terminal_name(node.func)
-            if name not in _CONCURRENCY_FACTORIES:
-                continue
-            inside = any(start < node.lineno <= end for start, end in spans)
-            if not inside:
-                module_level.append([name, node.lineno])
-        functions = {}
-        for node in ctx.tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                calls = sorted({
-                    terminal_name(c.func)
-                    for c in ast.walk(node) if isinstance(c, ast.Call)
-                } - {None})
-                functions[node.name] = {"line": node.lineno, "calls": calls}
-        if not module_level and not functions:
-            return None
-        return {"module_level": module_level, "functions": functions}
+    @staticmethod
+    def _new_facts():
+        return {"module_level": [], "functions": {}}
+
+    def visit(self, node, ctx):
+        ancestors = ctx.ancestors
+        if not isinstance(node, ast.Call):
+            if len(ancestors) == 1:  # a def in the module body
+                facts = _file_facts(self, ctx, self._new_facts)
+                facts["functions"][node.name] = {"line": node.lineno,
+                                                 "calls": set()}
+            return ()
+        name = terminal_name(node.func)
+        if len(ancestors) > 1 and isinstance(ancestors[1], _DEF_TYPES):
+            if name is not None:
+                facts = _file_facts(self, ctx, self._new_facts)
+                facts["functions"][ancestors[1].name]["calls"].add(name)
+        if name in _CONCURRENCY_FACTORIES and not ctx.in_function(node):
+            facts = _file_facts(self, ctx, self._new_facts)
+            facts["module_level"].append((name, node.lineno))
+        return ()
 
     def check_program(self, index):
         facts = index.facts(self.id)
@@ -119,7 +122,7 @@ class ForkSafety(Rule):
             data = facts.get(module)
             if data is None:
                 continue  # entry module not in this index (fixture tree)
-            info = (data.get("functions") or {}).get(func)
+            info = data["functions"].get(func)
             if info is None:
                 yield self.program_finding(
                     index.path_of(module), 1,
@@ -127,9 +130,9 @@ class ForkSafety(Rule):
                     "update FORK_ENTRY_POINTS in repro.lint.walk after a "
                     "rename",
                 )
-            elif _REGISTRY_RESET not in info.get("calls", ()):
+            elif _REGISTRY_RESET not in info["calls"]:
                 yield self.program_finding(
-                    index.path_of(module), info.get("line", 1),
+                    index.path_of(module), info["line"],
                     f"fork entry point {func}() never calls "
                     f"{_REGISTRY_RESET}(); the forked child inherits the "
                     "parent registry's contents and double-counts them "
@@ -149,15 +152,11 @@ _LOCK_NAME_RE = re.compile(r"lock|mutex|cond(?:ition)?$|sem", re.IGNORECASE)
 
 def _mutated_self_attrs(node):
     """``(attr, line)`` pairs this one statement mutates on ``self``."""
-    targets = []
-    if isinstance(node, ast.Assign):
-        targets = list(node.targets)
-    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-        targets = [node.target]
-    elif isinstance(node, ast.Delete):
-        targets = list(node.targets)
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        stack = list(node.targets)
+    else:
+        stack = [node.target]
     out = []
-    stack = list(targets)
     while stack:
         target = stack.pop()
         if isinstance(target, (ast.Tuple, ast.List)):
@@ -169,6 +168,15 @@ def _mutated_self_attrs(node):
         elif isinstance(target, ast.Subscript) and _is_self_attr(target.value):
             out.append((target.value.attr, target.lineno))
     return out
+
+
+def _methods_around(ancestors):
+    """``(class, method)`` pairs enclosing the current node: every def
+    that sits directly in a class body on the ancestor chain."""
+    return [(ancestors[i], ancestors[i + 1])
+            for i in range(len(ancestors) - 1)
+            if isinstance(ancestors[i], ast.ClassDef)
+            and isinstance(ancestors[i + 1], _DEF_TYPES)]
 
 
 @register
@@ -185,83 +193,82 @@ class LockDiscipline(Rule):
         "thread can hold a reference yet), as are methods that take "
         "the lock manually via .acquire()."
     )
-    node_types = ()
+    node_types = (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete,
+                  ast.Call)
 
-    def collect(self, ctx):
-        classes = []
-        for cls in ast.walk(ctx.tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            summary = self._class_summary(cls)
-            if summary is not None:
-                classes.append(summary)
-        return {"classes": classes} if classes else None
+    def _class(self, ctx, cls):
+        classes = _file_facts(self, ctx, dict)
+        facts = classes.get(id(cls))
+        if facts is None:
+            facts = classes[id(cls)] = {
+                "name": cls.name, "locks": set(), "acquires": {},
+                "mutations": [],
+            }
+        return facts
 
-    def _class_summary(self, cls):
-        methods = [n for n in cls.body
-                   if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        lock_attrs = set()
-        for method in methods:
-            for node in ast.walk(method):
-                if (isinstance(node, ast.Assign)
-                        and isinstance(node.value, ast.Call)
-                        and terminal_name(node.value.func) in _LOCK_FACTORIES):
-                    for target in node.targets:
-                        if _is_self_attr(target):
-                            lock_attrs.add(target.attr)
-        guarded = {}
-        unguarded = []
-        for method in methods:
-            acquires = any(
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("acquire", "wait")
-                and _is_self_attr(node.func.value)
-                and self._is_lock(node.func.value.attr, lock_attrs)
-                for node in ast.walk(method)
-            )
-            self._walk_method(method, (), lock_attrs, guarded,
-                              unguarded, method.name, acquires)
-        if not guarded and not unguarded:
-            return None
-        return {
-            "name": cls.name,
-            "line": cls.lineno,
-            "guarded": {attr: sorted(locks)
-                        for attr, locks in sorted(guarded.items())},
-            "unguarded": unguarded,
-        }
+    def visit(self, node, ctx):
+        ancestors = ctx.ancestors
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Attribute)
+                    and func.attr in ("acquire", "wait")
+                    and _is_self_attr(func.value)):
+                for cls, method in _methods_around(ancestors):
+                    self._class(ctx, cls)["acquires"].setdefault(
+                        id(method), set()).add(func.value.attr)
+            return ()
+        if (isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call)
+                and terminal_name(node.value.func) in _LOCK_FACTORIES):
+            attrs = {t.attr for t in node.targets if _is_self_attr(t)}
+            for cls, _ in _methods_around(ancestors):
+                self._class(ctx, cls)["locks"].update(attrs)
+        mutated = _mutated_self_attrs(node)
+        if not mutated:
+            return ()
+        # the statement must run in a method's own body: nested defs
+        # and lambdas run later, on their caller's thread
+        for i in range(len(ancestors) - 1, 0, -1):
+            if isinstance(ancestors[i], FUNCTION_TYPES):
+                break
+        else:
+            return ()
+        method, cls = ancestors[i], ancestors[i - 1]
+        if not (isinstance(method, _DEF_TYPES)
+                and isinstance(cls, ast.ClassDef)):
+            return ()
+        held = tuple(
+            item.context_expr.attr
+            for block in ancestors[i + 1:] if isinstance(block, ast.With)
+            for item in block.items if _is_self_attr(item.context_expr)
+        )
+        mutations = self._class(ctx, cls)["mutations"]
+        for attr, line in mutated:
+            mutations.append((attr, line, method.name, id(method), held))
+        return ()
 
     @staticmethod
-    def _is_lock(attr, lock_attrs):
-        return attr in lock_attrs or bool(_LOCK_NAME_RE.search(attr))
+    def _summary(cls):
+        """``(guarded, unguarded)``: lock names per attribute mutated
+        under a lock, and the lock-free mutations."""
+        locks = cls["locks"]
 
-    def _walk_method(self, node, active, lock_attrs, guarded, unguarded,
-                     method_name, acquires):
-        for child in ast.iter_child_nodes(node):
-            child_active = active
-            if isinstance(child, ast.With):
-                held = tuple(
-                    item.context_expr.attr for item in child.items
-                    if _is_self_attr(item.context_expr)
-                    and self._is_lock(item.context_expr.attr, lock_attrs)
-                )
-                child_active = active + held
-            for attr, line in _mutated_self_attrs(child):
-                if self._is_lock(attr, lock_attrs):
-                    continue  # rebinding the lock itself is out of scope
-                if child_active:
-                    guarded.setdefault(attr, set()).update(child_active)
-                else:
-                    unguarded.append({
-                        "attr": attr, "line": line, "method": method_name,
-                        "acquires": acquires,
-                    })
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.Lambda)):
-                continue  # nested defs run later, on their caller's thread
-            self._walk_method(child, child_active, lock_attrs, guarded,
-                              unguarded, method_name, acquires)
+        def is_lock(attr):
+            return attr in locks or bool(_LOCK_NAME_RE.search(attr))
+
+        guarded = {}
+        unguarded = []
+        for attr, line, method_name, method_id, held in cls["mutations"]:
+            if is_lock(attr):
+                continue  # rebinding the lock itself is out of scope
+            held = {name for name in held if is_lock(name)}
+            if held:
+                guarded.setdefault(attr, set()).update(held)
+            else:
+                acquires = any(is_lock(name) for name in
+                               cls["acquires"].get(method_id, ()))
+                unguarded.append((attr, line, method_name, acquires))
+        return guarded, unguarded
 
     def check_program(self, index):
         facts = index.facts(self.id)
@@ -269,22 +276,19 @@ class LockDiscipline(Rule):
             if not any(module.startswith(prefix) or module == prefix[:-1]
                        for prefix in THREAD_SHARED):
                 continue
-            for cls in facts[module].get("classes", ()):
-                guarded = cls.get("guarded") or {}
-                for mutation in cls.get("unguarded", ()):
-                    attr = mutation["attr"]
+            for cls in facts[module].values():
+                guarded, unguarded = self._summary(cls)
+                for attr, line, method_name, acquires in unguarded:
                     if attr not in guarded:
                         continue
-                    if mutation["method"] == "__init__":
+                    if method_name == "__init__" or acquires:
                         continue
-                    if mutation.get("acquires"):
-                        continue
-                    locks = "/".join(guarded[attr])
+                    locks = "/".join(sorted(guarded[attr]))
                     yield self.program_finding(
-                        index.path_of(module), mutation["line"],
+                        index.path_of(module), line,
                         f"{cls['name']}.{attr} is guarded by 'with "
                         f"self.{locks}:' elsewhere but mutated lock-free "
-                        f"in {mutation['method']}(); thread-shared state "
+                        f"in {method_name}(); thread-shared state "
                         "must take its lock on every mutation",
                     )
 
@@ -306,6 +310,22 @@ _RELEASE_METHODS = frozenset({
 })
 
 
+def _body_scope(node, ancestors):
+    """The def (or the module) whose own body holds ``node``.
+
+    None when a lambda encloses it or it sits in a def's decorators,
+    defaults or annotations: those belong to no scope's body.
+    """
+    child = node
+    for parent in reversed(ancestors):
+        if isinstance(parent, ast.Lambda):
+            return None
+        if isinstance(parent, _DEF_TYPES):
+            return parent if isinstance(child, ast.stmt) else None
+        child = parent
+    return ancestors[0]
+
+
 @register
 class ResourceLifecycle(Rule):
     id = "RL014"
@@ -319,22 +339,23 @@ class ResourceLifecycle(Rule):
         "(returned, stored, passed on) — interprocedural hand-offs "
         "within a module count, silent drops do not."
     )
-    node_types = (ast.Module,)
+    node_types = (ast.With, ast.Call, ast.Assign, ast.Return, ast.Yield,
+                  ast.YieldFrom)
 
     def visit(self, node, ctx):
-        scopes = [node] + [
-            n for n in ast.walk(node)
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-        for scope in scopes:
-            yield from self._check_scope(scope, ctx)
+        scope = _body_scope(node, ctx.ancestors)
+        if scope is not None:
+            scopes = _file_facts(self, ctx, dict)
+            scopes.setdefault(id(scope), (scope, []))[1].append(node)
+        return ()
 
-    def _check_scope(self, scope, ctx):
-        body = scope.body if isinstance(scope, ast.Module) else scope.body
-        nodes = self._own_nodes(scope)
+    def finish(self, ctx):
+        for scope, nodes in ctx.facts.pop(self.id, {}).values():
+            yield from self._check_scope(scope, nodes, ctx)
+
+    def _check_scope(self, scope, nodes, ctx):
         where = ("module level" if isinstance(scope, ast.Module)
                  else f"{scope.name}()")
-        creations = []  # (call node, var name or None)
         wrapped = set()  # creation calls already safe by construction
         for node in nodes:
             if isinstance(node, ast.With):
@@ -346,11 +367,9 @@ class ResourceLifecycle(Rule):
                 for arg in list(node.args) + [k.value for k in node.keywords]:
                     if self._is_factory(arg):
                         wrapped.add(id(arg))  # ownership handed to the callee
-        for node in nodes:
-            if not self._is_factory(node) or id(node) in wrapped:
+        for call in nodes:
+            if not self._is_factory(call) or id(call) in wrapped:
                 continue
-            creations.append(node)
-        for call in creations:
             var = self._bound_name(call, nodes)
             if var is None:
                 yield self.finding(
@@ -365,20 +384,6 @@ class ResourceLifecycle(Rule):
                     f"{where} never reaches close/unlink/with and never "
                     "escapes; release it on every path",
                 )
-
-    @staticmethod
-    def _own_nodes(scope):
-        """Nodes of this scope, excluding nested function bodies."""
-        out = []
-        stack = list(scope.body)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda)):
-                continue  # nested defs are their own scopes
-            out.append(node)
-            stack.extend(ast.iter_child_nodes(node))
-        return out
 
     @staticmethod
     def _is_factory(node):
@@ -467,69 +472,57 @@ class MetricNameConsistency(Rule):
         "otherwise a dashboard scrapes a name the code stopped "
         "emitting, or two internal names collapse into one series."
     )
-    node_types = ()
-
-    def collect(self, ctx):
-        sites = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if terminal_name(node.func) not in _METRIC_CALLEES:
-                continue
-            if not node.args:
-                continue
-            first = node.args[0]
-            if isinstance(first, ast.Constant) and isinstance(first.value,
-                                                              str):
-                sites.append({"name": first.value, "line": node.lineno})
-            elif isinstance(first, ast.JoinedStr):
-                prefix = ""
-                if (first.values
-                        and isinstance(first.values[0], ast.Constant)
-                        and isinstance(first.values[0].value, str)):
-                    prefix = first.values[0].value
-                sites.append({"prefix": prefix, "line": node.lineno})
-        catalog = self._collect_catalog(ctx.tree)
-        if not sites and catalog is None:
-            return None
-        out = {"sites": sites}
-        if catalog is not None:
-            out["catalog"] = catalog
-        return out
+    node_types = (ast.Call, ast.Assign)
 
     @staticmethod
-    def _collect_catalog(tree):
-        found = {}
-        for node in tree.body:
-            if not isinstance(node, ast.Assign):
+    def _new_facts():
+        return {"sites": [], "catalog": {}}
+
+    def visit(self, node, ctx):
+        if isinstance(node, ast.Assign):
+            if len(ctx.ancestors) == 1:  # module body
+                self._catalog_entry(node, ctx)
+            return ()
+        if terminal_name(node.func) not in _METRIC_CALLEES or not node.args:
+            return ()
+        first = node.args[0]
+        sites = _file_facts(self, ctx, self._new_facts)["sites"]
+        if isinstance(first, ast.Constant) and isinstance(first.value, str):
+            sites.append({"name": first.value, "line": node.lineno})
+        elif isinstance(first, ast.JoinedStr):
+            prefix = ""
+            if (first.values
+                    and isinstance(first.values[0], ast.Constant)
+                    and isinstance(first.values[0].value, str)):
+                prefix = first.values[0].value
+            sites.append({"prefix": prefix, "line": node.lineno})
+        return ()
+
+    def _catalog_entry(self, node, ctx):
+        target = node.targets[0]
+        if not (isinstance(target, ast.Name)
+                and target.id in _CATALOG_NAMES
+                and isinstance(node.value, ast.Dict)):
+            return
+        entries = {}
+        for key, value in zip(node.value.keys, node.value.values):
+            if not (isinstance(key, ast.Constant)
+                    and isinstance(key.value, str)):
                 continue
-            target = node.targets[0]
-            if not (isinstance(target, ast.Name)
-                    and target.id in _CATALOG_NAMES
-                    and isinstance(node.value, ast.Dict)):
-                continue
-            entries = {}
-            for key, value in zip(node.value.keys, node.value.values):
-                if not (isinstance(key, ast.Constant)
-                        and isinstance(key.value, str)):
-                    continue
-                kind = ""
-                if (isinstance(value, (ast.Tuple, ast.List)) and value.elts
-                        and isinstance(value.elts[0], ast.Constant)
-                        and isinstance(value.elts[0].value, str)):
-                    kind = value.elts[0].value
-                entries[key.value] = {"line": key.lineno, "kind": kind}
-            found["metrics" if target.id == "METRICS" else
-                  "families"] = entries
-        if "metrics" not in found:
-            return None
-        found.setdefault("families", {})
-        return found
+            kind = ""
+            if (isinstance(value, (ast.Tuple, ast.List)) and value.elts
+                    and isinstance(value.elts[0], ast.Constant)
+                    and isinstance(value.elts[0].value, str)):
+                kind = value.elts[0].value
+            entries[key.value] = {"line": key.lineno, "kind": kind}
+        catalog = _file_facts(self, ctx, self._new_facts)["catalog"]
+        catalog["metrics" if target.id == "METRICS" else
+                "families"] = entries
 
     def check_program(self, index):
         facts = index.facts(self.id)
-        catalogs = {module: data["catalog"]
-                    for module, data in facts.items() if "catalog" in data}
+        catalogs = {module: data["catalog"] for module, data in facts.items()
+                    if "metrics" in data["catalog"]}
         if not catalogs:
             return  # no catalog in this tree: nothing to be consistent with
         canonical = min(catalogs)  # deterministic pick
@@ -543,10 +536,10 @@ class MetricNameConsistency(Rule):
                 )
         catalog = catalogs[canonical]
         metrics = catalog["metrics"]
-        families = catalog["families"]
+        families = catalog.get("families", {})
         used = set()
         for module in sorted(facts):
-            for site in facts[module].get("sites", ()):
+            for site in facts[module]["sites"]:
                 line = site["line"]
                 if "name" in site:
                     name = site["name"]
@@ -564,7 +557,7 @@ class MetricNameConsistency(Rule):
                         "catalog row or fix the name",
                     )
                 else:
-                    prefix = site.get("prefix", "")
+                    prefix = site["prefix"]
                     if prefix in families:
                         used.add(prefix)
                         continue
@@ -586,7 +579,7 @@ class MetricNameConsistency(Rule):
                 )
         exposed = {}
         for name in sorted(metrics):
-            prom = _prometheus_name(name, metrics[name].get("kind", ""))
+            prom = _prometheus_name(name, metrics[name]["kind"])
             if prom in exposed:
                 yield self.program_finding(
                     catalog_path, metrics[name]["line"],
@@ -633,34 +626,32 @@ class ExceptionTaxonomy(Rule):
         "validation seams (they are what the taxonomy's ValidationError "
         "itself subclasses)."
     )
-    node_types = ()
+    node_types = (ast.Raise, ast.ClassDef)
 
-    def collect(self, ctx):
-        raises = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Raise) or node.exc is None:
-                continue
-            exc = node.exc
-            if isinstance(exc, ast.Call):
-                exc = exc.func
-            name = terminal_name(exc)
-            if name and name[:1].isupper():
-                raises.append([name, node.lineno])
-        classes = sorted({
-            node.name for node in ast.walk(ctx.tree)
-            if isinstance(node, ast.ClassDef)
-        })
-        if not raises and not classes:
-            return None
-        return {"raises": raises, "classes": classes}
+    @staticmethod
+    def _new_facts():
+        return {"raises": [], "classes": set()}
+
+    def visit(self, node, ctx):
+        if isinstance(node, ast.ClassDef):
+            _file_facts(self, ctx, self._new_facts)["classes"].add(node.name)
+            return ()
+        exc = node.exc
+        if isinstance(exc, ast.Call):
+            exc = exc.func
+        name = terminal_name(exc) if exc is not None else None
+        if name and name[:1].isupper():
+            _file_facts(self, ctx, self._new_facts)["raises"].append(
+                (name, node.lineno))
+        return ()
 
     def check_program(self, index):
         facts = index.facts(self.id)
         defined = set()
         for data in facts.values():
-            defined.update(data.get("classes", ()))
+            defined.update(data["classes"])
         for module in sorted(facts):
-            for name, line in facts[module].get("raises", ()):
+            for name, line in facts[module]["raises"]:
                 if name in _BANNED_RAISES:
                     yield self.program_finding(
                         index.path_of(module), line,
@@ -695,43 +686,44 @@ class DeadExports(Rule):
         "population (servable_estimators, the contract checker), so "
         "every entry is consumed dynamically by construction."
     )
-    node_types = ()
+    node_types = (ast.Assign, ast.Attribute)
 
-    def collect(self, ctx):
-        exports = []
-        for node in ctx.tree.body:
-            if not isinstance(node, ast.Assign):
-                continue
-            target = node.targets[0]
-            if not (isinstance(target, ast.Name) and target.id == "__all__"):
-                continue
-            if isinstance(node.value, (ast.List, ast.Tuple)):
-                for element in node.value.elts:
-                    if (isinstance(element, ast.Constant)
-                            and isinstance(element.value, str)
-                            and not element.value.startswith("__")):
-                        exports.append([element.value, element.lineno])
-        attrs = sorted({
-            node.attr for node in ast.walk(ctx.tree)
-            if isinstance(node, ast.Attribute)
-        })
-        if not exports and not attrs:
-            return None
-        return {"exports": exports, "attrs": attrs}
+    @staticmethod
+    def _new_facts():
+        return {"exports": [], "attrs": set()}
+
+    def visit(self, node, ctx):
+        if isinstance(node, ast.Attribute):
+            _file_facts(self, ctx, self._new_facts)["attrs"].add(node.attr)
+            return ()
+        target = node.targets[0]
+        if not (len(ctx.ancestors) == 1  # module body
+                and isinstance(target, ast.Name)
+                and target.id == "__all__"
+                and isinstance(node.value, (ast.List, ast.Tuple))):
+            return ()
+        for element in node.value.elts:
+            if (isinstance(element, ast.Constant)
+                    and isinstance(element.value, str)
+                    and not element.value.startswith("__")):
+                _file_facts(self, ctx, self._new_facts)["exports"].append(
+                    (element.value, element.lineno))
+        return ()
 
     def check_program(self, index):
         facts = index.facts(self.id)
         evidence = set()
         for record in index.records:
             for imp in record.imports:
-                evidence.update(imp.get("names") or ())
-            data = record.facts.get(self.id) or {}
-            evidence.update(data.get("attrs", ()))
+                evidence.update(imp["names"])
+            data = record.facts.get(self.id)
+            if data is not None:
+                evidence.update(data["attrs"])
         docs = index.docs_corpus
         for module in sorted(facts):
             if self._estimator_module(module):
                 continue
-            for name, line in facts[module].get("exports", ()):
+            for name, line in facts[module]["exports"]:
                 if name in evidence:
                     continue
                 if docs and re.search(rf"\b{re.escape(name)}\b", docs):

@@ -1,10 +1,7 @@
-"""Shared source-tree discovery for the lint engine and ``tools/``.
+"""Source-tree discovery and rule policy for the lint engine.
 
-Every script that walks the library — the lint engine itself,
-``tools/check_estimator_contract.py``, ``tools/gen_api_docs.py`` —
-historically re-implemented its own file or
-package discovery, each with a private allow/deny list. This module is
-the single home for that policy:
+The lint engine's file discovery and the allow/deny lists its rules
+read live here, in one place:
 
 * :func:`walk_source_tree` — deterministic (sorted) iteration over the
   library's ``.py`` files, skipping caches, egg-info and VCS droppings;
@@ -14,13 +11,6 @@ the single home for that policy:
   allowed to build process pools / executors directly (rule ``RL009``);
 * :data:`SERVE_ALLOWED` — the serving layer, the only place allowed to
   build HTTP servers or emit non-RFC JSON knobs (rule ``RL010``);
-* :data:`ESTIMATOR_PACKAGES` — re-exported from
-  :mod:`repro.core.taxonomy`: the algorithm subpackages whose exports
-  form the estimator population (the runtime contract tool, the
-  static ``RL007`` rule and the serving layer agree on scope through
-  it);
-* :data:`API_DOC_PACKAGES` — the public packages documented by
-  ``tools/gen_api_docs.py``;
 * :data:`FORK_ENTRY_POINTS` — the functions that run first inside a
   freshly forked pool worker; rule ``RL012`` checks their import-time
   closure for inherited concurrency state;
@@ -35,11 +25,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..core.taxonomy import ESTIMATOR_PACKAGES
-
 __all__ = [
-    "API_DOC_PACKAGES",
-    "ESTIMATOR_PACKAGES",
     "FORK_ENTRY_POINTS",
     "PACKAGE_ROOT",
     "POOL_ALLOWED",
@@ -124,24 +110,6 @@ THREAD_SHARED = (
     "repro.observability.",
 )
 
-#: Public packages rendered into ``docs/api.md``.
-API_DOC_PACKAGES = (
-    "repro.core",
-    "repro.cluster",
-    "repro.metrics",
-    "repro.data",
-    "repro.originalspace",
-    "repro.transform",
-    "repro.subspace",
-    "repro.multiview",
-    "repro.experiments",
-    "repro.io",
-    "repro.utils",
-    "repro.lint",
-    "repro.serve",
-)
-
-
 #: Hand-written markdown accepted as usage evidence by ``RL017``. The
 #: generated ``docs/api.md`` is deliberately excluded — it is rendered
 #: *from* ``__all__``, so counting it would make every export
@@ -168,7 +136,7 @@ def documentation_corpus(repo_root=None):
             continue
         try:
             chunks.append(path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError):  # repro: noqa[RL011] - evidence is advisory; an unreadable doc must not fail the lint run
+        except (OSError, UnicodeDecodeError):  # evidence is advisory; an unreadable doc must not fail the lint run
             continue
     corpus = "\n".join(chunks)
     _docs_corpus_memo[root] = corpus
@@ -198,7 +166,7 @@ def evidence_corpus(repo_root=None):
         for path in walk_source_tree(directory):
             try:
                 chunks.append(path.read_text(encoding="utf-8"))
-            except (OSError, UnicodeDecodeError):  # repro: noqa[RL011] - evidence is advisory; an unreadable consumer must not fail the lint run
+            except (OSError, UnicodeDecodeError):  # evidence is advisory; an unreadable consumer must not fail the lint run
                 continue
     corpus = "\n".join(chunks)
     _evidence_corpus_memo[root] = corpus

@@ -209,7 +209,7 @@ class _ServerProcess:
                         if ":\t" in line)
                 with open(f"{base}/cmdline", "rb") as fh:
                     cmdline = fh.read()
-            except OSError:  # repro: noqa[RL011] - the process exited between listdir and read
+            except OSError:  # the process exited between listdir and read
                 continue
             if int(fields.get("PPid", "0")) != self.proc.pid:
                 continue

@@ -218,7 +218,7 @@ def oom(limit_mb=256, chunk_mb=8):
                 blocks.append(block)
         except MemoryError:
             pass  # the cap tripped: now die the way the kernel would
-        except (OSError, ValueError):  # repro: noqa[RL011] - rlimits unavailable; still exercise the kill signal
+        except (OSError, ValueError):  # rlimits unavailable; still exercise the kill signal
             pass
     del blocks
     hard_crash(signal.SIGKILL)

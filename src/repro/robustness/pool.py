@@ -245,7 +245,7 @@ class SharedDataset:
         for shm in self._segments.values():
             try:
                 shm.close()
-            except OSError: # repro: noqa[RL011] - shm close on teardown; the segment is unlinked separately
+            except OSError: # shm close on teardown; the segment is unlinked separately
                 pass
 
     def unlink(self):
@@ -258,7 +258,7 @@ class SharedDataset:
         for shm in segments.values():
             try:
                 shm.unlink()
-            except (OSError, FileNotFoundError): # repro: noqa[RL011] - another process already unlinked the segment
+            except (OSError, FileNotFoundError): # another process already unlinked the segment
                 pass
 
     def __enter__(self):
@@ -335,7 +335,7 @@ def _pool_worker_main(conn, slot, experiments, config):
             last_sent[0] = now
             try:
                 conn.send(("heartbeat", now))
-            except (BrokenPipeError, OSError): # repro: noqa[RL011] - parent already gone; keep finishing the task
+            except (BrokenPipeError, OSError): # parent already gone; keep finishing the task
                 pass  # parent already gone; keep finishing the task
 
     exitcode = 0
@@ -405,7 +405,7 @@ def _pool_worker_main(conn, slot, experiments, config):
             shared.close()
         try:
             conn.close()
-        except OSError: # repro: noqa[RL011] - pipe close right before os._exit; nothing to report to
+        except OSError: # pipe close right before os._exit; nothing to report to
             pass
     os._exit(exitcode)
 
@@ -512,7 +512,7 @@ class _PoolRun:
         child_conn.close()
         try:  # close the startup race: the child does the same first thing
             os.setpgid(process.pid, process.pid)
-        except (OSError, AttributeError): # repro: noqa[RL011] - setpgid race with the child; it sets its own group first thing
+        except (OSError, AttributeError): # setpgid race with the child; it sets its own group first thing
             pass
         worker = _PoolWorker(slot=slot, process=process, conn=parent_conn)
         self.workers[slot] = worker
@@ -537,7 +537,7 @@ class _PoolRun:
             worker.process.join()
         try:
             worker.conn.close()
-        except OSError: # repro: noqa[RL011] - reaping a dead worker; its pipe may already be closed
+        except OSError: # reaping a dead worker; its pipe may already be closed
             pass
 
     # -- outcome plumbing ------------------------------------------------
@@ -700,7 +700,7 @@ class _PoolRun:
         try:
             while worker.conn.poll(0):
                 self._dispatch_message(worker, worker.conn.recv())
-        except (EOFError, OSError): # repro: noqa[RL011] - draining a dead worker's pipe; EOF is the expected end
+        except (EOFError, OSError): # draining a dead worker's pipe; EOF is the expected end
             pass
 
     def _dispatch_message(self, worker, message):

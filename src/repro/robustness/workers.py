@@ -65,7 +65,7 @@ def _own_process_group():
     """
     try:
         os.setpgid(0, 0)
-    except (OSError, AttributeError): # repro: noqa[RL011] - already a group leader, or no setpgid on this platform
+    except (OSError, AttributeError): # already a group leader, or no setpgid on this platform
         pass  # already a group leader, or the platform has no setpgid
 
 
@@ -80,11 +80,11 @@ def _signal_group(pid, signum):
     try:
         os.killpg(pid, signum)
         return
-    except (OSError, AttributeError, PermissionError): # repro: noqa[RL011] - no process group to kill; fall through to kill()
+    except (OSError, AttributeError, PermissionError): # no process group to kill; fall through to kill()
         pass
     try:
         os.kill(pid, signum)
-    except OSError: # repro: noqa[RL011] - already gone
+    except OSError: # already gone
         pass  # already gone
 
 

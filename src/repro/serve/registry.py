@@ -199,7 +199,7 @@ class ModelRegistry:
         disk full is disk full, whatever the bytes are)."""
         total = 0
         for path in self.cache_dir.rglob("*"):
-            with contextlib.suppress(OSError):  # repro: noqa[RL011] - racing unlink/evict: a vanished file contributes 0
+            with contextlib.suppress(OSError):  # racing unlink/evict: a vanished file contributes 0
                 if path.is_file():
                     total += path.stat().st_size
         return total
@@ -311,7 +311,7 @@ class ModelRegistry:
         """Structured ``IntegrityError`` records of quarantined entries."""
         records = []
         for path in sorted(self.quarantine_dir().glob("*.error.json")):
-            with contextlib.suppress(OSError, json.JSONDecodeError):  # repro: noqa[RL011] - a half-written error record is itself corrupt; skip it
+            with contextlib.suppress(OSError, json.JSONDecodeError):  # a half-written error record is itself corrupt; skip it
                 records.append(
                     json.loads(path.read_text(encoding="utf-8")))
         return records
@@ -337,7 +337,7 @@ class ModelRegistry:
     @staticmethod
     def _touch(path):
         """Bump an entry's LRU recency."""
-        with contextlib.suppress(OSError):  # repro: noqa[RL011] - LRU recency is advisory; a failed utime must not fail the read
+        with contextlib.suppress(OSError):  # LRU recency is advisory; a failed utime must not fail the read
             os.utime(path)
 
     def get(self, key, touch=True):
@@ -386,7 +386,7 @@ class ModelRegistry:
     def _entries(self):
         entries = []
         for path in self.cache_dir.glob("*.json"):
-            with contextlib.suppress(OSError):  # repro: noqa[RL011] - racing unlink/evict: a vanished entry is simply not listed
+            with contextlib.suppress(OSError):  # racing unlink/evict: a vanished entry is simply not listed
                 entries.append((path.stat().st_mtime, path))
         return entries
 
@@ -397,7 +397,7 @@ class ModelRegistry:
             if excess <= 0:
                 return
             for _, path in sorted(entries)[:excess]:
-                with contextlib.suppress(OSError):  # repro: noqa[RL011] - eviction is advisory; a failed unlink retries next put
+                with contextlib.suppress(OSError):  # eviction is advisory; a failed unlink retries next put
                     path.unlink()
                     logger.info("evicted %s (LRU, cap %d)",
                                 path.name, self.max_entries)

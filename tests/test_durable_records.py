@@ -11,8 +11,8 @@
   record still loads;
 * stale temp files: a journal rewrite SIGKILLed before its rename
   leaves a temp file that the next ``RunJournal`` sweeps away;
-* user-facing files (``save_json``, the lint baseline, the chaos
-  report) are replaced atomically: a failed rewrite keeps the old bytes.
+* user-facing files (``save_json``, the chaos report) are replaced
+  atomically: a failed rewrite keeps the old bytes.
 """
 
 import errno
@@ -43,7 +43,6 @@ from repro.io import (
     sweep_stale_temps,
     unseal,
 )
-from repro.lint.engine import Finding, write_baseline
 from repro.robustness import RunJournal
 from repro.robustness.chaos import write_report
 from repro.serve import JobScheduler, ModelRegistry
@@ -221,11 +220,8 @@ def _enospc(*args, **kwargs):
 
 @pytest.mark.parametrize("write", [
     lambda path, n: save_json(np.arange(n), path),
-    lambda path, n: write_baseline(
-        path, [Finding("m.py", i, 0, "RL001", "error", "x")
-               for i in range(n)]),
     lambda path, n: write_report({"scenarios": list(range(n))}, path),
-], ids=["save_json", "write_baseline", "write_report"])
+], ids=["save_json", "write_report"])
 def test_failed_rewrite_keeps_old_bytes(tmp_path, monkeypatch, write):
     path = tmp_path / "out.json"
     write(path, 2)

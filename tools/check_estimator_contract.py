@@ -40,7 +40,7 @@ The *static* half of the contract (fitted attributes computed in fit
 only, get_params derivable) is lint rule ``RL007`` in ``repro.lint``;
 this tool keeps the runtime half, which needs real fits. Both agree on
 the estimator population through
-:data:`repro.lint.walk.ESTIMATOR_PACKAGES`.
+:data:`repro.core.taxonomy.ESTIMATOR_PACKAGES`.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
-from repro.lint import ESTIMATOR_PACKAGES  # noqa: E402
+from repro.core.taxonomy import ESTIMATOR_PACKAGES  # noqa: E402
 
 BOUND_PARAMS = ("max_iter", "n_init", "max_sweeps", "max_clusterings",
                 "n_solutions")
