@@ -29,8 +29,9 @@ Three opt-in hardening layers (see ``docs/robustness.md``):
   is bit-identical to an in-process one and to any killed-and-resumed
   continuation.
 
-There are two execution paths: in-process (``jobs=1`` without
-``isolate``) and the pool (everything else).
+There are two schedulers, in-process (``jobs=1`` without ``isolate``)
+and the pool (everything else), and one task body that both run every
+key through.
 """
 
 from __future__ import annotations
@@ -51,10 +52,11 @@ from ..observability.tracer import (
 from ..robustness.checkpoint import RunJournal
 from ..robustness.guard import RunFailure, RunGuard
 from ..robustness.pool import (
+    SharedDataset,
+    _PoolRun,
     derive_seed,
     install_experiment_context,
     resolve_jobs,
-    run_pool,
 )
 from ..robustness.workers import worker_failure_record
 
@@ -282,28 +284,6 @@ def _make_injected(key, mode):
     return injected
 
 
-def _outcome_from_result(key, result):
-    """Fold a guard's :class:`RunResult` into an ExperimentOutcome."""
-    telemetry = result.telemetry or {}
-    return ExperimentOutcome(
-        key=key,
-        status=result.status,
-        table=result.value,
-        failure=result.failure,
-        elapsed=result.elapsed,
-        attempts=result.attempts,
-        iterations=telemetry.get("ticks", 0),
-        timings=result.timings,
-        peak_kb=telemetry.get("peak_kb"),
-    )
-
-
-def _min_limit(*limits):
-    """Tightest of several optional wall-clock limits (None = unbounded)."""
-    bounded = [limit for limit in limits if limit is not None]
-    return min(bounded) if bounded else None
-
-
 def _expired_outcome(key):
     """A ``failed/timeout`` outcome for a key whose deadline passed
     before it ran (context ``deadline_expired``)."""
@@ -368,6 +348,43 @@ def _resume_prepass(experiments, fail_modes, journal, callback):
     return skipped, grid
 
 
+def _run_task(key, run_fn, *, seed, arrays, max_seconds, max_retries,
+              deadline, tracer, keep_spans):
+    """Run one experiment: the task body of both schedulers.
+
+    Installs the key's seed and shared arrays, bounds the guard by the
+    tighter of ``max_seconds`` and the time left before ``deadline`` (a
+    monotonic instant, or None) and folds the guard's
+    :class:`~repro.robustness.RunResult` into an ExperimentOutcome,
+    carrying ``tracer``'s span records when ``keep_spans``. A key whose
+    deadline has already passed fails as ``timeout`` without running.
+    """
+    limit = max_seconds
+    if deadline is not None:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            logger.warning("experiment %s: deadline expired before it ran",
+                           key)
+            return _expired_outcome(key)
+        limit = remaining if limit is None else min(limit, remaining)
+    guard = RunGuard(max_seconds=limit, max_retries=max_retries, label=key,
+                     tracer=tracer)
+    result = guard.run(install_experiment_context(run_fn, seed, arrays))
+    telemetry = result.telemetry or {}
+    return ExperimentOutcome(
+        key=key,
+        status=result.status,
+        table=result.value,
+        failure=result.failure,
+        elapsed=result.elapsed,
+        attempts=result.attempts,
+        iterations=telemetry.get("ticks", 0),
+        timings=result.timings,
+        peak_kb=telemetry.get("peak_kb"),
+        spans=tracer.to_records() if keep_spans else None,
+    )
+
+
 def _run_in_process(grid, *, keep_going, max_seconds, max_retries, journal,
                     callback, shared_data, base_seed, tracer,
                     trace_contexts, deadlines):
@@ -378,47 +395,32 @@ def _run_in_process(grid, *, keep_going, max_seconds, max_retries, journal,
     streamed as it completes. Returns ``{key: outcome}``.
     """
     arrays = _readonly_arrays(shared_data)
-    # deadlines pin to the clock now: time spent on earlier keys counts
-    # against later keys' deadlines, matching the pool's queue time
-    deadline_at = {key: time.monotonic() + value
-                   for key, value in deadlines.items()}
     ran = {}
     with contextlib.ExitStack() as stack:
         if current_tracer() is not tracer:
             stack.enter_context(tracer)
         for key, run_fn in grid.items():
-            run_fn = install_experiment_context(
-                run_fn, derive_seed(key, base_seed), arrays
-            )
-            remaining = (deadline_at[key] - time.monotonic()
-                         if key in deadline_at else None)
+            # a key with a trace context joins the caller's trace:
+            # a per-key tracer parented under the remote context
             ctx = trace_contexts.get(key)
-            if remaining is not None and remaining <= 0:
-                # expired before its turn came: fail without running
-                outcome = _expired_outcome(key)
-                logger.warning("experiment %s: deadline expired "
-                               "before it ran", key)
-            else:
-                # a key with a trace context joins the caller's trace:
-                # a per-key tracer parented under the remote context
-                key_tracer = tracer if ctx is None else Tracer(
-                    profile_memory=tracer.profile_memory,
-                    trace_id=ctx.get("trace_id"),
-                    parent_id=ctx.get("span_id"),
-                )
-                guard = RunGuard(max_seconds=_min_limit(max_seconds,
-                                                        remaining),
-                                 max_retries=max_retries, label=key,
-                                 tracer=key_tracer)
-                outcome = _outcome_from_result(key, guard.run(run_fn))
-                if ctx is not None:
-                    outcome.spans = key_tracer.to_records()
-                    tracer.add_foreign_records(outcome.spans)
-                logger.info(
-                    "experiment %s: %s in %.3fs (%d iterations, "
-                    "%d attempts)", key, outcome.status, outcome.elapsed,
-                    outcome.iterations, outcome.attempts,
-                )
+            key_tracer = tracer if ctx is None else Tracer(
+                profile_memory=tracer.profile_memory,
+                trace_id=ctx.get("trace_id"),
+                parent_id=ctx.get("span_id"),
+            )
+            outcome = _run_task(
+                key, run_fn, seed=derive_seed(key, base_seed),
+                arrays=arrays, max_seconds=max_seconds,
+                max_retries=max_retries, deadline=deadlines.get(key),
+                tracer=key_tracer, keep_spans=ctx is not None,
+            )
+            if outcome.spans:
+                tracer.add_foreign_records(outcome.spans)
+            logger.info(
+                "experiment %s: %s in %.3fs (%d iterations, "
+                "%d attempts)", key, outcome.status, outcome.elapsed,
+                outcome.iterations, outcome.attempts,
+            )
             ran[key] = outcome
             if journal is not None:
                 journal.record(outcome)
@@ -430,12 +432,14 @@ def _run_in_process(grid, *, keep_going, max_seconds, max_retries, journal,
     return ran
 
 
-def _run_pooled(grid, *, jobs, keep_going, max_seconds, max_retries,
-                hard_timeout, crash_retries, journal, callback, shared_data,
-                base_seed, tracer, trace_path, trace_contexts, deadlines):
+def _run_on_pool(grid, *, jobs, keep_going, max_seconds, max_retries,
+                 hard_timeout, crash_retries, journal, callback,
+                 shared_data, base_seed, tracer, trace_path, trace_contexts,
+                 deadlines):
     """The isolated branch of :func:`run_experiments` (``isolate`` or
-    ``jobs > 1``): seeding, isolation and journaling are delegated to
-    :func:`repro.robustness.pool.run_pool`. Returns ``{key: outcome}``.
+    ``jobs > 1``): places ``shared_data`` in shared memory once and
+    runs the grid on the worker pool of :mod:`repro.robustness.pool`.
+    Returns ``{key: outcome}``.
 
     Tracing: with a ``tracer`` and ``trace_path`` the parent opens one
     ``sweep`` span whose :class:`~repro.observability.TraceContext`
@@ -466,18 +470,20 @@ def _run_pooled(grid, *, jobs, keep_going, max_seconds, max_retries,
                 if callback is not None:
                     callback(outcome)
 
-        ran = {outcome.key: outcome for outcome in run_pool(
+        shared = (stack.enter_context(SharedDataset.create(shared_data))
+                  if shared_data else None)
+        ran = _PoolRun(
             grid, jobs=jobs, max_seconds=max_seconds,
             max_retries=max_retries, hard_timeout=hard_timeout,
-            crash_retries=crash_retries, journal=journal,
-            callback=fold, shared_data=shared_data,
+            crash_retries=crash_retries, journal=journal, callback=fold,
+            shared_descriptor=None if shared is None
+            else shared.descriptor(),
             base_seed=base_seed,
             profile_memory=tracer is not None and tracer.profile_memory,
             keep_going=keep_going, trace=sweep_trace,
             trace_path=trace_path, trace_contexts=trace_contexts,
-            deadlines={key: value for key, value in deadlines.items()
-                       if key in grid},
-        )}
+            deadlines=deadlines,
+        ).run()
     if tracer is not None and trace_path is not None:
         # clean completion: absorb the durable shards (idempotent
         # with the piped copies) and leave no worker files behind
@@ -578,14 +584,18 @@ def run_experiments(experiments, *, keep_going=True, max_seconds=None,
         triggered, across the pool's process boundary.
     deadlines : mapping of str -> float, or None
         Per-key wall-clock deadlines in *remaining seconds from this
-        call*. Queue/wait time counts: a key still pending when its
-        deadline passes fails as ``timeout`` (context
-        ``deadline_expired``) without running. A running key is bounded
-        by the tighter of its deadline and ``max_seconds`` /
-        ``hard_timeout``: cooperatively in-process, and by the pool's
-        hard worker-kill when isolated (plus the cooperative budget
-        shipped with the task). This is how a served request's
-        ``deadline_ms`` reaches the fit that it triggered.
+        call*. They are pinned to the monotonic clock once, as the
+        first thing this call does, before the journal is loaded and
+        resumed keys are streamed to ``callback``; both schedulers use
+        those instants. Everything after that counts, queue time
+        included: a key still pending when its deadline passes fails
+        as ``timeout`` (context ``deadline_expired``) without running.
+        A running key is bounded by the tighter of its deadline and
+        ``max_seconds`` / ``hard_timeout``: cooperatively in-process,
+        and by the pool's hard worker-kill when isolated (plus the
+        cooperative budget shipped with the task). This is how a
+        served request's ``deadline_ms`` reaches the fit that it
+        triggered.
     trace_path : str, Path, or None
         Destination the caller will export the sweep trace to. For an
         isolated sweep this makes the flag truthful: the parent opens
@@ -605,19 +615,21 @@ def run_experiments(experiments, *, keep_going=True, max_seconds=None,
     list of ExperimentOutcome
         In grid order.
     """
+    start = time.monotonic()  # every deadline counts from here
+    deadline_at = {}
+    for key, value in (deadlines or {}).items():
+        if value is None:
+            continue
+        if not float(value) > 0:
+            raise ValidationError(
+                f"deadline for {key!r} must be positive, got {value}")
+        deadline_at[key] = start + float(value)
     fail_modes = _normalize_fail_keys(fail_keys)
     jobs = resolve_jobs(jobs)
     trace_contexts = {
         key: (ctx.to_dict() if hasattr(ctx, "to_dict") else dict(ctx))
         for key, ctx in (trace_contexts or {}).items()
     }
-    deadlines = {key: float(value)
-                 for key, value in (deadlines or {}).items()
-                 if value is not None}
-    for key, value in deadlines.items():
-        if not value > 0:
-            raise ValidationError(
-                f"deadline for {key!r} must be positive, got {value}")
     if crash_retries < 0:
         raise ValidationError(
             f"crash_retries must be >= 0, got {crash_retries}"
@@ -638,13 +650,13 @@ def run_experiments(experiments, *, keep_going=True, max_seconds=None,
     skipped, grid = _resume_prepass(experiments, fail_modes, journal,
                                     callback)
     if isolate:
-        ran = _run_pooled(
+        ran = _run_on_pool(
             grid, jobs=jobs, keep_going=keep_going,
             max_seconds=max_seconds, max_retries=max_retries,
             hard_timeout=hard_timeout, crash_retries=crash_retries,
             journal=journal, callback=callback, shared_data=shared_data,
             base_seed=base_seed, tracer=tracer, trace_path=trace_path,
-            trace_contexts=trace_contexts, deadlines=deadlines,
+            trace_contexts=trace_contexts, deadlines=deadline_at,
         )
     else:
         ran = _run_in_process(
@@ -652,7 +664,7 @@ def run_experiments(experiments, *, keep_going=True, max_seconds=None,
             max_retries=max_retries, journal=journal, callback=callback,
             shared_data=shared_data, base_seed=base_seed,
             tracer=tracer if tracer is not None else Tracer(),
-            trace_contexts=trace_contexts, deadlines=deadlines,
+            trace_contexts=trace_contexts, deadlines=deadline_at,
         )
     done = {**skipped, **ran}
     return [done[key] for key in experiments if key in done]

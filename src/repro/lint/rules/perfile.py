@@ -485,11 +485,12 @@ class NoAdHocProcessPool(Rule):
     title = "no-adhoc-process-pool"
     rationale = (
         "Parallel execution must flow through run_experiments(jobs=...)"
-        " / repro.robustness.pool: a bare multiprocessing.Pool or "
-        "concurrent.futures executor has no process groups, heartbeat "
-        "deadlines, crash quarantine, or per-worker journal shards, so "
-        "a hang or crash inside it strands work (and orphans children) "
-        "that the fault-contained pool would recover."
+        ", which runs on repro.robustness.pool: a bare "
+        "multiprocessing.Pool or concurrent.futures executor has no "
+        "process groups, heartbeat deadlines, crash quarantine, or "
+        "per-worker journal shards, so a hang or crash inside it "
+        "strands work (and orphans children) that the fault-contained "
+        "pool would recover."
     )
     node_types = (ast.Import, ast.ImportFrom, ast.Attribute)
 
@@ -497,8 +498,8 @@ class NoAdHocProcessPool(Rule):
         return self.finding(
             ctx, node,
             f"{what} outside repro.robustness; use "
-            "run_experiments(jobs=...) or repro.robustness.run_pool so "
-            "isolation, quarantine, and journaling apply",
+            "run_experiments(jobs=...) so isolation, quarantine, and "
+            "journaling apply",
         )
 
     def visit(self, node, ctx):

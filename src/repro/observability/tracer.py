@@ -480,14 +480,24 @@ class TraceShard:
         self._started = False
 
     def export(self, records):
-        """Make ``records`` durable in the shard."""
-        if self._started:
-            from ..io import append_text_durable
+        """Make ``records`` durable in the shard.
 
-            append_text_durable(self.path, _encode_records(records))
-        else:
-            write_records_jsonl(self.path, records)
-            self._started = True
+        A failing disk (ENOSPC, EIO) does not fail the task: the error
+        is logged and the next export rewrites the shard atomically.
+        The records still reach the driver with the outcome.
+        """
+        try:
+            if self._started:
+                from ..io import append_text_durable
+
+                append_text_durable(self.path, _encode_records(records))
+            else:
+                write_records_jsonl(self.path, records)
+                self._started = True
+        except OSError as exc:
+            logger.warning("trace shard %s: write failed (%s); the next "
+                           "export rewrites it", self.path, exc)
+            self._started = False  # a failed append may leave a torn tail
 
 
 def trace_shard_path(trace_path, slot):

@@ -11,12 +11,13 @@ injection used to prove every estimator fails structurally, never with
 an unhandled NumPy error.
 
 Three hard-enforcement modules complement the cooperative layer:
-:mod:`repro.robustness.pool` runs an isolated sweep (``--isolate`` or
-``--jobs N``) on a work-stealing pool of killable worker subprocesses,
-each in its own process group, under a hard wall-clock deadline
-(covering hangs and crashes that never reach a ``budget_tick``), with
-crash quarantine, shared-memory data passing, and per-key
-deterministic seeds so parallel == in-process == resumed, bit for bit;
+:mod:`repro.robustness.pool` is the work-stealing pool of killable
+worker subprocesses on which ``run_experiments`` runs an isolated sweep
+(``--isolate`` or ``--jobs N``), each in its own process group, under
+a hard wall-clock deadline (covering hangs and crashes that never reach
+a ``budget_tick``), with crash quarantine, shared-memory data passing,
+and per-key deterministic seeds so parallel == in-process == resumed,
+bit for bit;
 :mod:`repro.robustness.workers` holds the process-group reaping and
 failure records it is built on; and
 :mod:`repro.robustness.checkpoint` journals completed outcomes with
@@ -57,7 +58,6 @@ from .pool import (
     derive_seed,
     experiment_seed,
     resolve_jobs,
-    run_pool,
     shared_arrays,
 )
 from .workers import reap_process, worker_failure_record
@@ -78,7 +78,6 @@ __all__ = [
     "load_journal_records",
     "reap_process",
     "resolve_jobs",
-    "run_pool",
     "shared_arrays",
     "worker_failure_record",
     "DATA_FAULTS",

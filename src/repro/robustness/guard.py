@@ -180,18 +180,6 @@ class RunBudget:
         """Seconds since the budget started."""
         return time.perf_counter() - self.started_at
 
-    def remaining_seconds(self):
-        """Wall-clock budget left (``None`` when unbounded)."""
-        if self.max_seconds is None:
-            return None
-        return self.max_seconds - self.elapsed()
-
-    def exhausted(self):
-        """True when either allowance is spent (does not raise)."""
-        if self.max_seconds is not None and self.elapsed() > self.max_seconds:
-            return True
-        return self.max_ticks is not None and self.ticks > self.max_ticks
-
     def check(self):
         """Raise :class:`BudgetExceededError` if the wall clock is spent."""
         if self.max_seconds is not None and self.elapsed() > self.max_seconds:

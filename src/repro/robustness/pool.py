@@ -1,10 +1,11 @@
 """Fault-contained sweep pool: work-stealing over the grid.
 
-:func:`run_pool` is the one isolated executor of ``run_experiments``:
-``jobs=N`` runs the grid across ``N`` worker subprocesses, and
-``isolate=True`` at ``jobs=1`` is the same pool with one long-lived
-worker (respawned after a kill or crash). Either way every experiment
-gets these guarantees:
+``run_experiments`` runs every isolated sweep on this pool: ``jobs=N``
+runs the grid across ``N`` worker subprocesses, and ``isolate=True`` at
+``jobs=1`` is the same pool with one long-lived worker (respawned after
+a kill or crash). A worker runs each key through the harness's task
+body, the one the in-process scheduler uses too. Either way every
+experiment gets these guarantees:
 
 * **work stealing** — workers pull the next pending experiment the
   moment they go idle, so a slow key never stalls the rest of the grid
@@ -72,7 +73,6 @@ __all__ = [
     "derive_seed",
     "experiment_seed",
     "resolve_jobs",
-    "run_pool",
     "shared_arrays",
 ]
 
@@ -120,8 +120,8 @@ def derive_seed(key, base_seed=0):
 def experiment_seed(default=None):
     """The per-key seed installed for the currently running experiment.
 
-    Inside an experiment body executed by :func:`run_pool` (or the
-    in-process ``run_experiments`` path) this returns
+    Inside an experiment body run by ``run_experiments``, in-process
+    or on the pool, this returns
     ``derive_seed(key, base_seed)`` for the experiment's own key;
     outside a sweep it returns ``default``.
     """
@@ -301,13 +301,12 @@ def _pool_worker_main(conn, slot, experiments, config):
     *before* it is reported, so a parent (or worker) death after the
     journal write can never lose the result.
     """
-    from ..experiments.harness import _outcome_from_result
+    from ..experiments.harness import _run_task
     from ..observability.registry import (
         default_registry,
         reset_default_registry,
     )
     from ..observability.tracer import TraceShard
-    from .guard import RunGuard
 
     _own_process_group()
     parent_pid = os.getppid()
@@ -317,13 +316,12 @@ def _pool_worker_main(conn, slot, experiments, config):
     reset_default_registry()
     shared = None
     arrays = None
-    if config.get("shared_descriptor"):
+    if config["shared_descriptor"]:
         shared = SharedDataset.attach(config["shared_descriptor"])
         arrays = shared.arrays()
     journal = None
     if config.get("shard_path"):
         journal = RunJournal(config["shard_path"])
-    sweep_trace = config.get("trace")
     trace_shard = (TraceShard(config["trace_shard_path"])
                    if config.get("trace_shard_path") else None)
 
@@ -335,7 +333,7 @@ def _pool_worker_main(conn, slot, experiments, config):
             last_sent[0] = now
             try:
                 conn.send(("heartbeat", now))
-            except (BrokenPipeError, OSError): # parent already gone; keep finishing the task
+            except (BrokenPipeError, OSError):
                 pass  # parent already gone; keep finishing the task
 
     exitcode = 0
@@ -351,44 +349,31 @@ def _pool_worker_main(conn, slot, experiments, config):
                 break  # parent is gone: stop pulling work
             if message[0] == "shutdown":
                 break
-            _, key, seed, task_trace, *rest = (message if len(message) > 3
-                                               else (*message, None))
-            task_budget = rest[0] if rest else None
-            run_fn = install_experiment_context(
-                experiments[key], seed, arrays
-            )
-            trace = task_trace or sweep_trace
+            _, key, seed, trace, budget = message
+            trace = trace or config["trace"]
             trace_kwargs = {}
             if trace is not None:
                 trace_kwargs = {"trace_id": trace.get("trace_id"),
                                 "parent_id": trace.get("span_id"),
                                 "tags": {"worker": slot,
                                          "pid": os.getpid()}}
-            tracer = _WorkerTracer(
-                heartbeat,
-                profile_memory=config.get("profile_memory", False),
-                **trace_kwargs,
+            tracer = _WorkerTracer(heartbeat,
+                                   profile_memory=config["profile_memory"],
+                                   **trace_kwargs)
+            outcome = _run_task(
+                key, experiments[key], seed=seed, arrays=arrays,
+                max_seconds=config["max_seconds"],
+                max_retries=config["max_retries"],
+                # the parent sends the time left before the key's
+                # deadline; pin it to this process's clock on receipt
+                deadline=None if budget is None
+                else time.monotonic() + budget,
+                tracer=tracer, keep_spans=trace is not None,
             )
-            max_seconds = config.get("max_seconds")
-            if task_budget is not None:
-                # per-task deadline budget: the cooperative bound is
-                # the tighter of the sweep budget and the remaining
-                # request deadline (the parent still hard-kills us if
-                # neither is honored)
-                max_seconds = (task_budget if max_seconds is None
-                               else min(max_seconds, task_budget))
-            guard = RunGuard(
-                max_seconds=max_seconds,
-                max_retries=config.get("max_retries", 0),
-                label=key, tracer=tracer,
-            )
-            outcome = _outcome_from_result(key, guard.run(run_fn))
-            if trace is not None:
-                outcome.spans = tracer.to_records()
-                if trace_shard is not None:
-                    # durable span shard: survives this worker (or the
-                    # driver) being SIGKILLed before the pipe delivery
-                    trace_shard.export(outcome.spans)
+            if outcome.spans is not None and trace_shard is not None:
+                # durable span shard: survives this worker (or the
+                # driver) being SIGKILLed before the pipe delivery
+                trace_shard.export(outcome.spans)
             if journal is not None:
                 journal.record(outcome)  # durable before it is reported
             try:
@@ -448,13 +433,19 @@ def resolve_jobs(jobs):
 
 
 class _PoolRun:
-    """One grid execution: scheduling state plus the monitor loop."""
+    """One grid execution: scheduling state plus the monitor loop.
+
+    ``run_experiments`` has checked every argument; ``deadlines`` maps
+    keys to the monotonic instants it pinned. The loop records
+    pool-health metrics (``pool.queue.depth``, ``pool.tasks.steals``,
+    ``pool.task.seconds``, ...) and, when the run ends, merges each
+    worker's last metrics snapshot into the driver's registry.
+    """
 
     def __init__(self, experiments, *, jobs, max_seconds, max_retries,
                  hard_timeout, crash_retries, journal, callback,
                  shared_descriptor, base_seed, profile_memory, keep_going,
-                 trace=None, trace_path=None, trace_contexts=None,
-                 deadlines=None):
+                 trace, trace_path, trace_contexts, deadlines):
         from ..observability.registry import default_registry
 
         self.experiments = dict(experiments)
@@ -470,14 +461,14 @@ class _PoolRun:
         #: key -> absolute monotonic deadline; a key past its deadline
         #: is killed like a hard_timeout (or failed outright while
         #: still pending), whichever bound is tighter
-        self.deadlines = dict(deadlines or {})
-        self.crash_retries = int(crash_retries)
+        self.deadlines = deadlines
+        self.crash_retries = crash_retries
         self.journal = journal
         self.callback = callback
         self.base_seed = base_seed
         self.keep_going = keep_going
         self.trace_path = trace_path
-        self.trace_contexts = dict(trace_contexts or {})
+        self.trace_contexts = trace_contexts
         self.ctx = _pick_context()
         self.pending = deque(self.experiments)
         self.results = {}
@@ -584,8 +575,7 @@ class _PoolRun:
         # the remaining deadline budget also travels to the worker as a
         # cooperative bound, so a budget-aware fit stops on its own a
         # little before the parent would have to kill it
-        budget = (None if key_deadline is None
-                  else max(key_deadline - now, 0.0))
+        budget = None if key_deadline is None else key_deadline - now
         worker.conn.send(("task", key, derive_seed(key, self.base_seed),
                           self.trace_contexts.get(key), budget))
         self._update_gauges()
@@ -603,15 +593,14 @@ class _PoolRun:
         self.metrics.gauge("pool.queue.depth").set(len(self.pending))
         self.metrics.gauge("pool.tasks.in_flight").set(self._in_flight())
 
-    def _handle_outcome(self, worker, key, payload, snapshot=None):
+    def _handle_outcome(self, worker, key, payload, snapshot):
         from ..experiments.harness import ExperimentOutcome
         from ..observability.registry import LATENCY_BUCKETS
 
         outcome = ExperimentOutcome.from_dict(payload)
-        if snapshot is not None:
-            # cumulative per-worker snapshot: keep only the latest and
-            # merge once at the end, never per message
-            self.worker_snapshots[worker.slot] = snapshot
+        # cumulative per-worker snapshot: keep only the latest and
+        # merge once at the end, never per message
+        self.worker_snapshots[worker.slot] = snapshot
         worker.tasks_done += 1
         if key == worker.task:
             if worker.assigned_at is not None:
@@ -708,8 +697,7 @@ class _PoolRun:
         if tag == "heartbeat":
             worker.last_heartbeat = time.monotonic()
         elif tag == "outcome":
-            self._handle_outcome(worker, message[1], message[2],
-                                 message[3] if len(message) > 3 else None)
+            self._handle_outcome(worker, *message[1:])
 
     # -- the monitor loop ------------------------------------------------
 
@@ -735,8 +723,7 @@ class _PoolRun:
         self.metrics.gauge("pool.workers.alive").set(len(self.workers))
         if self.journal is not None:
             self.journal.consolidate()
-        return [self.results[key] for key in self.experiments
-                if key in self.results]
+        return self.results
 
     def _loop(self):
         while self.pending or self._in_flight():
@@ -783,87 +770,3 @@ class _PoolRun:
                 except (BrokenPipeError, OSError):
                     kill = True
             self._discard_worker(worker, kill=kill)
-
-
-def run_pool(experiments, *, jobs=None, max_seconds=None, max_retries=0,
-             hard_timeout=None, crash_retries=0, journal=None,
-             callback=None, shared_data=None, base_seed=0,
-             profile_memory=False, keep_going=True,
-             trace=None, trace_path=None, trace_contexts=None,
-             deadlines=None):
-    """Run an experiment grid on the fault-contained parallel pool.
-
-    Parameters mirror ``run_experiments``; the pool always isolates
-    (every experiment runs in a worker subprocess). ``jobs=None``/``0``
-    uses every core. ``crash_retries`` is the per-key circuit breaker:
-    a key that crashes its worker more than this many times is recorded
-    as ``failed/crashed`` and never rescheduled. ``shared_data`` is a
-    ``{name: ndarray}`` mapping placed in shared memory once and
-    exposed to experiment bodies via :func:`shared_arrays`.
-
-    Tracing: ``trace`` is a sweep-level trace-context dict
-    (``{"trace_id": ..., "span_id": ...}``) every task's worker tracer
-    joins; ``trace_contexts`` maps individual keys to their own
-    contexts (a served job's request trace), which win over the sweep
-    context. When either applies to a task, the worker ships its span
-    records back on the outcome (``outcome.spans``) — and, when
-    ``trace_path`` is set, also maintains a durable per-slot span shard
-    next to it (``<stem>.worker-<slot><suffix>``; the first export
-    atomically replaces a stale shard, later ones append and ``fsync``
-    each task's spans) so spans survive a SIGKILLed worker or driver.
-    Workers additionally ship a
-    :class:`~repro.observability.MetricsRegistry` snapshot with every
-    outcome; the driver merges the final per-worker snapshots into its
-    default registry, and the monitor loop records pool-health metrics
-    (``pool.queue.depth``, ``pool.tasks.in_flight``,
-    ``pool.tasks.steals``, ``pool.workers.respawned``,
-    ``pool.task.seconds``, ...) as it schedules.
-
-    Returns outcomes in grid order. ``KeyboardInterrupt`` kills every
-    worker process group, leaves the per-worker journal shards in place
-    for resume, and propagates.
-    """
-    jobs = resolve_jobs(jobs)
-    if jobs < 1:
-        raise ValidationError("the pool needs at least one worker")
-    if crash_retries < 0:
-        raise ValidationError(
-            f"crash_retries must be >= 0, got {crash_retries}"
-        )
-    if hard_timeout is not None and not float(hard_timeout) > 0:
-        raise ValidationError(
-            f"hard_timeout must be positive, got {hard_timeout}"
-        )
-    if journal is not None and not isinstance(journal, RunJournal):
-        journal = RunJournal(journal)
-    # per-key deadlines arrive as *remaining seconds*; pin them to the
-    # monotonic clock now so time spent queued behind other keys (or
-    # behind worker respawns) still counts against each deadline
-    start = time.monotonic()
-    abs_deadlines = {}
-    for key, remaining in (deadlines or {}).items():
-        if remaining is None:
-            continue
-        if not float(remaining) > 0:
-            raise ValidationError(
-                f"deadline for {key!r} must be positive, got {remaining}")
-        abs_deadlines[key] = start + float(remaining)
-    shared = None
-    descriptor = None
-    try:
-        if shared_data:
-            shared = SharedDataset.create(shared_data)
-            descriptor = shared.descriptor()
-        run = _PoolRun(
-            experiments, jobs=jobs, max_seconds=max_seconds,
-            max_retries=max_retries, hard_timeout=hard_timeout,
-            crash_retries=crash_retries, journal=journal,
-            callback=callback, shared_descriptor=descriptor,
-            base_seed=base_seed, profile_memory=profile_memory,
-            keep_going=keep_going, trace=trace, trace_path=trace_path,
-            trace_contexts=trace_contexts, deadlines=abs_deadlines,
-        )
-        return run.run()
-    finally:
-        if shared is not None:
-            shared.unlink()

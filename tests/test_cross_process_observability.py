@@ -292,6 +292,18 @@ class TestSweepPropagation:
         rendered = render_records(records)
         assert "sweep" in rendered and "@w" in rendered
 
+    def test_trace_shard_write_error_keeps_the_worker(self, tmp_path):
+        """A shard that cannot be written (here its directory is
+        missing) is logged, not fatal: both fits stay ok and their
+        spans still reach the driver over the pipe."""
+        tracer = Tracer()
+        outcomes = run_experiments(
+            {"A": _exp_ok, "B": _exp_ok}, jobs=2, tracer=tracer,
+            trace_path=tmp_path / "gone" / "trace.jsonl")
+        assert [o.status for o in outcomes] == ["ok", "ok"]
+        names = {r["name"] for r in tracer.to_records()}
+        assert {"A", "B"} <= names
+
     def test_torn_shard_recovery(self, tmp_path):
         tracer = Tracer()
         with tracer, tracer.span("whole"):

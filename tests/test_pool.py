@@ -40,7 +40,6 @@ from repro.robustness import (
     experiment_seed,
     load_journal_records,
     resolve_jobs,
-    run_pool,
     shared_arrays,
 )
 from repro.robustness.faults import hang, hard_crash, oom
@@ -143,7 +142,7 @@ def test_shared_data_reaches_pool_workers():
     def total():
         return _table("sum", total=float(shared_arrays()["X"].sum()))
 
-    outcomes = run_pool({"S": total}, jobs=2, shared_data={"X": X})
+    outcomes = run_experiments({"S": total}, jobs=2, shared_data={"X": X})
     assert outcomes[0].table.rows == [{"total": 15.0}]
 
 
@@ -246,6 +245,27 @@ def test_pool_resume_skips_completed_keys(tmp_path):
     assert canonical_summary(first) == canonical_summary(resumed)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_deadline_counts_from_the_call(tmp_path, jobs):
+    """Deadlines are pinned when run_experiments is called: time spent
+    streaming resumed keys to the callback counts against them."""
+    grid = {"A": lambda: _table("a"), "B": lambda: _table("b")}
+    run_experiments({"A": grid["A"]}, journal=RunJournal(tmp_path / "ckpt"))
+
+    def slow_on_skipped(outcome):
+        if outcome.status == "skipped":
+            time.sleep(0.5)
+
+    outcomes = run_experiments(
+        dict(grid), jobs=jobs, journal=RunJournal(tmp_path / "ckpt"),
+        deadlines={"B": 0.2}, callback=slow_on_skipped,
+    )
+    by_key = {o.key: o for o in outcomes}
+    assert by_key["A"].status == "skipped"
+    assert by_key["B"].status == "failed"
+    assert by_key["B"].failure.context["deadline_expired"] is True
+
+
 # -- crash quarantine (the per-key circuit breaker) -----------------------
 
 
@@ -256,7 +276,7 @@ def test_crash_quarantine_after_retries(tmp_path):
         _mark(marker)
         hard_crash()
 
-    outcomes = run_pool(
+    outcomes = run_experiments(
         {"GOOD": lambda: _table("g"), "BAD": crasher},
         jobs=2, crash_retries=2,
     )
@@ -279,7 +299,8 @@ def test_crash_without_retries_fails_once(tmp_path):
         _mark(marker)
         hard_crash()
 
-    outcomes = run_pool({"BAD": crasher}, jobs=1, crash_retries=0)
+    outcomes = run_experiments({"BAD": crasher}, isolate=True,
+                               crash_retries=0)
     assert outcomes[0].failure.kind == "crashed"
     assert _runs(marker) == 1
 
@@ -289,7 +310,7 @@ def test_pool_hang_reaped_at_hard_deadline():
         hang(seconds=60.0)
 
     start = time.monotonic()
-    outcomes = run_pool(
+    outcomes = run_experiments(
         {"H": hung, "OK": lambda: _table("ok")}, jobs=2, hard_timeout=1.0,
     )
     assert time.monotonic() - start < REAP_CEILING
@@ -303,7 +324,7 @@ def test_oom_fault_is_contained_by_the_pool():
     def memory_hog():
         oom(limit_mb=64)
 
-    outcomes = run_pool(
+    outcomes = run_experiments(
         {"OOM": memory_hog, "OK": lambda: _table("ok")}, jobs=2,
     )
     by_key = {o.key: o for o in outcomes}
@@ -324,7 +345,7 @@ def test_grandchild_dies_with_its_worker(tmp_path):
         pidfile.write_text(str(proc.pid))
         hard_crash()
 
-    outcomes = run_pool({"SPAWN": spawner}, jobs=1)
+    outcomes = run_experiments({"SPAWN": spawner}, isolate=True)
     assert outcomes[0].failure.kind == "crashed"
     grandchild = int(pidfile.read_text())
     assert _wait_for(lambda: _pid_gone(grandchild)), \

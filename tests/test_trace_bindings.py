@@ -3,8 +3,9 @@
 ``perfbench/spans.py`` wraps the functions and methods it lists by
 module and attribute name; a renamed or removed one would make the
 traced run fail, or lose a layer, without any tier-1 test noticing.
-These tests resolve every listed name, and pin the checksum count of a
-cached hit that ``io.checksums_per_hit`` reports.
+These tests resolve every listed name and the pool-worker entry it
+wraps, and pin the checksum count of a cached hit that
+``io.checksums_per_hit`` reports.
 """
 
 import importlib
@@ -37,6 +38,16 @@ def test_every_traced_function_and_method_resolves():
         # wrapped on the class itself, so it must be defined there
         assert callable(vars(cls).get(meth)), \
             f"{module_name}.{cls_name}.{meth}"
+
+
+def test_pool_worker_entry_is_read_as_a_module_global():
+    """The traced sweep wraps ``_pool_worker_main`` by rebinding the
+    module attribute, so ``_spawn_worker`` must look it up there."""
+    from repro.robustness import pool
+
+    assert callable(getattr(pool, "_pool_worker_main", None))
+    assert "_pool_worker_main" in \
+        pool._PoolRun._spawn_worker.__code__.co_names
 
 
 def test_verify_and_get_each_checksum_once(tmp_path, monkeypatch):
