@@ -175,13 +175,72 @@ def _mv_spectral(X, truths, seed, k):
     return {"labels": _labels(est.fit([X[:, :2], X[:, 2:]]).labels_)}
 
 
+def _condens(X, truths, seed, k):
+    from repro.originalspace import ConditionalEnsembles
+
+    est = ConditionalEnsembles(n_clusters=k, random_state=seed)
+    est.fit(X, truths[0])
+    return {"labels": _labels(est.labels_),
+            "local_labelings": [_labels(lab)
+                                for lab in est.local_labelings_]}
+
+
+def _subspace_clusters(clustering):
+    return sorted([sorted(c.dims), sorted(c.objects)] for c in clustering)
+
+
+def _p3c(X, truths):
+    from repro.subspace import P3C
+
+    est = P3C().fit(X)
+    return {"labels": _labels(est.labels_),
+            "clusters": _subspace_clusters(est.clusters_),
+            "intervals": {str(j): [[float(lo), float(hi)] for lo, hi in iv]
+                          for j, iv in est.intervals_.items()}}
+
+
+def _statpc(X, truths):
+    from repro.subspace import StatPC
+
+    est = StatPC().fit(X)
+    return {"clusters": _subspace_clusters(est.clusters_),
+            "p_values": [float(p) for p in est.p_values_]}
+
+
+def _fires(X, truths):
+    from repro.subspace import FIRES
+
+    est = FIRES().fit(X)
+    return {"clusters": _subspace_clusters(est.clusters_),
+            "base_clusters": _subspace_clusters(est.base_clusters_),
+            "n_components": int(est.n_components_)}
+
+
+def _tie_labelings(X, truths):
+    """Labelings of the tie-heavy grid whose contingency tables admit
+    several optimal one-to-one matchings."""
+    x0, x1 = X[:, 0].astype(np.int64), X[:, 1].astype(np.int64)
+    return {"x0": [x0, x1, truths[1], x1 // 2 + 2 * (x0 % 2)],
+            "sum3": [(x0 + x1) % 3, x0 % 2, (x0 + x1) % 2, x1]}
+
+
+def _majority_vote(X, truths, reference):
+    from repro.multiview import align_labels, majority_vote_consensus
+
+    labelings = _tie_labelings(X, truths)[reference]
+    return {"labels": _labels(majority_vote_consensus(labelings)),
+            "aligned": [_labels(align_labels(labelings[0], lab))
+                        for lab in labelings[1:]]}
+
+
 def cases():
     """``{family: {case_id: thunk}}`` — every pinned case, unevaluated."""
     data = _datasets()
     out = {family: {} for family in (
         "agglomerative", "coala", "mincentropy", "adco_alternative", "cib",
         "random_projection_ensemble", "meta_clustering", "cspa_consensus",
-        "spectral", "msc", "mv_spectral")}
+        "spectral", "msc", "mv_spectral", "condens", "p3c", "statpc",
+        "fires", "majority_vote")}
 
     def add(family, case_id, fn, name, *args):
         X, truths = data[name]
@@ -216,6 +275,15 @@ def cases():
                 add("mv_spectral", f"k={k}/seed={seed}", _mv_spectral,
                     name, seed, k)
         add("mincentropy", "seed=0/two-givens", _mincentropy, name, 0, 2)
+        add("p3c", "default", _p3c, name)
+        add("statpc", "default", _statpc, name)
+        add("fires", "default", _fires, name)
+        for seed in (0, 1):
+            for k in (2, 3):
+                add("condens", f"k={k}/seed={seed}", _condens, name, seed, k)
+    for reference in ("x0", "sum3"):
+        add("majority_vote", f"reference={reference}", _majority_vote,
+            "ties", reference)
     return out
 
 
