@@ -58,6 +58,7 @@ from __future__ import annotations
 import argparse
 import difflib
 import os
+import re
 import sys
 
 
@@ -294,10 +295,28 @@ def _parse_inject_faults(specs, all_experiments):
     return fail_modes
 
 
+#: ``run_experiments`` parameters that ``repro run`` takes as flags
+_RUN_FLAGS = {"jobs": "--jobs", "crash_retries": "--crash-retries",
+              "hard_timeout": "--hard-timeout"}
+
+
+def _flag_error(exc):
+    """Report a run-layer ``ValidationError`` under the flag's name; the
+    run layer checks these values once, and a bad one is a usage error
+    (exit 2)."""
+    message = str(exc)
+    for name, flag in _RUN_FLAGS.items():
+        message = re.sub(rf"\b{name}\b", flag, message)
+    print(message, file=sys.stderr)
+    return 2
+
+
 def _run_command(args, all_experiments):
+    from .exceptions import ValidationError
     from .experiments import run_experiments, summarize_outcomes
     from .observability.tracer import Tracer
     from .robustness.checkpoint import RunJournal
+    from .robustness.pool import resolve_jobs
 
     if args.budget is not None and not args.budget > 0:
         print(f"--budget must be a positive number of seconds, "
@@ -307,24 +326,12 @@ def _run_command(args, all_experiments):
         print(f"--max-retries must be >= 0, got {args.max_retries}",
               file=sys.stderr)
         return 2
-    if args.jobs < 0:
-        print(f"--jobs must be >= 0 (0 = all cores), got {args.jobs}",
-              file=sys.stderr)
-        return 2
-    if args.crash_retries < 0:
-        print(f"--crash-retries must be >= 0, got {args.crash_retries}",
-              file=sys.stderr)
-        return 2
-    from .robustness.pool import resolve_jobs
-
-    jobs = resolve_jobs(args.jobs)
-    if args.hard_timeout is not None:
-        if not args.hard_timeout > 0:
-            print(f"--hard-timeout must be a positive number of seconds, "
-                  f"got {args.hard_timeout}", file=sys.stderr)
-            return 2
-        if jobs <= 1:
-            args.isolate = True  # a hard deadline needs a killable worker
+    try:
+        jobs = resolve_jobs(args.jobs)
+    except ValidationError as exc:
+        return _flag_error(exc)
+    if args.hard_timeout is not None and jobs <= 1:
+        args.isolate = True  # a hard deadline needs a killable worker
     if args.resume and args.checkpoint is None:
         print("--resume requires --checkpoint DIR (nothing to resume from)",
               file=sys.stderr)
@@ -405,6 +412,8 @@ def _run_command(args, all_experiments):
             crash_retries=args.crash_retries,
             trace_path=args.trace,
         )
+    except ValidationError as exc:
+        return _flag_error(exc)
     except KeyboardInterrupt:
         interrupted = True
         print(f"\ninterrupted -- {len(outcomes)}/{len(keys)} experiment(s) "

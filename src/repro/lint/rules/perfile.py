@@ -48,8 +48,8 @@ _RESEED_CALLEES = frozenset({
 _FORBIDDEN_IMPORTS = {
     "sklearn": "the substrates are reimplemented from scratch in "
                "repro.cluster",
-    "scipy": "DESIGN mandates pure-NumPy substrates; existing SciPy "
-             "uses are individually pragma-justified",
+    "scipy": "DESIGN mandates pure-NumPy substrates; assignment and "
+             "binomial tails live in repro.utils",
     "pandas": "tables go through repro.experiments.ResultTable",
 }
 

@@ -9,12 +9,10 @@ ARI/NMI (e.g. the subspace-clustering evaluation study, Müller et al.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import (  # repro: noqa[RL002] - Hungarian matching has no NumPy substrate
-    linear_sum_assignment,
-)
 
 from .contingency import contingency_matrix
 from ..exceptions import ValidationError
+from ..utils.assignment import min_cost_assignment
 
 __all__ = ["purity", "clustering_accuracy", "f_measure"]
 
@@ -30,7 +28,7 @@ def clustering_accuracy(labels_pred, labels_true):
     """Best-matching accuracy: Hungarian one-to-one matching of
     predicted clusters to true classes, then fraction correct."""
     mat = contingency_matrix(labels_pred, labels_true)
-    rows, cols = linear_sum_assignment(-mat)
+    rows, cols = min_cost_assignment(-mat)
     return float(mat[rows, cols].sum() / mat.sum())
 
 

@@ -16,12 +16,10 @@ and user code share it.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import (  # repro: noqa[RL002] - Hungarian matching has no NumPy substrate
-    linear_sum_assignment,
-)
 
 from .partition import adjusted_rand_index
 from ..exceptions import ValidationError
+from ..utils.assignment import min_cost_assignment
 
 __all__ = ["solution_truth_matrix", "MultipleClusteringReport"]
 
@@ -81,7 +79,7 @@ class MultipleClusteringReport:
         self.solutions = [np.asarray(s) for s in solutions]
         self.truths = [np.asarray(t) for t in truths]
         self.matrix_ = solution_truth_matrix(solutions, truths, score=score)
-        rows, cols = linear_sum_assignment(-self.matrix_)
+        rows, cols = min_cost_assignment(-self.matrix_)
         self.assignment_ = [
             (int(r), int(c), float(self.matrix_[r, c]))
             for r, c in zip(rows, cols)

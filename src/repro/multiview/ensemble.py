@@ -15,9 +15,6 @@ into one, maximising shared information:
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import (  # repro: noqa[RL002] - Hungarian matching has no NumPy substrate
-    linear_sum_assignment,
-)
 
 from ..cluster.hierarchical import LinkageMatrix
 from ..core.base import ParamsMixin
@@ -25,6 +22,7 @@ from ..core.taxonomy import Processing, SearchSpace, TaxonomyEntry, register
 from ..exceptions import ValidationError
 from ..metrics.contingency import contingency_matrix
 from ..metrics.information import normalized_mutual_information
+from ..utils.assignment import min_cost_assignment
 from ..utils.validation import check_labels
 
 __all__ = [
@@ -91,7 +89,7 @@ def align_labels(reference, labels):
     ref = check_labels(reference)
     lab = check_labels(labels, n_samples=ref.shape[0])
     mat = contingency_matrix(lab, ref, include_noise=False)
-    rows, cols = linear_sum_assignment(-mat)
+    rows, cols = min_cost_assignment(-mat)
     lab_ids = np.unique(lab[lab != -1])
     ref_ids = np.unique(ref[ref != -1])
     mapping = {}

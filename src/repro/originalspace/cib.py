@@ -61,12 +61,13 @@ def _plogp(p):
 def _row_term(row, py):
     """One cluster's share of I(Y;C|D=d): the sum over y of
     ``p(y,c|d) log(p(y,c|d) / (p(c|d) p(y|d)))`` for its row of the
-    table."""
+    table. The ratio is taken in log space: near 1e-200 masses the
+    product ``p(c|d) p(y|d)`` underflows to zero."""
     nz = row > 0
     t = row[nz]
     if not t.size:
         return 0.0
-    return float(np.dot(t, np.log(t / (t.sum() * py[nz]))))
+    return float(np.dot(t, np.log(t) - np.log(py[nz]) - math.log(t.sum())))
 
 
 class _State:
@@ -257,8 +258,9 @@ class ConditionalInformationBottleneck(AlternativeClusterer):
             pc_d = pyc.sum(axis=1)
             py_d = pyc.sum(axis=0)
             nz = pyc > 0
-            denom = np.outer(pc_d, py_d)
-            i_d = float(np.sum(pyc[nz] * np.log(pyc[nz] / denom[nz])))
+            with np.errstate(divide="ignore"):  # log 0 only where pyc is 0
+                log_denom = np.log(pc_d)[:, None] + np.log(py_d)[None, :]
+            i_d = float(np.sum(pyc[nz] * (np.log(pyc[nz]) - log_denom[nz])))
             i_ycd += pd * i_d
         return i_xc, i_ycd
 

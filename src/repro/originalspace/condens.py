@@ -18,14 +18,12 @@ semantics the ensemble consensus of the paper provides.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import (  # repro: noqa[RL002] - Hungarian matching has no NumPy substrate
-    linear_sum_assignment,
-)
 
 from ..cluster.kmeans import KMeans
 from ..core.base import AlternativeClusterer
 from ..core.taxonomy import Processing, SearchSpace, TaxonomyEntry, register
 from ..exceptions import ValidationError
+from ..utils.assignment import min_cost_assignment
 from ..utils.linalg import cdist_sq
 from ..utils.validation import check_array, check_n_clusters, check_random_state
 
@@ -127,7 +125,7 @@ class ConditionalEnsembles(AlternativeClusterer):
                 mapping = {j: j for j in range(centroids[ci].shape[0])}
             else:
                 cost = cdist_sq(centroids[ci], centroids[ref])
-                rows, cols = linear_sum_assignment(cost)
+                rows, cols = min_cost_assignment(cost)
                 mapping = {int(r): int(c) for r, c in zip(rows, cols)}
             for j, idx in enumerate(memberships[ci]):
                 target = mapping.get(j)

@@ -20,11 +20,11 @@ P3C works statistically, bottom-up from one-dimensional evidence:
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats  # repro: noqa[RL002] - Poisson/chi-square tails have no NumPy substrate
 
 from ..core.base import ParamsMixin
 from ..core.subspace import SubspaceCluster, SubspaceClustering
 from ..core.taxonomy import Processing, SearchSpace, TaxonomyEntry, register
+from ..utils.special import binomial_sf
 from ..utils.validation import check_count, check_in_range
 
 __all__ = ["P3C", "significant_intervals"]
@@ -61,10 +61,7 @@ def significant_intervals(values, *, n_bins=10, alpha=1e-3):
                   0, n_bins - 1)
     counts = np.bincount(idx, minlength=n_bins)
     threshold_p = alpha / n_bins
-    marked = np.array([
-        stats.binom.sf(c - 1, n, 1.0 / n_bins) <= threshold_p
-        for c in counts
-    ])
+    marked = binomial_sf(counts - 1, n, 1.0 / n_bins) <= threshold_p
     intervals = []
     b = 0
     while b < n_bins:
@@ -150,8 +147,8 @@ class P3C(ParamsMixin):
                 rest_support = len(support(rest))
                 p_int = len(interval_members[key]) / n
                 expected = rest_support * p_int
-                pval = stats.binom.sf(len(members) - 1, max(rest_support, 1),
-                                      min(p_int, 1.0))
+                pval = binomial_sf(len(members) - 1, max(rest_support, 1),
+                                   min(p_int, 1.0))
                 worst_p = min(worst_p, pval)
                 if expected >= len(members):
                     return False

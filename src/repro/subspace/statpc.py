@@ -22,12 +22,12 @@ miner, CLIQUE by default — the tutorial notes the cluster definition
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats  # repro: noqa[RL002] - exact binomial tails have no NumPy substrate
 
 from ..core.base import ParamsMixin
 from ..core.subspace import SubspaceClustering
 from ..core.taxonomy import Processing, SearchSpace, TaxonomyEntry, register
 from ..exceptions import ValidationError
+from ..utils.special import binomial_sf
 from ..utils.validation import check_array, check_in_range
 
 __all__ = ["StatPC", "cluster_significance"]
@@ -72,7 +72,7 @@ def cluster_significance(X, cluster):
         # floor at 1/n of the range to keep the null well-defined.
         vol *= max(width / span, 1.0 / n)
     vol = min(vol, 1.0)
-    return float(stats.binom.sf(len(objs) - 1, n, vol))
+    return float(binomial_sf(len(objs) - 1, n, vol))
 
 
 class StatPC(ParamsMixin):

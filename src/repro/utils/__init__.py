@@ -1,5 +1,7 @@
-"""Shared utilities: validation and linear-algebra kernels."""
+"""Shared utilities: validation, linear-algebra kernels, optimal
+assignment and the binomial tail."""
 
+from .assignment import min_cost_assignment
 from .linalg import (
     cdist_sq,
     center_kernel,
@@ -12,6 +14,7 @@ from .linalg import (
     pairwise_sq_distances,
     rbf_kernel,
 )
+from .special import binomial_sf
 from .validation import (
     as_feature_indices,
     check_array,
@@ -23,11 +26,13 @@ from .validation import (
 )
 
 __all__ = [
+    "binomial_sf",
     "cdist_sq",
     "center_kernel",
     "distance_contrast",
     "logsumexp",
     "mahalanobis_sq",
+    "min_cost_assignment",
     "orthogonal_complement_projector",
     "orthonormal_basis",
     "pairwise_distances",
