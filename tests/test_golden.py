@@ -1,6 +1,6 @@
 """Golden outputs: seed-exact results of the hierarchical, alternative
-and spectral clusterers, pinned across refactors and kernel
-optimisations.
+and spectral clusterers and of the k-means and EM substrate, pinned
+across refactors and kernel optimisations.
 
 ``tools/gen_golden.py`` defines the cases and wrote ``tests/golden/``.
 Labels and merge pairs must match exactly, floats to rtol 1e-9.
@@ -33,3 +33,13 @@ def test_mismatches_reports_labels_and_float_drift():
     assert len(found) == 2
     within = {"c": {"labels": [0, 1], "objective": 1.0 + 1e-12}}
     assert gen_golden.mismatches(expected, within) == []
+
+
+def test_named_families_rewrite_only_those(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(gen_golden, "GOLDEN_DIR", tmp_path)
+    assert gen_golden.main(["kmeans"]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["kmeans.json"]
+    assert gen_golden.main(["--check", "kmeans"]) == 0
+    assert gen_golden.main(["kmeans", "no-such-family"]) == 2
+    assert "no-such-family" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["kmeans.json"]
