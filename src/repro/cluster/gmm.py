@@ -17,9 +17,8 @@ from ..exceptions import ConvergenceWarning, ValidationError
 from ..observability.telemetry import capture_convergence, record_convergence
 from ..observability.tracer import traced_fit
 from ..robustness.guard import budget_tick
-from ..utils.linalg import cdist_sq, logsumexp
+from ..utils.linalg import cdist_sq, logsumexp, row_sq_norms
 from ..utils.validation import (
-    check_array,
     check_count,
     check_n_clusters,
     check_random_state,
@@ -72,27 +71,49 @@ def _regularized_cholesky(cov):
     return np.diag(np.sqrt(diag))
 
 
-def gaussian_log_density(X, mean, cov, covariance_type):
-    """Log density of each row of ``X`` under one Gaussian component."""
+def _log_densities(X, means, covs, covariance_type):
+    """(n, k) log density of each row of ``X`` under each component.
+
+    All components at once, and bit for bit what one component at a
+    time computes. A full-covariance stack that does not factor at the
+    ``_MIN_VAR`` ridge falls back to :func:`_regularized_cholesky` per
+    component, which escalates the ridge of the singular ones only.
+    """
     d = X.shape[1]
-    diff = X - mean[None, :]
+    # (n, k, d): rows vary slowest, so sums over features come out as a
+    # C-ordered (n, k), as the M-step's column sums expect
+    diff = X[:, None, :] - means[None, :, :]
+    covs = np.asarray(covs, dtype=np.float64)
     if covariance_type == "spherical":
-        var = max(float(cov), _MIN_VAR)
-        maha = np.sum(diff * diff, axis=1) / var
+        var = np.maximum(covs, _MIN_VAR)
+        maha = (diff * diff).sum(axis=2) / var
         logdet = d * np.log(var)
     elif covariance_type == "diag":
-        var = np.maximum(np.asarray(cov, dtype=np.float64), _MIN_VAR)
-        maha = np.sum(diff * diff / var[None, :], axis=1)
-        logdet = float(np.sum(np.log(var)))
+        var = np.maximum(covs, _MIN_VAR)
+        maha = (diff * diff / var).sum(axis=2)
+        logdet = np.log(var).sum(axis=1)
     elif covariance_type == "full":
-        cov = np.asarray(cov, dtype=np.float64)
-        chol = _regularized_cholesky(cov)
-        sol = np.linalg.solve(chol, diff.T)
-        maha = np.sum(sol * sol, axis=0)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        try:
+            chol = np.linalg.cholesky(covs + _MIN_VAR * np.eye(d))
+            factored = bool(np.isfinite(chol).all())
+        except np.linalg.LinAlgError:
+            factored = False
+        if not factored:
+            chol = np.empty_like(covs)
+            for j in range(covs.shape[0]):
+                chol[j] = _regularized_cholesky(covs[j])
+        sol = np.linalg.solve(chol, diff.transpose(1, 2, 0))
+        maha = np.ascontiguousarray((sol * sol).sum(axis=1).T)
+        logdet = 2.0 * np.log(chol.diagonal(axis1=1, axis2=2)).sum(axis=1)
     else:
         raise ValidationError(f"unknown covariance_type {covariance_type!r}")
     return -0.5 * (maha + logdet + d * np.log(2.0 * np.pi))
+
+
+def gaussian_log_density(X, mean, cov, covariance_type):
+    """Log density of each row of ``X`` under one Gaussian component."""
+    return _log_densities(X, mean[None, :], np.asarray(cov)[None],
+                          covariance_type)[:, 0]
 
 
 def e_step(X, weights, means, covs, covariance_type):
@@ -100,10 +121,7 @@ def e_step(X, weights, means, covs, covariance_type):
 
     Returns ``(resp, log_likelihood)`` where ``resp`` is (n, k).
     """
-    k = means.shape[0]
-    log_prob = np.empty((X.shape[0], k))
-    for j in range(k):
-        log_prob[:, j] = gaussian_log_density(X, means[j], covs[j], covariance_type)
+    log_prob = _log_densities(X, means, covs, covariance_type)
     log_weighted = log_prob + np.log(np.maximum(weights, 1e-300))[None, :]
     log_norm = logsumexp(log_weighted, axis=1)
     resp = np.exp(log_weighted - log_norm[:, None])
@@ -124,21 +142,22 @@ def m_step(X, resp, covariance_type, *, mean_override=None):
         means = np.asarray(mean_override, dtype=np.float64)
     k = means.shape[0]
     if covariance_type == "spherical":
+        # one distance call per component: a single (n, k) call differs
+        # in the last bit of some columns
+        x_sq = row_sq_norms(X)
         covs = np.empty(k)
         for j in range(k):
-            diff2 = cdist_sq(X, means[j:j + 1]).ravel()
+            diff2 = cdist_sq(X, means[j:j + 1], a_sq=x_sq).ravel()
             covs[j] = max(float((resp[:, j] @ diff2) / (nk[j] * d)), _MIN_VAR)
-    elif covariance_type == "diag":
-        covs = np.empty((k, d))
-        for j in range(k):
-            diff = X - means[j]
-            covs[j] = np.maximum((resp[:, j] @ (diff * diff)) / nk[j], _MIN_VAR)
-    elif covariance_type == "full":
-        covs = np.empty((k, d, d))
-        for j in range(k):
-            diff = X - means[j]
-            covs[j] = (resp[:, j][:, None] * diff).T @ diff / nk[j]
-            covs[j] += _MIN_VAR * np.eye(d)
+    elif covariance_type in ("diag", "full"):
+        diff = X[None, :, :] - means[:, None, :]  # (k, n, d)
+        if covariance_type == "diag":
+            covs = np.maximum((resp.T[:, None, :] @ (diff * diff))[:, 0]
+                              / nk[:, None], _MIN_VAR)
+        else:
+            covs = ((resp.T[:, :, None] * diff).transpose(0, 2, 1) @ diff
+                    / nk[:, None, None])
+            covs += _MIN_VAR * np.eye(d)
     else:
         raise ValidationError(f"unknown covariance_type {covariance_type!r}")
     return weights, means, covs
@@ -252,20 +271,19 @@ class GaussianMixtureEM(BaseClusterer):
         record_convergence(self, best_trace)
         return self
 
+    def _e_step(self, X):
+        if self.means_ is None:
+            raise ValidationError("GaussianMixtureEM is not fitted")
+        X = self._check_array(X, n_features=self.means_.shape[1])
+        resp, ll = e_step(X, self.weights_, self.means_, self.covariances_,
+                          self.covariance_type)
+        return resp, ll / X.shape[0]
+
     def predict(self, X):
         """MAP component for new points under the fitted mixture."""
-        if self.means_ is None:
-            raise ValidationError("GaussianMixtureEM is not fitted")
-        X = check_array(X)
-        resp, _ = e_step(X, self.weights_, self.means_, self.covariances_,
-                         self.covariance_type)
-        return np.argmax(resp, axis=1).astype(np.int64)
+        return np.argmax(self._e_step(X)[0], axis=1).astype(np.int64)
 
     def score_samples(self, X):
-        """Per-sample log-likelihood under the fitted mixture."""
-        if self.means_ is None:
-            raise ValidationError("GaussianMixtureEM is not fitted")
-        X = check_array(X)
-        _, ll = e_step(X, self.weights_, self.means_, self.covariances_,
-                       self.covariance_type)
-        return ll / X.shape[0]
+        """Mean log-likelihood per sample of ``X`` under the fitted
+        mixture: one float, not one value per sample."""
+        return self._e_step(X)[1]

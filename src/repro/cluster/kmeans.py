@@ -16,9 +16,8 @@ from ..exceptions import ConvergenceWarning, ValidationError
 from ..observability.telemetry import capture_convergence, record_convergence
 from ..observability.tracer import traced_fit
 from ..robustness.guard import budget_tick
-from ..utils.linalg import cdist_sq
+from ..utils.linalg import cdist_sq, row_sq_norms
 from ..utils.validation import (
-    check_array,
     check_count,
     check_n_clusters,
     check_random_state,
@@ -30,21 +29,49 @@ __all__ = ["KMeans", "kmeans_plus_plus"]
 def kmeans_plus_plus(X, n_clusters, rng):
     """k-means++ seeding: return ``n_clusters`` initial centroids."""
     n = X.shape[0]
+    x_sq = row_sq_norms(X)
     centers = np.empty((n_clusters, X.shape[1]))
     first = rng.integers(n)
     centers[0] = X[first]
-    closest = cdist_sq(X, centers[:1]).ravel()
+    closest = cdist_sq(X, centers[:1], a_sq=x_sq).ravel()
     for c in range(1, n_clusters):
         total = closest.sum()
         if total <= 0:
             # All remaining points coincide with chosen centers.
             idx = rng.integers(n)
         else:
-            probs = closest / total
-            idx = rng.choice(n, p=probs)
+            # The draw ``rng.choice(n, p=closest / total)`` makes, without
+            # its argument checks: the same index and generator state.
+            cdf = (closest / total).cumsum()
+            cdf /= cdf[-1]
+            idx = cdf.searchsorted(rng.random(), side="right")
         centers[c] = X[idx]
-        closest = np.minimum(closest, cdist_sq(X, centers[c:c + 1]).ravel())
+        closest = np.minimum(
+            closest, cdist_sq(X, centers[c:c + 1], a_sq=x_sq).ravel())
     return centers
+
+
+def _assign(X, x_sq, centers):
+    """Nearest center of each row and its squared distance."""
+    d2 = cdist_sq(X, centers, a_sq=x_sq)
+    return d2.argmin(axis=1), d2.min(axis=1)
+
+
+def _update_centers(X, labels, nearest, k):
+    """Mean of each cluster's rows; an empty cluster is re-seeded at the
+    row farthest from its center (``nearest`` is each row's squared
+    distance to it)."""
+    d = X.shape[1]
+    counts = np.bincount(labels, minlength=k)
+    # entry (i, j) of X sums into bin labels[i] * d + j of a flat (k, d)
+    # table
+    sums = np.bincount((labels[:, None] * d + np.arange(d)).ravel(),
+                       weights=X.ravel(), minlength=k * d).reshape(k, d)
+    empty = counts == 0
+    if empty.any():
+        sums[empty] = X[np.argmax(nearest)]
+        counts[empty] = 1
+    return sums / counts[:, None]
 
 
 class KMeans(BaseClusterer):
@@ -110,23 +137,16 @@ class KMeans(BaseClusterer):
 
     @staticmethod
     def _lloyd(X, centers, max_iter, tol):
+        k = centers.shape[0]
+        x_sq = row_sq_norms(X)
         prev_inertia = np.inf
-        labels = None
         n_iter = 0
         converged = False
         for n_iter in range(1, max_iter + 1):
-            d2 = cdist_sq(X, centers)
-            labels = np.argmin(d2, axis=1)
-            inertia = float(d2[np.arange(X.shape[0]), labels].sum())
+            labels, nearest = _assign(X, x_sq, centers)
+            inertia = float(nearest.sum())
             budget_tick(objective=inertia)
-            for c in range(centers.shape[0]):
-                members = labels == c
-                if members.any():
-                    centers[c] = X[members].mean(axis=0)
-                else:
-                    # Re-seed an empty cluster at the farthest point.
-                    far = int(np.argmax(d2[np.arange(X.shape[0]), labels]))
-                    centers[c] = X[far]
+            centers = _update_centers(X, labels, nearest, k)
             # The first pass has no previous objective (inf sentinel, and
             # inf <= tol*inf would hold) — never declare convergence on it.
             if (np.isfinite(prev_inertia)
@@ -137,10 +157,8 @@ class KMeans(BaseClusterer):
                 break
             prev_inertia = inertia
         # Final assignment against the updated centers.
-        d2 = cdist_sq(X, centers)
-        labels = np.argmin(d2, axis=1)
-        inertia = float(d2[np.arange(X.shape[0]), labels].sum())
-        return labels, centers, inertia, n_iter, converged
+        labels, nearest = _assign(X, x_sq, centers)
+        return labels, centers, float(nearest.sum()), n_iter, converged
 
     @traced_fit
     def fit(self, X):
@@ -178,5 +196,5 @@ class KMeans(BaseClusterer):
         """Assign new points to the nearest fitted center."""
         if self.cluster_centers_ is None:
             raise ValidationError("KMeans is not fitted")
-        X = check_array(X)
+        X = self._check_array(X, n_features=self.cluster_centers_.shape[1])
         return np.argmin(cdist_sq(X, self.cluster_centers_), axis=1).astype(np.int64)

@@ -87,14 +87,21 @@ class ParamsMixin:
         params = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
         return f"{type(self).__name__}({params})"
 
-    def _check_array(self, X, **kwargs):
+    def _check_array(self, X, *, n_features=None, **kwargs):
         """:func:`check_array` with this estimator's name in messages.
 
         Every ``fit`` validates through this so harness logs attribute a
-        rejected input to the estimator that rejected it.
+        rejected input to the estimator that rejected it. ``predict``
+        passes ``n_features``, the column count of the fitted data.
         """
         kwargs.setdefault("estimator", type(self).__name__)
-        return check_array(X, **kwargs)
+        X = check_array(X, **kwargs)
+        if n_features is not None and X.shape[1] != n_features:
+            raise ValidationError(
+                f"{kwargs['estimator']}: X has {X.shape[1]} features, but "
+                f"the model was fitted on {n_features}"
+            )
+        return X
 
 
 class BaseClusterer(ParamsMixin):

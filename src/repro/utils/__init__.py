@@ -13,6 +13,7 @@ from .linalg import (
     pairwise_distances,
     pairwise_sq_distances,
     rbf_kernel,
+    row_sq_norms,
 )
 from .special import binomial_sf
 from .validation import (
@@ -38,6 +39,7 @@ __all__ = [
     "pairwise_distances",
     "pairwise_sq_distances",
     "rbf_kernel",
+    "row_sq_norms",
     "as_feature_indices",
     "check_array",
     "check_in_range",

@@ -10,6 +10,7 @@ __all__ = [
     "pairwise_sq_distances",
     "pairwise_distances",
     "cdist_sq",
+    "row_sq_norms",
     "mahalanobis_sq",
     "orthonormal_basis",
     "orthogonal_complement_projector",
@@ -20,17 +21,25 @@ __all__ = [
 ]
 
 
-def cdist_sq(A, B):
+def row_sq_norms(A):
+    """``|a|^2`` of each row of ``A``, as :func:`cdist_sq` computes it."""
+    A = np.asarray(A, dtype=np.float64)
+    return (A * A).sum(axis=1)
+
+
+def cdist_sq(A, B, *, a_sq=None):
     """Squared Euclidean distances between rows of ``A`` and rows of ``B``.
 
     Uses the expansion ``|a-b|^2 = |a|^2 + |b|^2 - 2 a.b`` with clipping to
-    guard against negative round-off.
+    guard against negative round-off. A caller that measures many ``B``
+    against one ``A`` passes ``a_sq=row_sq_norms(A)`` once; the result
+    is bit-identical.
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
-    aa = np.sum(A * A, axis=1)[:, None]
-    bb = np.sum(B * B, axis=1)[None, :]
-    d2 = aa + bb - 2.0 * (A @ B.T)
+    aa = row_sq_norms(A) if a_sq is None else a_sq
+    bb = row_sq_norms(B)
+    d2 = aa[:, None] + bb[None, :] - 2.0 * (A @ B.T)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -95,9 +104,9 @@ def orthogonal_complement_projector(A):
 def logsumexp(a, axis=None):
     """Numerically stable ``log(sum(exp(a)))``."""
     a = np.asarray(a, dtype=np.float64)
-    amax = np.max(a, axis=axis, keepdims=True)
+    amax = a.max(axis=axis, keepdims=True)
     amax = np.where(np.isfinite(amax), amax, 0.0)
-    out = np.log(np.sum(np.exp(a - amax), axis=axis, keepdims=True)) + amax
+    out = np.log(np.exp(a - amax).sum(axis=axis, keepdims=True)) + amax
     if axis is None:
         return float(out.ravel()[0])
     return np.squeeze(out, axis=axis)

@@ -56,6 +56,14 @@ class TestKMeans:
         with pytest.raises(ValidationError):
             KMeans().predict(np.zeros((2, 2)))
 
+    def test_predict_with_other_feature_count_raises(self, blobs3):
+        X, _ = blobs3
+        km = KMeans(n_clusters=3, random_state=0).fit(X)
+        with pytest.raises(ValidationError,
+                           match="KMeans: X has 3 features, but the model "
+                                 "was fitted on 2"):
+            km.predict(np.zeros((4, 3)))
+
     def test_reproducible(self, blobs3):
         X, _ = blobs3
         a = KMeans(n_clusters=3, random_state=42).fit(X).labels_
