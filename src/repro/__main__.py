@@ -297,7 +297,8 @@ def _parse_inject_faults(specs, all_experiments):
 
 #: ``run_experiments`` parameters that ``repro run`` takes as flags
 _RUN_FLAGS = {"jobs": "--jobs", "crash_retries": "--crash-retries",
-              "hard_timeout": "--hard-timeout"}
+              "hard_timeout": "--hard-timeout", "isolate": "--isolate",
+              "fail_keys": "--inject-fault"}
 
 
 def _flag_error(exc):
@@ -316,7 +317,6 @@ def _run_command(args, all_experiments):
     from .experiments import run_experiments, summarize_outcomes
     from .observability.tracer import Tracer
     from .robustness.checkpoint import RunJournal
-    from .robustness.pool import resolve_jobs
 
     if args.budget is not None and not args.budget > 0:
         print(f"--budget must be a positive number of seconds, "
@@ -326,11 +326,7 @@ def _run_command(args, all_experiments):
         print(f"--max-retries must be >= 0, got {args.max_retries}",
               file=sys.stderr)
         return 2
-    try:
-        jobs = resolve_jobs(args.jobs)
-    except ValidationError as exc:
-        return _flag_error(exc)
-    if args.hard_timeout is not None and jobs <= 1:
+    if args.hard_timeout is not None:
         args.isolate = True  # a hard deadline needs a killable worker
     if args.resume and args.checkpoint is None:
         print("--resume requires --checkpoint DIR (nothing to resume from)",
@@ -358,15 +354,6 @@ def _run_command(args, all_experiments):
     if unmatched:
         print(f"warning: --inject-fault {', '.join(sorted(unmatched))} "
               "matches no selected experiment", file=sys.stderr)
-    hard_modes = {k: m for k, m in fail_modes.items()
-                  if k in keys and m in ("hang", "crash", "oom")}
-    if hard_modes and not args.isolate and jobs <= 1:
-        print(f"--inject-fault modes "
-              f"{', '.join(f'{k}:{m}' for k, m in sorted(hard_modes.items()))} "
-              "defeat cooperative budgets; add --isolate or --jobs N (and "
-              "--hard-timeout for hangs) so the sweep can survive them",
-              file=sys.stderr)
-        return 2
 
     def stream(outcome):
         if outcome.status == "skipped":
@@ -408,7 +395,7 @@ def _run_command(args, all_experiments):
             isolate=args.isolate,
             hard_timeout=args.hard_timeout,
             journal=journal,
-            jobs=jobs,
+            jobs=args.jobs,
             crash_retries=args.crash_retries,
             trace_path=args.trace,
         )

@@ -15,6 +15,7 @@ attributes, and support ``get_params``/``set_params`` for harness sweeps.
 
 from __future__ import annotations
 
+import functools
 import inspect
 
 import numpy as np
@@ -31,17 +32,24 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
+def _init_param_names(cls):
+    """Constructor parameter names of ``cls``, introspected once per
+    class (a subclass that overrides ``__init__`` is its own key)."""
+    sig = inspect.signature(cls.__init__)
+    return tuple(
+        name
+        for name, p in sig.parameters.items()
+        if name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
+    )
+
+
 class ParamsMixin:
     """``get_params``/``set_params`` driven by the ``__init__`` signature."""
 
     @classmethod
     def _param_names(cls):
-        sig = inspect.signature(cls.__init__)
-        return [
-            name
-            for name, p in sig.parameters.items()
-            if name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
-        ]
+        return list(_init_param_names(cls))
 
     def get_params(self):
         """Constructor parameters as a dict."""

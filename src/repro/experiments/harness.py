@@ -73,6 +73,7 @@ logger = get_logger("experiments")
 #: cap trips and then dies by SIGKILL, the way the kernel OOM killer
 #: ends a worker (surfaces as a ``"crashed"`` failure).
 INJECT_MODES = ("error", "hang", "crash", "oom")
+_HARD_MODES = ("hang", "crash", "oom")
 
 
 class ResultTable:
@@ -635,6 +636,14 @@ def run_experiments(experiments, *, keep_going=True, max_seconds=None,
             f"crash_retries must be >= 0, got {crash_retries}"
         )
     isolate = isolate or jobs > 1
+    hard_modes = sorted(f"{key}:{mode}" for key, mode in fail_modes.items()
+                        if key in experiments and mode in _HARD_MODES)
+    if hard_modes and not isolate:
+        raise ValidationError(
+            f"fail_keys modes {', '.join(hard_modes)} defeat cooperative "
+            "budgets; run them isolated (isolate, or jobs > 1, and "
+            "hard_timeout for hangs) so the sweep can survive them"
+        )
     if hard_timeout is not None:
         if not isolate:
             raise ValidationError(

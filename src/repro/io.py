@@ -529,11 +529,18 @@ def sanitize_json(obj):
 
 
 def dumps(obj, **kwargs):
-    """Strict-RFC ``json.dumps``: sanitises non-finite floats first and
-    serialises with ``allow_nan=False`` so bare ``NaN`` tokens can never
-    be emitted."""
+    """Strict-RFC ``json.dumps``: ``json.dumps(sanitize_json(obj))`` with
+    ``allow_nan=False``, so bare ``NaN`` tokens can never be emitted.
+
+    The object is encoded strictly first; only one that holds a
+    non-finite float makes the encoder raise and pays for the
+    :func:`sanitize_json` walk. The output is the same either way.
+    """
     kwargs.setdefault("allow_nan", False)
-    return json.dumps(sanitize_json(obj), **kwargs)
+    try:
+        return json.dumps(obj, **{**kwargs, "allow_nan": False})
+    except ValueError:
+        return json.dumps(sanitize_json(obj), **kwargs)
 
 
 def payload_checksum(data):

@@ -30,6 +30,7 @@ per-status counters) and tagged with an ``X-Request-Id`` header.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import threading
@@ -111,6 +112,10 @@ def _decode_params(raw):
 class _ServeHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1"
+    # headers and body go out as two writes; with Nagle's algorithm the
+    # body waits for the client's delayed ACK of the headers (about
+    # 40 ms per reply on a keep-alive connection)
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
 
@@ -168,17 +173,13 @@ class _ServeHandler(BaseHTTPRequestHandler):
             # a reply; nothing to serve it to
             logger.debug("could not send JSON error reply", exc_info=True)
 
-    def _read_json_body(self):
+    def _read_body(self):
         length = int(self.headers.get("Content-Length") or 0)
         if length <= 0:
             raise _HTTPError(400, "missing request body")
         if length > _MAX_BODY_BYTES:
             raise _HTTPError(413, "request body too large")
-        raw = self.rfile.read(length)
-        try:
-            return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _HTTPError(400, f"invalid JSON body: {exc}") from exc
+        return self.rfile.read(length)
 
     def _dispatch(self, method):
         self._request_id = os.urandom(6).hex()
@@ -277,7 +278,31 @@ class _ServeHandler(BaseHTTPRequestHandler):
                          f"no route for {method} {path}")
 
     def _post_job(self, scheduler):
-        body = self._read_json_body()
+        raw = self._read_body()
+        # a body the scheduler has accepted before, whose model is
+        # still cached (and checksum-valid), is answered from its
+        # digest alone: no decode, no fingerprint, no validation
+        digest = hashlib.sha256(raw).digest()
+        trace = current_trace_context()
+        job = scheduler.submit_repeat(digest, trace=trace)
+        if job is None:
+            job = self._submit_body(scheduler, raw, digest, trace)
+        status = 200 if (job.cached or job.coalesced) else 202
+        if status == 202:
+            # fresh job: after the request span closes, _dispatch hands
+            # this request's span records to the job so GET /jobs/<id>
+            # can render the full request->scheduler->worker tree
+            self._trace_job_id = job.id
+        return self._reply(status, {"job": job.to_dict(),
+                                    "request_id": self._request_id})
+
+    @staticmethod
+    def _submit_body(scheduler, raw, digest, trace):
+        """Decode and validate a ``POST /jobs`` body and submit it."""
+        try:
+            body = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise _HTTPError(400, f"invalid JSON body: {exc}") from exc
         if not isinstance(body, dict):
             raise _HTTPError(400, "request body must be a JSON object")
         estimator = body.get("estimator")
@@ -310,18 +335,11 @@ class _ServeHandler(BaseHTTPRequestHandler):
                 raise _HTTPError(
                     400, "deadline_ms must be a positive number")
         params = _decode_params(body.get("params"))
-        job = scheduler.submit(estimator, X, params=params, given=given,
-                               seed=seed, trace=current_trace_context(),
-                               deadline=(None if deadline_ms is None
-                                         else deadline_ms / 1000.0))
-        status = 200 if (job.cached or job.coalesced) else 202
-        if status == 202:
-            # fresh job: after the request span closes, _dispatch hands
-            # this request's span records to the job so GET /jobs/<id>
-            # can render the full request->scheduler->worker tree
-            self._trace_job_id = job.id
-        return self._reply(status, {"job": job.to_dict(),
-                                    "request_id": self._request_id})
+        return scheduler.submit(estimator, X, params=params, given=given,
+                                seed=seed, trace=trace,
+                                deadline=(None if deadline_ms is None
+                                          else deadline_ms / 1000.0),
+                                digest=digest)
 
 
 class ModelServer(ThreadingHTTPServer):

@@ -13,7 +13,9 @@ Flow of one request:
    ``done`` job immediately (no refit). A key already queued or running
    coalesces onto the in-flight job. Otherwise the request joins the
    pending queue — or :class:`QueueFullError` is raised when the queue
-   is at capacity, which the HTTP layer maps to ``429``.
+   is at capacity, which the HTTP layer maps to ``429``. A request
+   body seen before is answered by :meth:`JobScheduler.submit_repeat`
+   from its digest when its model is still cached.
 2. The dispatcher thread drains the pending queue in batches into
    ``run_experiments({job_id: fit_closure}, jobs=..., max_seconds=...)``.
 3. Each fit closure writes its fitted model to the
@@ -25,6 +27,7 @@ Flow of one request:
 from __future__ import annotations
 
 import collections
+import functools
 import importlib
 import inspect
 import threading
@@ -47,6 +50,14 @@ logger = get_logger("repro.serve.scheduler")
 #: Completed jobs kept for status polling before the oldest are pruned.
 _MAX_FINISHED = 1024
 
+_FINISHED = ("done", "failed")
+
+#: What :meth:`JobScheduler.submit` derived from one request: enough to
+#: answer a repeat of it from the cache without the request's arrays.
+#: ``deadline`` is in seconds from submission, after the clamp.
+_Request = collections.namedtuple(
+    "_Request", "key fingerprint estimator params seed deadline")
+
 
 class QueueFullError(MultiClustError):
     """Raised by :meth:`JobScheduler.submit` when the pending queue is
@@ -55,17 +66,17 @@ class QueueFullError(MultiClustError):
     """
 
 
+@functools.lru_cache(maxsize=None)
 def _fit_signature(cls):
-    """``(family, requires_given)`` for an estimator class."""
-    params = [p for p in inspect.signature(cls.fit).parameters
-              if p != "self"]
+    """``(family, requires_given)`` for an estimator class, introspected
+    once per class."""
+    parameters = inspect.signature(cls.fit).parameters
+    params = [p for p in parameters if p != "self"]
     first = params[0] if params else "X"
-    requires_given = False
-    for name in params[1:]:
-        parameter = inspect.signature(cls.fit).parameters[name]
-        if (name in ("given", "labels")
-                and parameter.default is inspect.Parameter.empty):
-            requires_given = True
+    requires_given = any(
+        name in ("given", "labels")
+        and parameters[name].default is inspect.Parameter.empty
+        for name in params[1:])
     return first, requires_given
 
 
@@ -259,6 +270,10 @@ class JobScheduler:
         self._cond = threading.Condition()
         self._pending = collections.deque()
         self._jobs = collections.OrderedDict()
+        self._finished = 0  # done/failed jobs among self._jobs
+        # sha256 of a raw request body -> its _Request, LRU-bounded
+        # like the registry it points into
+        self._memo = collections.OrderedDict()
         self._inflight = {}
         # job id -> (Tracer, open scheduler-span context manager);
         # written and consumed by the dispatcher thread only
@@ -324,7 +339,7 @@ class JobScheduler:
         return cls
 
     def submit(self, estimator, X, params=None, given=None, seed=None,
-               trace=None, deadline=None):
+               trace=None, deadline=None, digest=None):
         """Queue a fit request; returns its :class:`Job`.
 
         Cache hits and in-flight duplicates return immediately-
@@ -337,7 +352,10 @@ class JobScheduler:
         now, clamped to ``max_deadline``) bounds the job's total
         wall-clock including queue time; a job that misses it fails
         with error kind ``"deadline"`` (HTTP ``504``), its worker
-        reaped like a ``hard_timeout`` kill.
+        reaped like a ``hard_timeout`` kill. ``digest`` is the sha256
+        of the raw request body these arguments were decoded from:
+        once the submit succeeds, :meth:`submit_repeat` answers that
+        body again without decoding it.
         """
         cls = self.resolve_estimator(estimator)
         if deadline is not None:
@@ -366,32 +384,74 @@ class JobScheduler:
         if seed is not None and "random_state" in cls._param_names():
             params.setdefault("random_state", int(seed))
         fingerprint = dataset_fingerprint(X, given=given)
-        key = model_key(fingerprint, cls.__name__, params, seed)
+        request = _Request(model_key(fingerprint, cls.__name__, params, seed),
+                           fingerprint, cls.__name__, params, seed, deadline)
         # Checksum-verifying cache probe, deliberately *outside* the
         # condition lock (it reads the payload bytes). A corrupt entry
         # is quarantined right here, so the request falls through to a
         # refit instead of 404ing later at GET /models/<key>.
-        cache_hit = self.registry.verify(key)
+        if self.registry.verify(request.key):
+            job = self._cached_job(request, trace)
+        else:
+            job = self._enqueue(request, trace, X, given)
+        if digest is not None:
+            with self._cond:
+                self._memo[digest] = request
+                self._memo.move_to_end(digest)
+                while len(self._memo) > self.registry.max_entries:
+                    self._memo.popitem(last=False)
+        return job
+
+    def submit_repeat(self, digest, trace=None):
+        """The cached job for a request body that :meth:`submit` already
+        accepted under ``digest``, or ``None``.
+
+        The entry is still checksum-verified (a corrupt one is
+        quarantined), so ``None`` also means "not cached (any more)":
+        the caller then decodes the body and calls :meth:`submit`.
+        """
         with self._cond:
-            self._counter += 1
-            job = Job(f"job-{self._counter:08d}", key, fingerprint,
-                      cls.__name__, params, seed)
-            if deadline is not None:
-                job.deadline_at = time.time() + deadline
-            if trace is not None:
-                ctx = (trace.to_dict() if hasattr(trace, "to_dict")
-                       else dict(trace))
-                job.trace_id = ctx.get("trace_id")
-                job.trace_parent = ctx.get("span_id")
-            self._metrics.counter("serve.jobs.submitted").inc()
-            if cache_hit:
-                job.status = "done"
-                job.cached = True
-                job.finished_at = time.time()
-                self._metrics.counter("serve.cache.hits").inc()
-                self._remember(job)
-                return job
-            inflight = self._inflight.get(key)
+            request = self._memo.get(digest)
+            if request is None:
+                return None
+            self._memo.move_to_end(digest)
+        if not self.registry.verify(request.key):
+            return None
+        return self._cached_job(request, trace)
+
+    def _new_job(self, request, trace):
+        """A fresh :class:`Job` for ``request``; the caller holds the
+        condition."""
+        self._counter += 1
+        job = Job(f"job-{self._counter:08d}", request.key,
+                  request.fingerprint, request.estimator,
+                  dict(request.params), request.seed)
+        if request.deadline is not None:
+            job.deadline_at = time.time() + request.deadline
+        if trace is not None:
+            ctx = (trace.to_dict() if hasattr(trace, "to_dict")
+                   else dict(trace))
+            job.trace_id = ctx.get("trace_id")
+            job.trace_parent = ctx.get("span_id")
+        self._metrics.counter("serve.jobs.submitted").inc()
+        return job
+
+    def _cached_job(self, request, trace):
+        """A ``done`` job answered from the registry: nothing is fitted."""
+        with self._cond:
+            job = self._new_job(request, trace)
+            job.status = "done"
+            job.cached = True
+            job.finished_at = time.time()
+            self._metrics.counter("serve.cache.hits").inc()
+            self._remember(job)
+            return job
+
+    def _enqueue(self, request, trace, X, given):
+        """Coalesce ``request`` onto its in-flight job, or queue a fit."""
+        with self._cond:
+            job = self._new_job(request, trace)
+            inflight = self._inflight.get(job.key)
             if inflight is not None and inflight.status in ("queued",
                                                             "running"):
                 inflight.coalesced = True
@@ -403,7 +463,7 @@ class JobScheduler:
                 # a refit is about to be queued: a key that keeps
                 # crashing workers is refused at the front door
                 # (cache hits and coalesces above never reach here)
-                self.breaker.check(key)
+                self.breaker.check(job.key)
             if self.shedder is not None:
                 self.shedder.check(len(self._pending), self.jobs)
             if len(self._pending) >= self.queue_limit:
@@ -413,7 +473,7 @@ class JobScheduler:
             job.X = X
             job.given = given
             self._pending.append(job)
-            self._inflight[key] = job
+            self._inflight[job.key] = job
             self._remember(job)
             self._metrics.counter("serve.cache.misses").inc()
             self._metrics.gauge("serve.queue.depth").set(len(self._pending))
@@ -465,17 +525,37 @@ class JobScheduler:
     # -- dispatch ----------------------------------------------------------
 
     def _remember(self, job):
-        self._jobs[job.id] = job
-        finished = [j for j in self._jobs.values()
-                    if j.status in ("done", "failed")]
-        for stale in finished[:max(0, len(finished) - _MAX_FINISHED)]:
-            self._jobs.pop(stale.id, None)
+        """Retain ``job`` for status polling. Beyond ``_MAX_FINISHED``
+        finished jobs the oldest-submitted finished ones are dropped;
+        unfinished jobs never are. ``_jobs`` is in submission order, so
+        the walk stops at the first ``excess`` finished jobs: it passes
+        only the unfinished jobs older than those, at most the queued
+        and running ones. Its callers already hold the (reentrant)
+        condition."""
+        with self._cond:
+            self._jobs[job.id] = job
+            if job.status in _FINISHED:
+                self._finished += 1
+            excess = self._finished - _MAX_FINISHED
+            if excess <= 0:
+                return
+            stale = []
+            for retained in self._jobs.values():
+                if retained.status in _FINISHED:
+                    stale.append(retained.id)
+                    if len(stale) == excess:
+                        break
+            for job_id in stale:
+                del self._jobs[job_id]
+            self._finished -= len(stale)
 
     def _finish(self, job, status, metrics=None, error=None):
         # every caller already holds the condition (it is reentrant);
         # taking it here too makes the _inflight mutation safe even
         # from a future lock-free call site
         with self._cond:
+            if job.status not in _FINISHED:
+                self._finished += 1
             job.status = status
             job.finished_at = time.time()
             job.metrics.update(metrics or {})

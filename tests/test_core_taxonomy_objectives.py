@@ -124,6 +124,29 @@ class TestParamsMixin:
         from repro.cluster import KMeans
         assert "n_clusters=3" in repr(KMeans(n_clusters=3))
 
+    def test_param_names_cached_per_class(self):
+        class Base(ParamsMixin):
+            def __init__(self, a=1, b=2):
+                self.a, self.b = a, b
+
+        class Narrowed(Base):
+            def __init__(self, c=3):
+                super().__init__()
+                self.c = c
+
+        class Inherits(Base):
+            pass
+
+        assert Base._param_names() == ["a", "b"]
+        # the cache is keyed on the class: a subclass that overrides
+        # __init__ gets its own names, one that does not shares them
+        assert Narrowed._param_names() == ["c"]
+        assert Inherits._param_names() == ["a", "b"]
+        # each call returns a fresh list, so a caller's edit is its own
+        names = Base._param_names()
+        names.append("mutated")
+        assert Base._param_names() == ["a", "b"]
+
 
 class TestBaseClasses:
     def test_clustering_property_requires_fit(self):

@@ -448,6 +448,15 @@ def test_unknown_inject_mode_rejected():
         run_experiments({"A": _table}, fail_keys={"A": "melt"})
 
 
+def test_hard_inject_mode_rejected_in_process():
+    # in-process, a crash would take the caller down with it
+    with pytest.raises(ValidationError, match="A:crash"):
+        run_experiments({"A": _table}, fail_keys={"A": "crash"})
+    # a hard mode on a key outside the grid injects nothing
+    [outcome] = run_experiments({"A": _table}, fail_keys={"B": "hang"})
+    assert outcome.ok
+
+
 def test_injection_does_not_leak_to_other_keys():
     """Regression for the loop-variable rebinding of the old harness:
     injecting into one key must never replace another key's callable."""

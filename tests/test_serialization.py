@@ -20,6 +20,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import io
 from repro.cluster import KMeans
@@ -29,6 +31,19 @@ from repro.exceptions import ValidationError
 from repro.observability import ConvergenceEvent
 from repro.subspace import SCHISM
 from repro.subspace.schism import SchismThreshold
+
+
+#: JSON-ready values as the codec hands them to ``dumps``: nested dicts,
+#: lists and tuples over non-finite floats, NumPy float64 scalars and
+#: non-ASCII text.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.floats().map(np.float64) | st.text(),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(max_size=4), children,
+                                        max_size=4)),
+    max_leaves=20)
 
 
 def roundtrip(value):
@@ -289,10 +304,20 @@ class TestStrictEmission:
         assert json.loads(text) == {"x": None, "y": "Infinity"}
 
     def test_dumps_rejects_unsanitised_nan_by_construction(self):
-        # the sanitiser runs first, so even hostile floats cannot
-        # reach json.dumps(allow_nan=False) unconverted
+        # a non-finite float makes the strict encoding raise, and the
+        # sanitised retry converts it
         assert "NaN" not in io.dumps([float("nan")] * 3).replace(
             "null", "")
+
+    @settings(max_examples=200, deadline=None)
+    @given(obj=_JSON_VALUES, indent=st.sampled_from([None, 0, 2]),
+           sort_keys=st.booleans(), ensure_ascii=st.booleans())
+    def test_dumps_equals_sanitise_then_encode(self, obj, indent, sort_keys,
+                                               ensure_ascii):
+        kwargs = {"indent": indent, "sort_keys": sort_keys,
+                  "ensure_ascii": ensure_ascii}
+        assert io.dumps(obj, **kwargs) == json.dumps(
+            io.sanitize_json(obj), allow_nan=False, **kwargs)
 
     def test_save_json_strict_for_nonfinite_quality(self, tmp_path):
         result = SubspaceClustering(

@@ -9,8 +9,10 @@ scheduler-level behaviors (coalescing, failure reporting, drain) and
 the ``repro serve`` CLI with graceful SIGTERM drain.
 """
 
+import http.client
 import json
 import os
+import random
 import re
 import signal
 import subprocess
@@ -25,7 +27,7 @@ import pytest
 
 from repro.cluster import KMeans
 from repro.exceptions import ValidationError
-from repro.io import estimator_from_dict
+from repro.io import estimator_from_dict, sanitize_json
 from repro.observability import default_registry
 from repro.serve import (
     JobScheduler,
@@ -64,7 +66,10 @@ def served(tmp_path):
 
 
 def _request(url, payload=None, method=None):
-    data = None if payload is None else json.dumps(payload).encode("utf-8")
+    """``payload`` is a JSON value, or the raw body as ``bytes``."""
+    data = payload
+    if payload is not None and not isinstance(payload, bytes):
+        data = json.dumps(payload).encode("utf-8")
     req = urllib.request.Request(
         url, data=data, method=method,
         headers={"Content-Type": "application/json"})
@@ -211,6 +216,173 @@ class TestEndToEnd:
         assert rebuilt.labels_ is not None
 
 
+_COUNTERS = ("serve_jobs_submitted", "serve_cache_hits",
+             "serve_cache_misses", "serve_jobs_coalesced")
+
+
+def _counters(url):
+    """The job counters as ``GET /metrics`` exports them."""
+    req = urllib.request.Request(f"{url}/metrics")
+    with urllib.request.urlopen(req, timeout=30) as resp:
+        text = resp.read().decode("utf-8")
+    values = dict.fromkeys(_COUNTERS, 0.0)
+    for line in text.splitlines():
+        for name in _COUNTERS:
+            if line.startswith(f"repro_{name}_total "):
+                values[name] = float(line.split()[1])
+    return values
+
+
+def _delta(before, after):
+    return {name: after[name] - before[name] for name in _COUNTERS}
+
+
+def _count_submits(monkeypatch, scheduler):
+    """Count calls that reach ``JobScheduler.submit`` (the decoded path)."""
+    calls = []
+    real = scheduler.submit
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("digest"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scheduler, "submit", counting)
+    return calls
+
+
+class TestRepeatedBodies:
+    """A repeated ``POST /jobs`` body is answered from its digest."""
+
+    def _fitted(self, url, body):
+        raw = json.dumps(body).encode("utf-8")
+        status, _, resp = _request(f"{url}/jobs", raw)
+        assert status == 202
+        return raw, _poll_job(url, resp["job"]["id"])
+
+    def test_memo_hit_matches_the_full_path(self, served, monkeypatch):
+        url, scheduler, registry = served
+        body = {"estimator": "KMeans", "dataset": _dataset().tolist(),
+                "params": {"n_clusters": 2}, "seed": 11,
+                "deadline_ms": 60000}
+        raw, fitted = self._fitted(url, body)
+        calls = _count_submits(monkeypatch, scheduler)
+
+        # the same request in other bytes takes the decoding path
+        before = _counters(url)
+        status, _, full = _request(f"{url}/jobs",
+                                   json.dumps(body, indent=1).encode())
+        full_delta = _delta(before, _counters(url))
+        assert status == 200 and len(calls) == 1
+
+        before = _counters(url)
+        status, _, memo = _request(f"{url}/jobs", raw)
+        memo_delta = _delta(before, _counters(url))
+        assert status == 200 and len(calls) == 1  # not decoded
+
+        assert memo_delta == full_delta
+        assert memo_delta["serve_jobs_submitted"] == 1
+        assert memo_delta["serve_cache_hits"] == 1
+        full, memo = full["job"], memo["job"]
+        assert memo["id"] != full["id"]
+        for job in (full, memo):
+            assert job["key"] == fitted["key"]
+            assert job["deadline_at"] - job["submitted_at"] == \
+                pytest.approx(60.0, abs=1.0)
+        moving = ("id", "submitted_at", "finished_at", "deadline_at")
+        assert ({k: v for k, v in memo.items() if k not in moving}
+                == {k: v for k, v in full.items() if k not in moving})
+        assert scheduler.get_job(memo["id"]).cached is True
+
+        # the model reply is the sanitise-then-encode bytes, unchanged
+        with urllib.request.urlopen(url + memo["model_url"],
+                                    timeout=30) as resp:
+            served_bytes = resp.read()
+        stored = registry.get(memo["key"])
+        assert served_bytes == json.dumps(
+            sanitize_json(stored), allow_nan=False).encode("utf-8")
+
+    def test_corrupt_entry_of_memoised_body_refits(self, served, monkeypatch):
+        url, scheduler, registry = served
+        body = {"estimator": "KMeans", "dataset": _dataset().tolist(),
+                "params": {"n_clusters": 3}, "seed": 2}
+        raw, fitted = self._fitted(url, body)
+        calls = _count_submits(monkeypatch, scheduler)
+        status, _, resp = _request(f"{url}/jobs", raw)
+        assert status == 200 and resp["job"]["cached"] is True
+        assert calls == []
+
+        path = registry.cache_dir / f"{fitted['key']}.json"
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        path.write_bytes(bytes(data))
+
+        status, _, resp = _request(f"{url}/jobs", raw)
+        assert status == 202  # never the stale hit
+        assert resp["job"]["cached"] is False
+        assert len(calls) == 1
+        [record] = registry.quarantined()
+        assert record["key"] == fitted["key"]
+        refit = _poll_job(url, resp["job"]["id"])
+        assert refit["status"] == "done" and refit["key"] == fitted["key"]
+        status, _, resp = _request(f"{url}/jobs", raw)
+        assert status == 200 and resp["job"]["cached"] is True
+        assert len(calls) == 1
+
+    def test_one_byte_different_body_misses_the_memo(self, served,
+                                                     monkeypatch):
+        url, scheduler, _ = served
+        body = {"estimator": "KMeans", "dataset": _dataset().tolist(),
+                "params": {"n_clusters": 2}, "seed": 4}
+        raw, _ = self._fitted(url, body)
+        calls = _count_submits(monkeypatch, scheduler)
+        other = raw + b" "  # same JSON value, one more byte
+        status, _, resp = _request(f"{url}/jobs", other)
+        assert status == 200 and resp["job"]["cached"] is True
+        assert len(calls) == 1  # decoded: the digest was unknown
+
+    def test_invalid_body_is_never_memoised(self, served):
+        url, scheduler, _ = served
+        bad = json.dumps({"estimator": "KMeans",
+                          "dataset": _dataset().tolist(),
+                          "params": {"bogus": 1}}).encode()
+        for _ in range(2):
+            status, _, _ = _request(f"{url}/jobs", bad)
+            assert status == 400
+        assert len(scheduler._memo) == 0
+
+    def test_memo_is_bounded_by_the_cache_size(self, tmp_path):
+        registry = ModelRegistry(tmp_path, max_entries=2)
+        scheduler = JobScheduler(registry, queue_limit=8)  # never started
+        digests = [bytes([i]) * 32 for i in range(5)]
+        for k, digest in enumerate(digests):
+            scheduler.submit("KMeans", _dataset(),
+                             params={"n_clusters": k + 2}, digest=digest)
+            assert len(scheduler._memo) <= registry.max_entries
+        assert list(scheduler._memo) == digests[-2:]
+        with pytest.raises(ValidationError):
+            scheduler.submit("KMeans", _dataset(), params={"bogus": 1},
+                             digest=b"x" * 32)
+        assert list(scheduler._memo) == digests[-2:]
+
+    def test_keep_alive_replies_do_not_stall(self, served):
+        url, _, _ = served
+        host, port = url.rsplit("/", 1)[-1].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=30)
+        try:
+            start = time.perf_counter()
+            for _ in range(10):
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                assert resp.status == 200
+                resp.read()
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        # a delayed-ACK stall costs about 40 ms per reply: 10 replies
+        # on one connection would take about 0.4 s whatever the host
+        assert elapsed < 0.3, f"10 keep-alive requests took {elapsed:.3f}s"
+
+
 class TestValidation:
     @pytest.mark.parametrize("body,needle", [
         ({"dataset": [[1.0]]}, "estimator"),
@@ -331,6 +503,50 @@ class TestSchedulerUnit:
         scheduler.shutdown(drain=True, timeout=120)
         assert [j.status for j in jobs] == ["done", "done"]
         assert all(registry.get(j.key) is not None for j in jobs)
+
+    def test_finished_jobs_pruned_oldest_submitted_first(self, tmp_path,
+                                                         monkeypatch):
+        import repro.serve.scheduler as scheduler_module
+        from repro.serve.scheduler import Job
+
+        def reference(order, limit):
+            # the rule as a scan over every retained job
+            finished = [j for j in order if j.status in ("done", "failed")]
+            stale = {j.id for j in finished[:max(0, len(finished) - limit)]}
+            return [j for j in order if j.id not in stale]
+
+        monkeypatch.setattr(scheduler_module, "_MAX_FINISHED", 5)
+        scheduler = JobScheduler(ModelRegistry(tmp_path), queue_limit=4)
+        rng = random.Random(0)
+        expected, unfinished = [], []
+        for n in range(300):
+            job = Job(f"job-{n:08d}", "k", "f", "KMeans", {}, None)
+            if rng.random() < 0.3:
+                unfinished.append(job)  # queued: finishes later
+            else:
+                job.status = rng.choice(["done", "failed"])
+            with scheduler._cond:
+                scheduler._remember(job)
+                expected = reference(expected + [job], 5)
+                if unfinished and rng.random() < 0.3:
+                    scheduler._finish(unfinished.pop(rng.randrange(
+                        len(unfinished))), "done")
+            assert list(scheduler._jobs.values()) == expected
+        assert all(j.id in scheduler._jobs for j in unfinished)
+
+    def test_fit_signature_cached_per_class(self):
+        from repro.serve.scheduler import _fit_signature
+
+        class Plain(KMeans):
+            pass
+
+        class NeedsGiven(KMeans):
+            def fit(self, X, given):
+                return super().fit(X)
+
+        assert _fit_signature(KMeans) == ("X", False)
+        assert _fit_signature(Plain) == ("X", False)
+        assert _fit_signature(NeedsGiven) == ("X", True)
 
     def test_seed_installed_as_random_state(self, tmp_path):
         scheduler = JobScheduler(ModelRegistry(tmp_path), queue_limit=4)
