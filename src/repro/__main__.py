@@ -9,14 +9,9 @@ Usage::
 
 ``run`` is fault-tolerant: a failing experiment is recorded with a
 ``status`` and the sweep continues (``--keep-going``, default on), a
-per-experiment wall-clock budget can be set with ``--budget``, failed
-experiments can be retried with ``--max-retries``, and
-``--inject-fault ID[:MODE]`` forces an experiment to fail (modes:
-``error`` — catchable exception, ``hang`` — spins without budget
-ticks, ``crash`` — SIGKILLs its own process, ``oom`` — allocates until
-killed the way the OOM killer does) so every degradation path can be
-exercised. The exit code is 0 only when every requested experiment
-succeeded.
+per-experiment wall-clock budget can be set with ``--budget``, and
+failed experiments can be retried with ``--max-retries``. The exit
+code is 0 only when every requested experiment succeeded.
 
 Crash safety: ``run --isolate`` executes the sweep on the worker pool
 (below) with one long-lived killable worker, respawned after a kill or
@@ -57,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import functools
 import os
 import re
 import sys
@@ -163,33 +159,6 @@ def _build_parser():
         help="seconds an open circuit stays open before one trial "
              "request is let through (default 30)",
     )
-    chaos = sub.add_parser(
-        "chaos",
-        help="fault-injection drill against a real server "
-             "(see docs/robustness.md)",
-    )
-    chaos.add_argument(
-        "--smoke", action="store_true",
-        help="fast pre-PR gate: worker-kill + corrupt-entry only, one "
-             "shared server (about ten seconds)",
-    )
-    chaos.add_argument(
-        "--jobs", type=int, default=2, metavar="N",
-        help="pool size for each server under test (default 2; must be "
-             ">= 2 so there is a worker to kill)",
-    )
-    chaos.add_argument(
-        "--scenario", action="append", default=[], metavar="NAME",
-        dest="scenarios",
-        help="run only this scenario (repeatable); choose from "
-             "worker-kill, corrupt-entry, disk-full, overload, "
-             "server-kill",
-    )
-    chaos.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="write the JSON report to FILE "
-             "(e.g. BENCH_resilience.json)",
-    )
     run = sub.add_parser("run", help="run an experiment (or 'all')")
     run.add_argument("experiment", help="experiment id, e.g. F9, T1, all")
     run.add_argument(
@@ -205,13 +174,6 @@ def _build_parser():
     run.add_argument(
         "--max-retries", type=int, default=0, metavar="N",
         help="extra attempts per failed experiment (budget grows per retry)",
-    )
-    run.add_argument(
-        "--inject-fault", action="append", default=[], metavar="ID[:MODE]",
-        help="force this experiment to fail (repeatable; exercises the "
-             "fault-tolerance path); MODE is error (default), hang, "
-             "crash, or oom — the hard modes need --isolate or --jobs N "
-             "(and --hard-timeout for hangs)",
     )
     run.add_argument(
         "--isolate", action="store_true",
@@ -266,39 +228,9 @@ def _suggest(key, all_experiments):
     return f" -- did you mean {close[0]}?" if close else ""
 
 
-def _parse_inject_faults(specs, all_experiments):
-    """``--inject-fault ID[:MODE]`` specs as a ``{key: mode}`` dict.
-
-    Unknown ids and modes are hard errors (with the same "did you
-    mean" suggestion as the ``run`` id) — a drill that silently
-    injects nothing would report misleading success.
-    """
-    from .experiments.harness import INJECT_MODES
-
-    fail_modes = {}
-    for spec in specs:
-        key, _, mode = spec.partition(":")
-        key = key.upper()
-        mode = mode.lower() or "error"
-        if key not in all_experiments:
-            raise ValueError(
-                f"--inject-fault: unknown experiment "
-                f"{spec.partition(':')[0]!r}{_suggest(key, all_experiments)}; "
-                f"choose from {', '.join(all_experiments)}"
-            )
-        if mode not in INJECT_MODES:
-            raise ValueError(
-                f"--inject-fault: unknown mode {mode!r} in {spec!r}; "
-                f"choose from {', '.join(INJECT_MODES)}"
-            )
-        fail_modes[key] = mode
-    return fail_modes
-
-
 #: ``run_experiments`` parameters that ``repro run`` takes as flags
 _RUN_FLAGS = {"jobs": "--jobs", "crash_retries": "--crash-retries",
-              "hard_timeout": "--hard-timeout", "isolate": "--isolate",
-              "fail_keys": "--inject-fault"}
+              "hard_timeout": "--hard-timeout", "isolate": "--isolate"}
 
 
 def _flag_error(exc):
@@ -345,16 +277,6 @@ def _run_command(args, all_experiments):
               file=sys.stderr)
         return 2
 
-    try:
-        fail_modes = _parse_inject_faults(args.inject_fault, all_experiments)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    unmatched = set(fail_modes) - set(keys)
-    if unmatched:
-        print(f"warning: --inject-fault {', '.join(sorted(unmatched))} "
-              "matches no selected experiment", file=sys.stderr)
-
     def stream(outcome):
         if outcome.status == "skipped":
             print(f"[{outcome.key} skipped -- already completed in the "
@@ -374,7 +296,10 @@ def _run_command(args, all_experiments):
 
     journal = None
     if args.checkpoint is not None:
-        journal = RunJournal(args.checkpoint, resume=args.resume)
+        # opened by run_experiments once the flags pass its checks, so
+        # a rejected run leaves no checkpoint directory behind
+        journal = functools.partial(RunJournal, args.checkpoint,
+                                    resume=args.resume)
     tracer = Tracer(profile_memory=args.profile)
     outcomes = []  # filled via callback so a Ctrl-C keeps partial results
 
@@ -389,7 +314,6 @@ def _run_command(args, all_experiments):
             keep_going=args.keep_going,
             max_seconds=args.budget,
             max_retries=args.max_retries,
-            fail_keys=fail_modes,
             callback=collect,
             tracer=tracer,
             isolate=args.isolate,
@@ -406,7 +330,7 @@ def _run_command(args, all_experiments):
         print(f"\ninterrupted -- {len(outcomes)}/{len(keys)} experiment(s) "
               "completed before Ctrl-C", file=sys.stderr)
         if journal is not None:
-            print(f"journal {journal.path} is flushed; resume with "
+            print(f"journal in {args.checkpoint} is flushed; resume with "
                   f"'--checkpoint {args.checkpoint} --resume'",
                   file=sys.stderr)
     failed = [o for o in outcomes if not o.ok]
@@ -508,27 +432,6 @@ def _serve_command(args):
     server.server_close()
     scheduler.shutdown(drain=True)
     return 0
-
-
-def _chaos_command(args):
-    from .exceptions import ValidationError
-    from .robustness.chaos import render_report, run_chaos, write_report
-
-    if args.smoke and args.scenarios:
-        print("--smoke and --scenario are mutually exclusive",
-              file=sys.stderr)
-        return 2
-    try:
-        report = run_chaos(smoke=args.smoke, jobs=args.jobs,
-                           scenarios=args.scenarios or None)
-    except ValidationError as exc:
-        print(f"chaos: {exc}", file=sys.stderr)
-        return 2
-    print(render_report(report))
-    if args.out is not None:
-        write_report(report, args.out)
-        print(f"report written to {args.out}")
-    return 0 if report["passed"] else 1
 
 
 def _report_trace(path):
@@ -653,8 +556,6 @@ def main(argv=None):
         return _check_command()
     if args.command == "serve":
         return _serve_command(args)
-    if args.command == "chaos":
-        return _chaos_command(args)
     if args.command == "report":
         if args.trace is not None:
             return _report_trace(args.trace)

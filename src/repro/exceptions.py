@@ -60,14 +60,5 @@ class IntegrityError(MultiClustError):
     """
 
 
-class FaultInjectedError(MultiClustError):
-    """Raised by the fault-injection harness to force a structured failure.
-
-    Never raised in normal operation; used by
-    :mod:`repro.robustness.faults` and the ``--inject-fault`` CLI flag to
-    prove that the failure-handling paths work end to end.
-    """
-
-
 class ConvergenceWarning(UserWarning):
     """Issued when an iterative optimiser stops before converging."""

@@ -1,8 +1,10 @@
-"""Experiment harness: result tables, rendering, and fault-tolerant sweeps.
+"""Experiment harness: fault-tolerant sweeps and their summaries.
 
 Every experiment in EXPERIMENTS.md is a ``run_*`` function returning a
 :class:`ResultTable`; the benchmark scripts print the table so the
-tutorial's figures/tables can be regenerated with one command.
+tutorial's figures/tables can be regenerated with one command. The
+record types, :class:`ResultTable` and :class:`ExperimentOutcome`, live
+in :mod:`repro.robustness.outcome` and are re-exported here.
 
 :func:`run_experiments` executes a batch of them under a
 :class:`~repro.robustness.RunGuard`: each experiment gets its own
@@ -31,17 +33,15 @@ Three opt-in hardening layers (see ``docs/robustness.md``):
 
 There are two schedulers, in-process (``jobs=1`` without ``isolate``)
 and the pool (everything else), and one task body that both run every
-key through.
+key through (``repro.robustness.pool._run_task``).
 """
 
 from __future__ import annotations
 
 import contextlib
 import time
-from dataclasses import dataclass, field
-from typing import Any, Optional
 
-from ..exceptions import FaultInjectedError, ValidationError
+from ..exceptions import ValidationError
 from ..observability.logs import get_logger
 from ..observability.tracer import (
     Tracer,
@@ -50,250 +50,25 @@ from ..observability.tracer import (
     trace_shard_paths,
 )
 from ..robustness.checkpoint import RunJournal
-from ..robustness.guard import RunFailure, RunGuard
+from ..robustness.outcome import ExperimentOutcome, ResultTable
 from ..robustness.pool import (
     SharedDataset,
     _PoolRun,
+    _run_task,
     derive_seed,
-    install_experiment_context,
     resolve_jobs,
 )
-from ..robustness.workers import worker_failure_record
 
 __all__ = ["ExperimentOutcome", "ResultTable", "run_experiments",
            "summarize_outcomes", "timed"]
 
 logger = get_logger("experiments")
 
-#: Fault-injection modes accepted by ``run_experiments(fail_keys=...)``
-#: and the CLI's ``--inject-fault ID[:MODE]``. ``"error"`` raises a
-#: catchable exception; ``"hang"`` spins without budget ticks (only a
-#: hard timeout reaps it); ``"crash"`` SIGKILLs its own process (only
-#: isolation survives it); ``"oom"`` allocates until an address-space
-#: cap trips and then dies by SIGKILL, the way the kernel OOM killer
-#: ends a worker (surfaces as a ``"crashed"`` failure).
-INJECT_MODES = ("error", "hang", "crash", "oom")
-_HARD_MODES = ("hang", "crash", "oom")
-
-
-class ResultTable:
-    """An ordered list of result rows (dicts) with text rendering.
-
-    Parameters
-    ----------
-    title : str — experiment id + description.
-    columns : sequence of str — column order; rows may omit trailing
-        columns (rendered blank).
-    """
-
-    def __init__(self, title, columns):
-        self.title = title
-        self.columns = list(columns)
-        self.rows = []
-
-    def add(self, **row):
-        """Append a row; unknown keys raise to catch typos early."""
-        unknown = set(row) - set(self.columns)
-        if unknown:
-            raise ValidationError(f"unknown columns {sorted(unknown)}")
-        self.rows.append(row)
-        return self
-
-    def column(self, name):
-        """All values of one column (missing entries omitted)."""
-        if name not in self.columns:
-            raise ValidationError(f"no column {name!r}")
-        return [r[name] for r in self.rows if name in r]
-
-    @staticmethod
-    def _fmt(value):
-        if isinstance(value, float):
-            return f"{value:.3f}"
-        return str(value)
-
-    def to_dict(self):
-        """JSON-serialisable dict (journal / worker-pipe schema)."""
-        return {"title": self.title, "columns": list(self.columns),
-                "rows": [dict(r) for r in self.rows]}
-
-    @classmethod
-    def from_dict(cls, data):
-        """Inverse of :meth:`to_dict` (row typo-checking re-applies)."""
-        if not isinstance(data, dict) or "columns" not in data:
-            raise ValidationError(
-                "ResultTable record must be a dict with a 'columns' key"
-            )
-        table = cls(data.get("title", ""), data["columns"])
-        for row in data.get("rows", []):
-            table.add(**row)
-        return table
-
-    def render(self):
-        """Fixed-width text table."""
-        cells = [
-            [self._fmt(r.get(c, "")) for c in self.columns] for r in self.rows
-        ]
-        widths = [
-            max(len(c), *(len(row[i]) for row in cells)) if cells else len(c)
-            for i, c in enumerate(self.columns)
-        ]
-        def line(vals):
-            return " | ".join(v.ljust(w) for v, w in zip(vals, widths))
-        out = [f"== {self.title} ==", line(self.columns),
-               "-+-".join("-" * w for w in widths)]
-        out.extend(line(row) for row in cells)
-        return "\n".join(out)
-
-    def __repr__(self):
-        return f"ResultTable({self.title!r}, {len(self.rows)} rows)"
-
-
 def timed(fn, *args, **kwargs):
     """Run ``fn`` and return ``(result, seconds)``."""
     start = time.perf_counter()
     result = fn(*args, **kwargs)
     return result, time.perf_counter() - start
-
-
-@dataclass
-class ExperimentOutcome:
-    """Per-experiment record of a guarded sweep.
-
-    ``status`` is "ok" (``table`` holds the ResultTable), "failed"
-    (``failure`` holds the structured :class:`RunFailure`), or
-    "skipped" (a resumed sweep found this key already completed in the
-    journal; ``table`` holds the prior run's ResultTable).
-
-    ``iterations`` counts the cooperative optimiser ticks spent inside
-    the experiment (every ``budget_tick`` across all nested fits);
-    ``timings`` maps each direct child span (estimator fits, traced
-    substeps) to cumulative seconds; ``peak_kb`` is the tracemalloc
-    peak when the sweep's tracer profiles memory
-    (``Tracer(profile_memory=True)``, the CLI's ``--profile``).
-
-    ``spans`` — present only for traced cross-process runs — holds the
-    worker-side span records (``Tracer.to_records()`` dicts carrying
-    ``trace_id``/``span_id``/``parent_id``) so the driver can merge
-    them into one causal tree. It rides the worker pipe but is
-    stripped from journal records (the trace shards are the durable
-    span store) and excluded from ``canonical_summary``.
-    """
-
-    key: str
-    status: str
-    table: Any = None
-    failure: Optional[RunFailure] = None
-    elapsed: float = 0.0
-    attempts: int = 1
-    iterations: int = 0
-    timings: Optional[dict] = field(default=None, repr=False)
-    peak_kb: Optional[float] = None
-    spans: Optional[list] = field(default=None, repr=False)
-
-    @property
-    def ok(self):
-        """True for work that need not be redone ("ok" or "skipped")."""
-        return self.status in ("ok", "skipped")
-
-    def to_dict(self):
-        """JSON-serialisable dict; survives journal and worker pipe.
-
-        ``table`` is stored via :meth:`ResultTable.to_dict` (a non-table
-        value degrades to its ``repr``), ``failure`` via
-        :meth:`~repro.robustness.RunFailure.to_dict`.
-        """
-        if isinstance(self.table, ResultTable):
-            table = self.table.to_dict()
-        elif self.table is None:
-            table = None
-        else:
-            table = repr(self.table)
-        data = {
-            "key": self.key,
-            "status": self.status,
-            "table": table,
-            "failure": None if self.failure is None
-            else self.failure.to_dict(),
-            "elapsed": self.elapsed,
-            "attempts": self.attempts,
-            "iterations": self.iterations,
-            "timings": self.timings,
-            "peak_kb": self.peak_kb,
-        }
-        if self.spans is not None:  # only traced runs carry span records
-            data["spans"] = self.spans
-        return data
-
-    @classmethod
-    def from_dict(cls, data):
-        """Inverse of :meth:`to_dict`."""
-        if not isinstance(data, dict) or "key" not in data:
-            raise ValidationError(
-                "ExperimentOutcome record must be a dict with a 'key'"
-            )
-        table = data.get("table")
-        if isinstance(table, dict):
-            table = ResultTable.from_dict(table)
-        failure = data.get("failure")
-        if failure is not None:
-            failure = RunFailure.from_dict(failure)
-        timings = data.get("timings")
-        return cls(
-            key=str(data["key"]),
-            status=str(data.get("status", "ok")),
-            table=table,
-            failure=failure,
-            elapsed=float(data.get("elapsed", 0.0)),
-            attempts=int(data.get("attempts", 1)),
-            iterations=int(data.get("iterations", 0)),
-            timings=None if timings is None else dict(timings),
-            peak_kb=data.get("peak_kb"),
-            spans=data.get("spans"),
-        )
-
-
-def _normalize_fail_keys(fail_keys):
-    """``fail_keys`` as a ``{key: mode}`` dict with validated modes."""
-    if isinstance(fail_keys, dict):
-        modes = {str(k): str(v) for k, v in fail_keys.items()}
-    else:
-        modes = {str(k): "error" for k in fail_keys}
-    for key, mode in modes.items():
-        if mode not in INJECT_MODES:
-            raise ValidationError(
-                f"unknown fault-injection mode {mode!r} for {key}; "
-                f"expected one of {INJECT_MODES}"
-            )
-    return modes
-
-
-def _make_injected(key, mode):
-    """An experiment body that fails in the requested way."""
-    from ..robustness import faults
-
-    def injected():
-        if mode == "hang":
-            faults.hang()
-        elif mode == "crash":
-            faults.hard_crash()
-        elif mode == "oom":
-            faults.oom()
-        raise FaultInjectedError(
-            f"fault injected into experiment {key} (--inject-fault)"
-        )
-
-    return injected
-
-
-def _expired_outcome(key):
-    """A ``failed/timeout`` outcome for a key whose deadline passed
-    before it ran (context ``deadline_expired``)."""
-    failure = worker_failure_record(
-        key, status="timeout", elapsed=0.0,
-        extra_context={"deadline_expired": True, "queued_only": True},
-    )
-    return ExperimentOutcome(key=key, status="failed", failure=failure,
-                             elapsed=0.0)
 
 
 def _skipped_outcome(key, prior_outcome):
@@ -322,13 +97,13 @@ def _readonly_arrays(shared_data):
     return arrays
 
 
-def _resume_prepass(experiments, fail_modes, journal, callback):
+def _resume_prepass(experiments, journal, callback):
     """What both execution paths do before running anything.
 
     Keys the journal already holds as ``"ok"`` become ``"skipped"``
-    outcomes, streamed to ``callback`` right away; every other key's
-    body is wrapped in its injected fault, if any. Returns
-    ``(skipped, grid)``: ``{key: outcome}`` and ``{key: run_fn}``.
+    outcomes, streamed to ``callback`` right away. Returns
+    ``(skipped, grid)``: ``{key: outcome}`` and ``{key: run_fn}`` for
+    every other key.
     """
     prior = journal.outcomes if journal is not None else {}
     skipped = {}
@@ -343,47 +118,8 @@ def _resume_prepass(experiments, fail_modes, journal, callback):
             if callback is not None:
                 callback(outcome)
             continue
-        mode = fail_modes.get(key)
-        grid[key] = (experiment_fn if mode is None
-                     else _make_injected(key, mode))
+        grid[key] = experiment_fn
     return skipped, grid
-
-
-def _run_task(key, run_fn, *, seed, arrays, max_seconds, max_retries,
-              deadline, tracer, keep_spans):
-    """Run one experiment: the task body of both schedulers.
-
-    Installs the key's seed and shared arrays, bounds the guard by the
-    tighter of ``max_seconds`` and the time left before ``deadline`` (a
-    monotonic instant, or None) and folds the guard's
-    :class:`~repro.robustness.RunResult` into an ExperimentOutcome,
-    carrying ``tracer``'s span records when ``keep_spans``. A key whose
-    deadline has already passed fails as ``timeout`` without running.
-    """
-    limit = max_seconds
-    if deadline is not None:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            logger.warning("experiment %s: deadline expired before it ran",
-                           key)
-            return _expired_outcome(key)
-        limit = remaining if limit is None else min(limit, remaining)
-    guard = RunGuard(max_seconds=limit, max_retries=max_retries, label=key,
-                     tracer=tracer)
-    result = guard.run(install_experiment_context(run_fn, seed, arrays))
-    telemetry = result.telemetry or {}
-    return ExperimentOutcome(
-        key=key,
-        status=result.status,
-        table=result.value,
-        failure=result.failure,
-        elapsed=result.elapsed,
-        attempts=result.attempts,
-        iterations=telemetry.get("ticks", 0),
-        timings=result.timings,
-        peak_kb=telemetry.get("peak_kb"),
-        spans=tracer.to_records() if keep_spans else None,
-    )
 
 
 def _run_in_process(grid, *, keep_going, max_seconds, max_retries, journal,
@@ -495,7 +231,7 @@ def _run_on_pool(grid, *, jobs, keep_going, max_seconds, max_retries,
 
 
 def run_experiments(experiments, *, keep_going=True, max_seconds=None,
-                    max_retries=0, fail_keys=(), callback=None,
+                    max_retries=0, callback=None,
                     tracer=None, isolate=False, hard_timeout=None,
                     journal=None, jobs=1, crash_retries=0, shared_data=None,
                     base_seed=0, trace_contexts=None, trace_path=None,
@@ -515,12 +251,6 @@ def run_experiments(experiments, *, keep_going=True, max_seconds=None,
         optimiser iteration boundaries (see ``repro.robustness``).
     max_retries : int
         Extra attempts per experiment after a retryable failure.
-    fail_keys : collection of str, or mapping of str -> mode
-        Fault injection. A plain collection injects a catchable
-        :class:`FaultInjectedError`; a mapping selects per-key modes
-        from :data:`INJECT_MODES` (``"error"``, ``"hang"``,
-        ``"crash"``) — the hard modes exercise the isolation path end
-        to end without a genuinely broken build.
     callback : callable or None
         Invoked with each :class:`ExperimentOutcome` as it completes
         (the CLI uses this for streaming output). Keys skipped on
@@ -548,13 +278,16 @@ def run_experiments(experiments, *, keep_going=True, max_seconds=None,
         Implies nothing about ``max_seconds`` — use both (cooperative
         budget a bit below the hard deadline) for defense in depth.
         Requires an isolated sweep (``isolate`` or ``jobs > 1``).
-    journal : RunJournal, str, Path, or None
+    journal : RunJournal, str, Path, callable, or None
         Crash-safe checkpoint store. Keys whose journaled outcome was
         ``"ok"`` are not re-executed — they are surfaced as status
         ``"skipped"`` with the prior table — and every fresh outcome
         is recorded durably as soon as it completes, so a sweep killed
         at any point resumes without recomputation. A path constructs
-        a resuming :class:`~repro.robustness.RunJournal`.
+        a resuming :class:`~repro.robustness.RunJournal`; a callable
+        returning a journal is called once every other argument has
+        passed its checks, so a rejected call touches no checkpoint
+        directory.
     jobs : int
         Worker-process count. ``1`` (the default) runs in-process
         unless ``isolate`` is set; ``0`` or ``None`` means all cores;
@@ -625,7 +358,6 @@ def run_experiments(experiments, *, keep_going=True, max_seconds=None,
             raise ValidationError(
                 f"deadline for {key!r} must be positive, got {value}")
         deadline_at[key] = start + float(value)
-    fail_modes = _normalize_fail_keys(fail_keys)
     jobs = resolve_jobs(jobs)
     trace_contexts = {
         key: (ctx.to_dict() if hasattr(ctx, "to_dict") else dict(ctx))
@@ -636,14 +368,6 @@ def run_experiments(experiments, *, keep_going=True, max_seconds=None,
             f"crash_retries must be >= 0, got {crash_retries}"
         )
     isolate = isolate or jobs > 1
-    hard_modes = sorted(f"{key}:{mode}" for key, mode in fail_modes.items()
-                        if key in experiments and mode in _HARD_MODES)
-    if hard_modes and not isolate:
-        raise ValidationError(
-            f"fail_keys modes {', '.join(hard_modes)} defeat cooperative "
-            "budgets; run them isolated (isolate, or jobs > 1, and "
-            "hard_timeout for hangs) so the sweep can survive them"
-        )
     if hard_timeout is not None:
         if not isolate:
             raise ValidationError(
@@ -654,10 +378,11 @@ def run_experiments(experiments, *, keep_going=True, max_seconds=None,
             raise ValidationError(
                 f"hard_timeout must be positive, got {hard_timeout}"
             )
-    if journal is not None and not isinstance(journal, RunJournal):
+    if callable(journal):
+        journal = journal()
+    elif journal is not None and not isinstance(journal, RunJournal):
         journal = RunJournal(journal)
-    skipped, grid = _resume_prepass(experiments, fail_modes, journal,
-                                    callback)
+    skipped, grid = _resume_prepass(experiments, journal, callback)
     if isolate:
         ran = _run_on_pool(
             grid, jobs=jobs, keep_going=keep_going,

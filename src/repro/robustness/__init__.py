@@ -6,9 +6,7 @@ covariance, or an empty cluster. This subsystem makes such runs
 *bounded* (wall-clock / iteration budgets enforced cooperatively inside
 every optimiser loop), *recoverable* (retry-with-reseed for stochastic
 fits), and *observable* (structured :class:`RunFailure` records instead
-of raw tracebacks). :mod:`repro.robustness.faults` provides the fault
-injection used to prove every estimator fails structurally, never with
-an unhandled NumPy error.
+of raw tracebacks).
 
 Three hard-enforcement modules complement the cooperative layer:
 :mod:`repro.robustness.pool` is the work-stealing pool of killable
@@ -22,28 +20,14 @@ bit for bit;
 failure records it is built on; and
 :mod:`repro.robustness.checkpoint` journals completed outcomes with
 fsynced appends so an interrupted sweep resumes without recomputation.
+The outcomes they carry, and the tables inside them, are the records
+of :mod:`repro.robustness.outcome`. The run layer imports nothing from
+``repro.experiments``; the harness builds on it.
 
 See ``docs/robustness.md`` for the full guide.
 """
 
 from .checkpoint import RunJournal, canonical_summary, load_journal_records
-from .faults import (
-    DATA_FAULTS,
-    CrashingEstimator,
-    FlakyEstimator,
-    HangingEstimator,
-    StallingEstimator,
-    adversarial_cluster_count,
-    collapse_to_single_point,
-    faulty_variants,
-    hang,
-    hard_crash,
-    inject_constant_feature,
-    inject_duplicate_rows,
-    inject_inf_cells,
-    inject_nan_cells,
-    oom,
-)
 from .guard import (
     KNOWN_FAILURE_KINDS,
     RunBudget,
@@ -80,19 +64,4 @@ __all__ = [
     "resolve_jobs",
     "shared_arrays",
     "worker_failure_record",
-    "DATA_FAULTS",
-    "CrashingEstimator",
-    "FlakyEstimator",
-    "HangingEstimator",
-    "StallingEstimator",
-    "adversarial_cluster_count",
-    "collapse_to_single_point",
-    "faulty_variants",
-    "hang",
-    "hard_crash",
-    "inject_constant_feature",
-    "inject_duplicate_rows",
-    "inject_inf_cells",
-    "inject_nan_cells",
-    "oom",
 ]

@@ -1,7 +1,7 @@
 """Crash-safe run journal: checkpoint/resume for experiment sweeps.
 
 A :class:`RunJournal` persists every completed
-:class:`~repro.experiments.ExperimentOutcome` of a sweep as one JSON
+:class:`~repro.robustness.outcome.ExperimentOutcome` of a sweep as one JSON
 record per line, through :mod:`repro.io`'s record primitive. Durability
 without quadratic cost:
 
@@ -49,6 +49,7 @@ import pathlib
 
 from ..exceptions import IntegrityError, ValidationError
 from ..observability.logs import get_logger
+from .outcome import ExperimentOutcome
 
 __all__ = ["RunJournal", "canonical_summary", "load_journal_records"]
 
@@ -168,8 +169,6 @@ def _encode(outcome):
 
 def _read_outcomes(path):
     """``{key: outcome}`` of one journal file; the last record wins."""
-    from ..experiments.harness import ExperimentOutcome
-
     outcomes = {}
     for record in load_journal_records(path):
         outcome = ExperimentOutcome.from_dict(record)

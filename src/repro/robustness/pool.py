@@ -3,9 +3,9 @@
 ``run_experiments`` runs every isolated sweep on this pool: ``jobs=N``
 runs the grid across ``N`` worker subprocesses, and ``isolate=True`` at
 ``jobs=1`` is the same pool with one long-lived worker (respawned after
-a kill or crash). A worker runs each key through the harness's task
-body, the one the in-process scheduler uses too. Either way every
-experiment gets these guarantees:
+a kill or crash). A worker runs each key through :func:`_run_task`,
+the task body the harness's in-process scheduler uses too. Either way
+every experiment gets these guarantees:
 
 * **work stealing** — workers pull the next pending experiment the
   moment they go idle, so a slow key never stalls the rest of the grid
@@ -60,6 +60,8 @@ from ..exceptions import ValidationError
 from ..observability.logs import get_logger
 from ..observability.tracer import Tracer
 from .checkpoint import RunJournal
+from .guard import RunGuard
+from .outcome import ExperimentOutcome
 from .workers import (
     reap_process,
     worker_failure_record,
@@ -157,6 +159,58 @@ def install_experiment_context(run_fn, seed, arrays):
             _SHARED_ARRAYS.reset(data_token)
 
     return wrapped
+
+
+# ---------------------------------------------------------------------------
+# The task body
+
+
+def _expired_outcome(key):
+    """A ``failed/timeout`` outcome for a key whose deadline passed
+    before it ran (context ``deadline_expired``)."""
+    failure = worker_failure_record(
+        key, status="timeout", elapsed=0.0,
+        extra_context={"deadline_expired": True, "queued_only": True},
+    )
+    return ExperimentOutcome(key=key, status="failed", failure=failure,
+                             elapsed=0.0)
+
+
+def _run_task(key, run_fn, *, seed, arrays, max_seconds, max_retries,
+              deadline, tracer, keep_spans):
+    """Run one experiment: the task body of both schedulers.
+
+    Installs the key's seed and shared arrays, bounds the guard by the
+    tighter of ``max_seconds`` and the time left before ``deadline`` (a
+    monotonic instant, or None) and folds the guard's
+    :class:`~repro.robustness.RunResult` into an ExperimentOutcome,
+    carrying ``tracer``'s span records when ``keep_spans``. A key whose
+    deadline has already passed fails as ``timeout`` without running.
+    """
+    limit = max_seconds
+    if deadline is not None:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            logger.warning("experiment %s: deadline expired before it ran",
+                           key)
+            return _expired_outcome(key)
+        limit = remaining if limit is None else min(limit, remaining)
+    guard = RunGuard(max_seconds=limit, max_retries=max_retries, label=key,
+                     tracer=tracer)
+    result = guard.run(install_experiment_context(run_fn, seed, arrays))
+    telemetry = result.telemetry or {}
+    return ExperimentOutcome(
+        key=key,
+        status=result.status,
+        table=result.value,
+        failure=result.failure,
+        elapsed=result.elapsed,
+        attempts=result.attempts,
+        iterations=telemetry.get("ticks", 0),
+        timings=result.timings,
+        peak_kb=telemetry.get("peak_kb"),
+        spans=tracer.to_records() if keep_spans else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +355,6 @@ def _pool_worker_main(conn, slot, experiments, config):
     *before* it is reported, so a parent (or worker) death after the
     journal write can never lose the result.
     """
-    from ..experiments.harness import _run_task
     from ..observability.registry import (
         default_registry,
         reset_default_registry,
@@ -581,8 +634,6 @@ class _PoolRun:
         self._update_gauges()
 
     def _record_expired(self, key, key_deadline):
-        from ..experiments.harness import _expired_outcome
-
         logger.warning("experiment %s: deadline expired %.3gs ago while "
                        "queued; not running it", key,
                        time.monotonic() - key_deadline)
@@ -594,7 +645,6 @@ class _PoolRun:
         self.metrics.gauge("pool.tasks.in_flight").set(self._in_flight())
 
     def _handle_outcome(self, worker, key, payload, snapshot):
-        from ..experiments.harness import ExperimentOutcome
         from ..observability.registry import LATENCY_BUCKETS
 
         outcome = ExperimentOutcome.from_dict(payload)
@@ -643,8 +693,6 @@ class _PoolRun:
             extra_context={"crashes": crashes,
                            "quarantined": self.crash_retries > 0},
         )
-        from ..experiments.harness import ExperimentOutcome
-
         self._record(
             ExperimentOutcome(key=key, status="failed", failure=failure,
                               elapsed=failure.elapsed),
@@ -676,8 +724,6 @@ class _PoolRun:
             hard_timeout=limit, heartbeat_age=silence,
             extra_context=extra,
         )
-        from ..experiments.harness import ExperimentOutcome
-
         self._record(
             ExperimentOutcome(key=key, status="failed", failure=failure,
                               elapsed=elapsed),

@@ -1,6 +1,6 @@
-"""Fault injection for robustness testing.
+"""Fault injection for the robustness tests.
 
-Two families of faults:
+Three families of faults:
 
 * **Data faults** — pure functions that corrupt a clean data matrix in a
   controlled way (NaN/Inf cells, constant features, duplicate rows,
@@ -19,8 +19,13 @@ Two families of faults:
   calling ``budget_tick`` (no budget can interrupt it; only a hard
   wall-clock kill can), :func:`hard_crash` dies by signal or bare
   ``os._exit`` the way a segfault or the OOM killer would, skipping all
-  ``except`` blocks. :class:`HangingEstimator` and
+  ``except`` blocks, and :func:`oom` allocates until an address-space
+  cap trips and then dies the same way. :class:`HangingEstimator` and
   :class:`CrashingEstimator` wrap them in the estimator contract.
+
+A test builds a faulty experiment body from these itself: it passes
+``hang``, ``hard_crash``, ``oom`` or a function raising
+:class:`FaultInjectedError` to ``run_experiments`` as the experiment.
 
 Every injector is deterministic given ``random_state`` so failures are
 reproducible.
@@ -34,12 +39,13 @@ import time
 
 import numpy as np
 
-from .guard import budget_tick
-from ..core.base import BaseClusterer
-from ..exceptions import FaultInjectedError
-from ..utils.validation import check_random_state
+from repro.core.base import BaseClusterer
+from repro.exceptions import MultiClustError
+from repro.robustness import budget_tick
+from repro.utils.validation import check_random_state
 
 __all__ = [
+    "FaultInjectedError",
     "inject_nan_cells",
     "inject_inf_cells",
     "inject_constant_feature",
@@ -56,6 +62,14 @@ __all__ = [
     "HangingEstimator",
     "CrashingEstimator",
 ]
+
+
+class FaultInjectedError(MultiClustError):
+    """Raised by an injected fault to force a structured failure.
+
+    Never raised by the library itself; the robustness tests raise it
+    to prove that the failure-handling paths work end to end.
+    """
 
 
 def _as_matrix(X):
@@ -289,7 +303,7 @@ class CrashingEstimator(BaseClusterer):
 class FlakyEstimator(BaseClusterer):
     """Fails deterministically until reseeded ``n_failures`` times.
 
-    ``fit`` raises :class:`~repro.exceptions.FaultInjectedError` while
+    ``fit`` raises :class:`FaultInjectedError` while
     ``random_state < seed0 + n_failures``. :meth:`RunGuard.fit
     <repro.robustness.RunGuard.fit>` bumps ``random_state`` by one per
     retry, so a guard with ``max_retries >= n_failures`` succeeds on the

@@ -13,7 +13,7 @@ Three layers under test:
   completes a sweep containing a hung and a hard-crashing experiment
   (the kinds cooperative budgets cannot touch), ``--resume`` re-executes
   only the failed keys, Ctrl-C exits 130 with the journal flushed, and
-  ``--inject-fault`` rejects unknown ids with a suggestion.
+  a rejected ``--checkpoint`` run leaves no checkpoint directory.
 
 These tests kill real subprocesses; timeouts are kept small.
 """
@@ -28,7 +28,8 @@ import time
 import pytest
 
 from repro.__main__ import main as cli_main
-from repro.exceptions import FaultInjectedError, ValidationError
+from repro.exceptions import ValidationError
+from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.harness import (
     ExperimentOutcome,
     ResultTable,
@@ -37,12 +38,17 @@ from repro.experiments.harness import (
 )
 from repro.robustness import (
     KNOWN_FAILURE_KINDS,
-    CrashingEstimator,
-    HangingEstimator,
     RunFailure,
     RunJournal,
     budget_tick,
     load_journal_records,
+)
+from tests.faults import (
+    CrashingEstimator,
+    FaultInjectedError,
+    HangingEstimator,
+    hang,
+    hard_crash,
 )
 
 _TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / \
@@ -424,11 +430,14 @@ def test_hard_timeout_requires_isolation():
         run_experiments({"A": _table}, hard_timeout=1.0)
 
 
+def _injected():
+    raise FaultInjectedError("fault injected into this experiment")
+
+
 def test_injected_hang_reaped_at_hard_deadline():
     start = time.monotonic()
     outcomes = run_experiments(
-        {"H": _table}, fail_keys={"H": "hang"},
-        isolate=True, hard_timeout=0.5,
+        {"H": hang}, isolate=True, hard_timeout=0.5,
     )
     assert time.monotonic() - start < REAP_CEILING
     assert outcomes[0].failure.kind == "timeout"
@@ -436,46 +445,31 @@ def test_injected_hang_reaped_at_hard_deadline():
 
 def test_injected_crash_recorded_and_sweep_continues():
     outcomes = run_experiments(
-        {"C": _table, "AFTER": _table}, fail_keys={"C": "crash"},
-        isolate=True,
+        {"C": hard_crash, "AFTER": _table}, isolate=True,
     )
     assert [o.status for o in outcomes] == ["failed", "ok"]
     assert outcomes[0].failure.kind == "crashed"
 
 
-def test_unknown_inject_mode_rejected():
-    with pytest.raises(ValidationError, match="mode"):
-        run_experiments({"A": _table}, fail_keys={"A": "melt"})
-
-
-def test_hard_inject_mode_rejected_in_process():
-    # in-process, a crash would take the caller down with it
-    with pytest.raises(ValidationError, match="A:crash"):
-        run_experiments({"A": _table}, fail_keys={"A": "crash"})
-    # a hard mode on a key outside the grid injects nothing
-    [outcome] = run_experiments({"A": _table}, fail_keys={"B": "hang"})
-    assert outcome.ok
-
-
 def test_injection_does_not_leak_to_other_keys():
-    """Regression for the loop-variable rebinding of the old harness:
-    injecting into one key must never replace another key's callable."""
+    """A failing key never runs, or replaces, another key's body, and
+    retries re-invoke the failing body."""
     seen = []
 
     def first():
         seen.append("first")
-        return _table()
+        _injected()
 
     def second():
         seen.append("second")
         return _table()
 
     outcomes = run_experiments(
-        {"INJ": first, "REAL": second}, fail_keys={"INJ"}, max_retries=1,
+        {"INJ": first, "REAL": second}, max_retries=1,
     )
-    assert seen == ["second"]  # INJ replaced, REAL untouched
+    assert seen == ["first", "first", "second"]
     assert outcomes[0].failure.error_type == "FaultInjectedError"
-    assert outcomes[0].attempts == 2  # retries re-invoke the injected body
+    assert outcomes[0].attempts == 2  # retries re-invoke the failing body
     assert outcomes[1].status == "ok"
 
 
@@ -495,23 +489,6 @@ def test_summarize_outcomes_renders_skipped_and_kinds():
 # CLI integration
 
 
-def test_cli_inject_fault_unknown_id_suggests(capsys):
-    assert cli_main(["run", "F6", "--inject-fault", "F66"]) == 2
-    err = capsys.readouterr().err
-    assert "--inject-fault" in err
-    assert "did you mean F6" in err
-
-
-def test_cli_inject_fault_unknown_mode_rejected(capsys):
-    assert cli_main(["run", "F6", "--inject-fault", "F6:melt"]) == 2
-    assert "unknown mode" in capsys.readouterr().err
-
-
-def test_cli_hard_inject_mode_requires_isolation(capsys):
-    assert cli_main(["run", "F6", "--inject-fault", "F6:crash"]) == 2
-    assert "--isolate" in capsys.readouterr().err
-
-
 def test_cli_resume_requires_checkpoint(capsys):
     assert cli_main(["run", "F6", "--resume"]) == 2
     assert "--checkpoint" in capsys.readouterr().err
@@ -522,9 +499,30 @@ def test_cli_rejects_nonpositive_hard_timeout(capsys):
     assert "--hard-timeout" in capsys.readouterr().err
 
 
-def test_cli_isolated_crash_sweep(capsys):
-    code = cli_main(["run", "F6", "--isolate", "--hard-timeout", "30",
-                     "--inject-fault", "F6:crash"])
+@pytest.mark.parametrize("flags", [
+    ["--jobs", "-1"], ["--hard-timeout", "0"], ["--crash-retries", "-1"],
+], ids=["jobs", "hard-timeout", "crash-retries"])
+def test_cli_rejected_run_leaves_no_checkpoint_dir(tmp_path, capsys, flags):
+    ckpt = tmp_path / "ckpt"
+    assert cli_main(["run", "F6", "--checkpoint", str(ckpt), *flags]) == 2
+    assert flags[0] in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+def test_cli_rejected_run_keeps_prior_journal(tmp_path, capsys):
+    ckpt = str(tmp_path / "ckpt")
+    assert cli_main(["run", "F6", "--checkpoint", ckpt]) == 0
+    journal = pathlib.Path(ckpt) / "journal.jsonl"
+    before = journal.read_bytes()
+    # without --resume a valid run would start the journal afresh; a
+    # rejected one must not get that far
+    assert cli_main(["run", "F6", "--checkpoint", ckpt, "--jobs", "-1"]) == 2
+    assert journal.read_bytes() == before
+
+
+def test_cli_isolated_crash_sweep(capsys, monkeypatch):
+    monkeypatch.setitem(ALL_EXPERIMENTS, "F6", hard_crash)
+    code = cli_main(["run", "F6", "--isolate", "--hard-timeout", "30"])
     captured = capsys.readouterr()
     assert code == 1
     assert "[crashed]" in captured.out
@@ -532,11 +530,12 @@ def test_cli_isolated_crash_sweep(capsys):
     assert "WorkerCrashError" in captured.out
 
 
-def test_cli_checkpoint_then_resume(tmp_path, capsys):
+def test_cli_checkpoint_then_resume(tmp_path, capsys, monkeypatch):
     ckpt = str(tmp_path / "ckpt")
-    assert cli_main(["run", "F6", "--checkpoint", ckpt,
-                     "--inject-fault", "F6"]) == 1
-    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        patch.setitem(ALL_EXPERIMENTS, "F6", _injected)
+        assert cli_main(["run", "F6", "--checkpoint", ckpt]) == 1
+    assert "FaultInjectedError" in capsys.readouterr().out
     # first resume re-runs the failed key for real
     assert cli_main(["run", "F6", "--checkpoint", ckpt, "--resume"]) == 0
     assert "F6 completed in" in capsys.readouterr().out

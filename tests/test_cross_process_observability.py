@@ -45,6 +45,7 @@ from repro.observability import (
     write_records_jsonl,
 )
 from repro.serve import JobScheduler, ModelRegistry, make_server
+from tests.faults import hard_crash
 
 pytestmark = pytest.mark.filterwarnings("ignore")
 
@@ -263,8 +264,7 @@ class TestSweepPropagation:
         trace = tmp_path / "sweep.jsonl"
         tracer = Tracer()
         outcomes = run_experiments(
-            {"OK1": _exp_ok, "OK2": _exp_ok, "CRASH": _exp_ok},
-            fail_keys={"CRASH": "crash"}, jobs=2,
+            {"OK1": _exp_ok, "OK2": _exp_ok, "CRASH": hard_crash}, jobs=2,
             tracer=tracer, trace_path=trace)
         tracer.write_jsonl(trace)
 

@@ -17,10 +17,12 @@
 
 import errno
 import hashlib
+import importlib.util
 import json
 import math
 import multiprocessing
 import os
+import pathlib
 import signal
 import time
 
@@ -44,8 +46,12 @@ from repro.io import (
     unseal,
 )
 from repro.robustness import RunJournal
-from repro.robustness.chaos import write_report
 from repro.serve import JobScheduler, ModelRegistry
+
+_TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "chaos.py"
+_spec = importlib.util.spec_from_file_location("chaos", _TOOL)
+chaos = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(chaos)
 
 pytestmark = pytest.mark.filterwarnings("ignore")
 
@@ -220,7 +226,7 @@ def _enospc(*args, **kwargs):
 
 @pytest.mark.parametrize("write", [
     lambda path, n: save_json(np.arange(n), path),
-    lambda path, n: write_report({"scenarios": list(range(n))}, path),
+    lambda path, n: chaos.write_report({"scenarios": list(range(n))}, path),
 ], ids=["save_json", "write_report"])
 def test_failed_rewrite_keeps_old_bytes(tmp_path, monkeypatch, write):
     path = tmp_path / "out.json"

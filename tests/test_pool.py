@@ -4,7 +4,8 @@ What must hold (ISSUE acceptance):
 
 * a parallel sweep (``jobs=N``) is *equivalent* to a serial one — same
   keys, statuses, tables, seeds — byte-identical under
-  ``canonical_summary``, including sweeps with injected hard faults;
+  ``canonical_summary``, including sweeps with failing and
+  worker-killing experiments;
 * an experiment that keeps crashing its worker trips the per-key
   circuit breaker after ``crash_retries`` reschedules and is
   quarantined, never starving the sweep;
@@ -31,6 +32,7 @@ import pytest
 
 from repro.__main__ import main as cli_main
 from repro.exceptions import ValidationError
+from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.harness import ResultTable, run_experiments
 from repro.robustness import (
     RunJournal,
@@ -42,7 +44,7 @@ from repro.robustness import (
     resolve_jobs,
     shared_arrays,
 )
-from repro.robustness.faults import hang, hard_crash, oom
+from tests.faults import FaultInjectedError, hang, hard_crash, oom
 
 # generous wall-clock ceiling for "was killed promptly" assertions
 REAP_CEILING = 10.0
@@ -54,6 +56,10 @@ def _table(name="t", **cells):
     table = ResultTable(name, list(cells) or ["x"])
     table.add(**(cells or {"x": 1.0}))
     return table
+
+
+def _injected():
+    raise FaultInjectedError("fault injected into this experiment")
 
 
 def _mark(path):
@@ -171,14 +177,14 @@ def test_parallel_sweep_equivalent_to_serial(tmp_path):
         return run
 
     grid = {f"E{i}": body(f"E{i}") for i in range(6)}
-    faults = {"E2": "error", "E4": "crash"}
+    grid.update(E2=_injected, E4=hard_crash)
 
     serial = run_experiments(
-        dict(grid), jobs=1, isolate=True, fail_keys=faults,
+        dict(grid), jobs=1, isolate=True,
         journal=RunJournal(tmp_path / "serial"), base_seed=3,
     )
     pooled = run_experiments(
-        dict(grid), jobs=4, fail_keys=faults,
+        dict(grid), jobs=4,
         journal=RunJournal(tmp_path / "pooled"), base_seed=3,
     )
     assert canonical_summary(serial) == canonical_summary(pooled)
@@ -202,14 +208,14 @@ def test_in_process_sweep_equivalent_to_pool(tmp_path):
         return run
 
     grid = {f"E{i}": body(f"E{i}") for i in range(6)}
-    faults = {"E2": "error"}
+    grid["E2"] = _injected
 
     in_process = run_experiments(
-        dict(grid), jobs=1, fail_keys=faults,
+        dict(grid), jobs=1,
         journal=RunJournal(tmp_path / "in_process"), base_seed=3,
     )
     pooled = run_experiments(
-        dict(grid), jobs=4, fail_keys=faults,
+        dict(grid), jobs=4,
         journal=RunJournal(tmp_path / "pooled"), base_seed=3,
     )
     assert canonical_summary(in_process) == canonical_summary(pooled)
@@ -664,11 +670,10 @@ def test_cli_rejects_negative_crash_retries(capsys):
     assert "--crash-retries" in capsys.readouterr().err
 
 
-def test_cli_hard_inject_modes_allowed_with_jobs(capsys):
-    """--inject-fault hard modes need --isolate *or* a parallel pool."""
-    assert cli_main(["run", "T1", "--inject-fault", "T1:crash"]) == 2
-    assert "--jobs" in capsys.readouterr().err
-    assert cli_main(["run", "T1", "--jobs", "2",
-                     "--inject-fault", "T1:crash"]) == 1
+def test_cli_hard_inject_modes_allowed_with_jobs(capsys, monkeypatch):
+    """A worker-killing experiment under --jobs N is contained by the
+    pool: exit 1 with a crashed outcome, no --isolate needed."""
+    monkeypatch.setitem(ALL_EXPERIMENTS, "T1", hard_crash)
+    assert cli_main(["run", "T1", "--jobs", "2"]) == 1
     out = capsys.readouterr().out
     assert "crashed" in out

@@ -13,11 +13,12 @@ the same guarantees: a failed append degrades it to memory and the next
 write heals it with an atomic full rewrite, a checksum-failed line is
 quarantined, and consolidation never deletes the worker shards while
 the consolidated journal is not on disk. The full five-scenario
-drill lives in ``repro chaos`` / ``benchmarks/bench_resilience.py``;
-here we test its building blocks so tier-1 stays fast.
+drill lives in ``tools/chaos.py``; here we test its building blocks so
+tier-1 stays fast.
 """
 
 import errno
+import importlib.util
 import json
 import multiprocessing
 import os
@@ -36,13 +37,6 @@ from repro.io import payload_checksum, unseal
 from repro.observability import default_registry, reset_default_registry
 from repro.observability.registry import LATENCY_BUCKETS, Histogram
 from repro.robustness import RunJournal
-from repro.robustness.chaos import (
-    SCENARIOS,
-    SMOKE_SCENARIOS,
-    _Samples,
-    render_report,
-    run_chaos,
-)
 from repro.serve import (
     CircuitBreaker,
     CircuitOpenError,
@@ -54,6 +48,11 @@ from repro.serve import (
     ShedError,
     make_server,
 )
+
+_TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "chaos.py"
+_spec = importlib.util.spec_from_file_location("chaos", _TOOL)
+chaos = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(chaos)
 
 pytestmark = pytest.mark.filterwarnings("ignore")
 
@@ -682,11 +681,11 @@ class TestEvictionHammer:
 
 class TestChaosPlumbing:
     def test_smoke_scenarios_are_a_subset(self):
-        assert set(SMOKE_SCENARIOS) <= set(SCENARIOS)
-        assert len(SCENARIOS) == 5
+        assert set(chaos.SMOKE_SCENARIOS) <= set(chaos.SCENARIOS)
+        assert len(chaos.SCENARIOS) == 5
 
     def test_samples_availability_accounting(self):
-        samples = _Samples()
+        samples = chaos._Samples()
         for outcome in ("ok", "ok", "failed-clean", "shed", "queue-full",
                         "deadline"):
             samples.add(outcome, 0.01)
@@ -702,15 +701,15 @@ class TestChaosPlumbing:
         assert samples.latency_quantile(0.99) == 0.01  # over "ok" only
 
     def test_empty_samples_are_fully_available(self):
-        samples = _Samples()
+        samples = chaos._Samples()
         assert samples.availability_pct() == 100.0
         assert samples.latency_quantile(0.99) is None
 
     def test_run_chaos_validates_inputs(self):
         with pytest.raises(ValidationError, match="jobs >= 2"):
-            run_chaos(jobs=1)
+            chaos.run_chaos(jobs=1)
         with pytest.raises(ValidationError, match="unknown chaos"):
-            run_chaos(scenarios=["no-such-scenario"])
+            chaos.run_chaos(scenarios=["no-such-scenario"])
 
     def test_render_report_shapes(self):
         report = {
@@ -727,16 +726,16 @@ class TestChaosPlumbing:
                            "recovery_bound_seconds": 30.0,
                            "availability_floor_pct": 99.0},
         }
-        text = render_report(report)
+        text = chaos.render_report(report)
         assert "chaos smoke run: FAIL" in text
         assert "worker-kill" in text and "PASS" in text
         assert "RuntimeError: boom" in text
         assert "wrong results served: 0" in text
 
-    def test_cli_rejects_smoke_with_scenario(self):
-        from repro.__main__ import main as cli_main
-
-        assert cli_main(["chaos", "--smoke", "--scenario",
-                         "worker-kill"]) == 2
-        assert cli_main(["chaos", "--scenario", "bogus"]) == 2
-        assert cli_main(["chaos", "--jobs", "1"]) == 2
+    def test_cli_rejects_smoke_with_scenario(self, capsys):
+        assert chaos.main(["--smoke", "--scenario", "worker-kill"]) == 2
+        assert "mutually exclusive" in capsys.readouterr().err
+        assert chaos.main(["--scenario", "bogus"]) == 2
+        assert "unknown chaos scenario" in capsys.readouterr().err
+        assert chaos.main(["--jobs", "1"]) == 2
+        assert "jobs >= 2" in capsys.readouterr().err

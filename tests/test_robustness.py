@@ -34,30 +34,32 @@ from repro.cluster import (
 from repro.exceptions import (
     BudgetExceededError,
     ConvergenceWarning,
-    FaultInjectedError,
     MultiClustError,
     ValidationError,
 )
-from repro.experiments import ResultTable, run_experiments, summarize_outcomes
-from repro.robustness import (
-    DATA_FAULTS,
-    FlakyEstimator,
-    RunBudget,
-    RunGuard,
-    StallingEstimator,
-    active_budget,
-    adversarial_cluster_count,
-    budget_tick,
-    faulty_variants,
-    inject_duplicate_rows,
-    inject_nan_cells,
+from repro.experiments import (
+    ALL_EXPERIMENTS,
+    ResultTable,
+    run_experiments,
+    summarize_outcomes,
 )
+from repro.robustness import RunBudget, RunGuard, active_budget, budget_tick
 from repro.originalspace import (
     ADCOAlternative,
     ConditionalInformationBottleneck,
     MinCEntropy,
 )
 from repro.transform import OrthogonalClustering
+from tests.faults import (
+    DATA_FAULTS,
+    FaultInjectedError,
+    FlakyEstimator,
+    StallingEstimator,
+    adversarial_cluster_count,
+    faulty_variants,
+    inject_duplicate_rows,
+    inject_nan_cells,
+)
 
 _TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / \
     "check_estimator_contract.py"
@@ -338,11 +340,14 @@ def test_run_experiments_stops_without_keep_going():
     assert [o.key for o in outcomes] == ["GOOD", "BAD"]
 
 
+def _injected_experiment():
+    raise FaultInjectedError("fault injected into this experiment")
+
+
 def test_run_experiments_fault_injection_and_callback():
     seen = []
     outcomes = run_experiments(
-        {"A": _ok_experiment, "B": _ok_experiment},
-        fail_keys={"B"},
+        {"A": _ok_experiment, "B": _injected_experiment},
         callback=lambda o: seen.append(o.key),
     )
     assert seen == ["A", "B"]
@@ -376,8 +381,9 @@ def test_cli_unknown_experiment_suggests(capsys):
     assert "did you mean F6" in err
 
 
-def test_cli_injected_fault_reports_and_fails(capsys):
-    assert cli_main(["run", "F6", "--inject-fault", "F6"]) == 1
+def test_cli_injected_fault_reports_and_fails(capsys, monkeypatch):
+    monkeypatch.setitem(ALL_EXPERIMENTS, "F6", _injected_experiment)
+    assert cli_main(["run", "F6"]) == 1
     captured = capsys.readouterr()
     assert "run summary" in captured.out
     assert "failed" in captured.out

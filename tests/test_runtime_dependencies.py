@@ -1,8 +1,11 @@
 """NumPy is the only runtime dependency: the package, the server, the
 experiments and every estimator that matches clusterings or tests
 binomial significance run without loading SciPy, which the kernel
-oracles use as a test-only reference."""
+oracles use as a test-only reference. Inside the package, the run layer
+(``repro.robustness``) depends on nothing in ``repro.experiments``: the
+harness imports the run layer, never the other way round."""
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -40,3 +43,29 @@ def test_runtime_paths_never_import_scipy():
                           capture_output=True, text=True, check=True,
                           timeout=300)
     assert proc.stdout.strip() == "[]"
+
+
+def _imported_modules(path, package):
+    """Absolute names of every module ``path`` imports, function bodies
+    included; ``package`` is the dotted package the file sits in."""
+    parts = package.split(".")
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = parts[:len(parts) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def test_run_layer_never_imports_the_harness():
+    root = _SRC / "repro" / "robustness"
+    offenders = sorted(
+        f"{path.name}: {module}"
+        for path in root.rglob("*.py")
+        for module in _imported_modules(path, "repro.robustness")
+        if module == "repro.experiments"
+        or module.startswith("repro.experiments.")
+    )
+    assert offenders == []

@@ -1,8 +1,15 @@
-"""Chaos harness: inject real faults into a real server, prove recovery.
+"""Chaos drill: inject real faults into a real server, prove recovery.
 
-``repro chaos`` boots an actual ``repro serve`` subprocess, drives it
-with a threaded load generator, injects failures mid-load, and asserts
-the self-healing invariants the serving layer claims:
+Usage::
+
+    python tools/chaos.py                 # all five scenarios, ~1 minute
+    python tools/chaos.py --smoke         # worker-kill + corrupt-entry
+    python tools/chaos.py --scenario overload
+    python tools/chaos.py --out BENCH_resilience.json
+
+The drill boots an actual ``repro serve`` subprocess, drives it with a
+threaded load generator, injects failures mid-load, and asserts the
+self-healing invariants the serving layer claims:
 
 * **no wrong result is ever served** — every model payload returned
   over HTTP is compared byte-for-byte (canonical JSON) against a
@@ -38,15 +45,21 @@ Five scenarios, one fault each:
 
 ``--smoke`` runs only ``worker-kill`` + ``corrupt-entry`` with a small
 workload — the pre-PR checklist gate (< 10 s on a warm machine).
+``--jobs N`` sets the pool size of every server under test (default 2,
+at least 2 so there is a worker to kill), ``--scenario NAME`` (repeatable)
+picks scenarios, and ``--out FILE`` writes the JSON report (the
+committed ``BENCH_resilience.json``).
 
-This module never prints (rule ``RL003``); it returns a report dict
-and logs. ``repro chaos`` (the CLI) renders and persists it.
+Exit status: 0 when every scenario passed, 1 when one failed, 2 on a
+usage error.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import os
+import pathlib
 import shutil
 import signal
 import socket
@@ -56,15 +69,19 @@ import tempfile
 import threading
 import time
 
+_REPO_SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+if str(_REPO_SRC) not in sys.path:
+    sys.path.insert(0, str(_REPO_SRC))
+
 import numpy as np
 
-from ..exceptions import ValidationError
-from ..io import dumps, estimator_to_dict, write_text_atomic
-from ..observability.logs import get_logger
+from repro.exceptions import ValidationError
+from repro.io import dumps, estimator_to_dict, write_text_atomic
+from repro.observability.logs import configure_logging, get_logger
+from repro.serve import ServeClient, ServerError
+from repro.serve.scheduler import servable_estimators
 
-__all__ = ["run_chaos", "SCENARIOS", "SMOKE_SCENARIOS"]
-
-logger = get_logger("repro.robustness.chaos")
+logger = get_logger("chaos")
 
 #: Full-run scenario order (each boots its own server).
 SCENARIOS = ("worker-kill", "corrupt-entry", "disk-full", "overload",
@@ -119,8 +136,6 @@ class _Reference:
     def model(self, spec):
         """Canonical serialized model for ``spec``, fit locally —
         mirrors the scheduler's seed handling exactly."""
-        from ..serve.scheduler import servable_estimators
-
         key = self._spec_key(spec)
         with self._lock:
             cached = self._models.get(key)
@@ -178,8 +193,6 @@ class _ServerProcess:
 
     def wait_ready(self, timeout=READY_TIMEOUT):
         """Seconds until ``GET /healthz`` answers; raises on timeout."""
-        from ..serve.client import ServeClient, ServerError
-
         probe = ServeClient(self.url, timeout=2.0, retries=0)
         start = time.monotonic()
         while time.monotonic() - start < timeout:
@@ -237,10 +250,6 @@ class _ServerProcess:
             logger.warning("server %d ignored SIGTERM; killing",
                            self.proc.pid)
             self.kill()
-
-
-_REPO_SRC = os.path.dirname(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))))
 
 
 # -- load generation --------------------------------------------------------
@@ -315,8 +324,6 @@ def _fit_once(client, spec, reference, samples, *, deadline_ms=None,
     Returns the terminal job dict (or ``None`` when the request never
     produced one).
     """
-    from ..serve.client import ServerError
-
     start = time.perf_counter()
     try:
         job = client.submit(spec["estimator"], spec["dataset"],
@@ -357,8 +364,6 @@ def _fit_once(client, spec, reference, samples, *, deadline_ms=None,
 def _load_thread(url, specs, reference, samples, stop, *, retries=0,
                  deadline_ms=None):
     """Background load: round-robin ``specs`` until ``stop`` is set."""
-    from ..serve.client import ServeClient
-
     client = ServeClient(url, timeout=10.0, retries=retries, seed=1234)
     index = 0
     while not stop.is_set():
@@ -378,8 +383,6 @@ def _metric_value(client, name, default=0.0):
 
 def _scenario_worker_kill(workdir, *, jobs, smoke, server=None):
     """SIGKILL one pool worker mid-fit; pool reaps, respawns, recovers."""
-    from ..serve.client import ServeClient
-
     reference = _Reference()
     samples = _Samples()
     own_server = server is None
@@ -438,8 +441,6 @@ def _scenario_worker_kill(workdir, *, jobs, smoke, server=None):
 
 def _scenario_corrupt_entry(workdir, *, jobs, smoke, server=None):
     """Bit-flip a cached entry; it must be quarantined, never served."""
-    from ..serve.client import ServeClient
-
     reference = _Reference()
     samples = _Samples()
     own_server = server is None
@@ -492,8 +493,6 @@ def _scenario_corrupt_entry(workdir, *, jobs, smoke, server=None):
 
 def _scenario_disk_full(workdir, *, jobs, smoke):
     """Fill the cache past its byte cap; degrade to memory, then heal."""
-    from ..serve.client import ServeClient
-
     reference = _Reference()
     samples = _Samples()
     cache_dir = os.path.join(workdir, "cache-disk-full")
@@ -543,8 +542,6 @@ def _scenario_disk_full(workdir, *, jobs, smoke):
 
 def _scenario_overload(workdir, *, jobs, smoke):
     """Flood past the shed threshold; availability must hold >= 99%."""
-    from ..serve.client import ServeClient
-
     reference = _Reference()
     samples = _Samples()
     cache_dir = os.path.join(workdir, "cache-overload")
@@ -591,8 +588,6 @@ def _scenario_overload(workdir, *, jobs, smoke):
 def _scenario_server_kill(workdir, *, jobs, smoke):
     """kill -9 the whole server; a restart on the same cache dir must
     come back healthy and serve the pre-crash cache."""
-    from ..serve.client import ServeClient
-
     reference = _Reference()
     samples = _Samples()
     cache_dir = os.path.join(workdir, "cache-server-kill")
@@ -744,3 +739,52 @@ def write_report(report, path):
     """Persist the report as indented JSON (the BENCH artifact)."""
     write_text_atomic(path, dumps(report, indent=2) + "\n")
     return path
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(
+        prog="python tools/chaos.py",
+        description="fault-injection drill against a real server "
+                    "(see docs/robustness.md)",
+    )
+    parser.add_argument(
+        "--smoke", action="store_true",
+        help="fast pre-PR gate: worker-kill + corrupt-entry only, one "
+             "shared server (about ten seconds)",
+    )
+    parser.add_argument(
+        "--jobs", type=int, default=2, metavar="N",
+        help="pool size for each server under test (default 2; must be "
+             ">= 2 so there is a worker to kill)",
+    )
+    parser.add_argument(
+        "--scenario", action="append", default=[], metavar="NAME",
+        dest="scenarios",
+        help="run only this scenario (repeatable); choose from "
+             f"{', '.join(SCENARIOS)}",
+    )
+    parser.add_argument(
+        "--out", default=None, metavar="FILE",
+        help="write the JSON report to FILE (e.g. BENCH_resilience.json)",
+    )
+    args = parser.parse_args(argv)
+    configure_logging()
+    if args.smoke and args.scenarios:
+        print("--smoke and --scenario are mutually exclusive",
+              file=sys.stderr)
+        return 2
+    try:
+        report = run_chaos(smoke=args.smoke, jobs=args.jobs,
+                           scenarios=args.scenarios or None)
+    except ValidationError as exc:
+        print(f"chaos: {exc}", file=sys.stderr)
+        return 2
+    print(render_report(report))
+    if args.out is not None:
+        write_report(report, args.out)
+        print(f"report written to {args.out}")
+    return 0 if report["passed"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

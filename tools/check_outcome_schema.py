@@ -4,10 +4,11 @@ Usage:  python tools/check_outcome_schema.py
 
 The contract (see docs/robustness.md):
 
-1. every ``RunFailure.kind`` the fault injectors can produce
-   (``"error"`` via exceptions, ``"timeout"`` via the hang injector
-   under a hard deadline, ``"crashed"`` via the hard-crash injector
-   under isolation) appears in ``KNOWN_FAILURE_KINDS``;
+1. every ``RunFailure.kind`` a run can produce (``"error"`` from an
+   exception, ``"timeout"`` from a worker killed at its hard deadline,
+   ``"crashed"`` from a worker that died under isolation; the test
+   suite forces each one with ``tests/faults.py``) appears in
+   ``KNOWN_FAILURE_KINDS``;
 2. an :class:`~repro.experiments.ExperimentOutcome` carrying each kind
    — and an ``"ok"`` outcome carrying a ResultTable — survives the
    JSON round-trip (``to_dict`` → ``json`` → ``from_dict``) that both
@@ -38,7 +39,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
-#: kind -> (error_type, message) as produced by the injectors/harness.
+#: kind -> (error_type, message) as a failing run produces them.
 INJECTABLE_KINDS = {
     "error": ("FaultInjectedError", "fault injected into experiment X"),
     "timeout": ("WorkerTimeoutError",
@@ -94,8 +95,8 @@ def check_known_kinds():
     for kind in KNOWN_FAILURE_KINDS:
         if kind not in INJECTABLE_KINDS:
             problems.append(
-                f"KNOWN_FAILURE_KINDS declares {kind!r} but no injector "
-                "produces it — extend INJECTABLE_KINDS in this tool"
+                f"KNOWN_FAILURE_KINDS declares {kind!r} but this tool has "
+                "no sample of it — extend INJECTABLE_KINDS"
             )
     return problems
 
