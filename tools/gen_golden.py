@@ -240,6 +240,60 @@ def _fires(X, truths):
             "n_components": int(est.n_components_)}
 
 
+def _clusters_in_order(clustering):
+    """``[dims, objects, quality]`` per cluster, in the estimator's order."""
+    return [[sorted(c.dims), sorted(c.objects),
+             None if c.quality is None else float(c.quality)]
+            for c in clustering]
+
+
+def _dbscan(X, truths, eps, min_pts):
+    from repro.cluster import DBSCAN
+
+    est = DBSCAN(eps=eps, min_pts=min_pts).fit(X)
+    return {"labels": _labels(est.labels_),
+            "core": _labels(est.core_sample_indices_)}
+
+
+def _subclu(X, truths, eps, min_pts):
+    from repro.subspace import SUBCLU
+
+    est = SUBCLU(eps=eps, min_pts=min_pts).fit(X)
+    return {"clusters": _clusters_in_order(est.clusters_),
+            "subspaces_visited": int(est.subspaces_visited_),
+            "candidate_objects_scanned":
+                int(est.candidate_objects_scanned_)}
+
+
+def _predecon(X, truths, **params):
+    from repro.subspace import PreDeCon
+
+    est = PreDeCon(**params).fit(X)
+    return {"labels": _labels(est.labels_),
+            "clusters": _clusters_in_order(est.clusters_),
+            "preference_dims": [list(p) for p in est.preference_dims_]}
+
+
+def _dusc(X, truths, **params):
+    from repro.subspace import DUSC
+
+    est = DUSC(**params).fit(X)
+    return {"clusters": _clusters_in_order(est.clusters_),
+            "core_thresholds": {str(d): int(t) for d, t
+                                in est.core_thresholds_.items()},
+            "subspaces_visited": int(est.subspaces_visited_)}
+
+
+def _kernel_kmeans(X, truths, seed, k):
+    from repro.cluster import KernelKMeans
+
+    est = KernelKMeans(n_clusters=k, random_state=seed).fit(X)
+    return {"labels": _labels(est.labels_),
+            "quality": float(est.quality_),
+            "n_iter": int(est.n_iter_),
+            "trace": _trace(est)}
+
+
 def _tie_labelings(X, truths):
     """Labelings of the tie-heavy grid whose contingency tables admit
     several optimal one-to-one matchings."""
@@ -264,11 +318,13 @@ def cases():
         "agglomerative", "coala", "mincentropy", "adco_alternative", "cib",
         "random_projection_ensemble", "meta_clustering", "cspa_consensus",
         "spectral", "msc", "mv_spectral", "condens", "p3c", "statpc",
-        "fires", "majority_vote", "kmeans", "gmm")}
+        "fires", "majority_vote", "kmeans", "gmm", "dbscan", "subclu",
+        "predecon", "dusc", "kernel_kmeans")}
 
-    def add(family, case_id, fn, name, *args):
+    def add(family, case_id, fn, name, *args, **params):
         X, truths = data[name]
-        out[family][f"{name}/{case_id}"] = lambda: fn(X, truths, *args)
+        out[family][f"{name}/{case_id}"] = lambda: fn(X, truths, *args,
+                                                      **params)
 
     for name in data:
         for linkage in ("single", "complete", "average"):
@@ -320,6 +376,41 @@ def cases():
         for covariance_type in ("full", "diag", "spherical"):
             add("gmm", f"{covariance_type}/k=8/seed={seed}", _gmm, "ties",
                 seed, covariance_type, 8)
+    # density-based miners: parameters that leave both clusters and
+    # noise on each table (the defaults find nothing at n = 90)
+    planted_density = {
+        "dbscan": [(1.0, 5), (0.8, 3)],
+        "subclu": [(0.5, 5), (0.3, 4)],
+        "predecon": [dict(eps=2.0, delta=1.0, min_pts=4),
+                     dict(eps=1.0, delta=0.5, min_pts=2,
+                          max_preference_dim=1)],
+        "dusc": [dict(eps=0.5, factor=2.0), dict(eps=0.4, factor=2.0)],
+    }
+    tie_density = {
+        "dbscan": [(0.5, 5), (0.3, 3), (1.0, 5)],
+        "subclu": [(0.5, 5), (0.3, 4)],
+        "predecon": [dict(eps=1.0, delta=0.5, min_pts=5),
+                     dict(eps=1.5, delta=1.0, min_pts=5),
+                     dict(eps=2.0, delta=1.0, min_pts=4)],
+        "dusc": [dict(eps=1.0, factor=1.0),
+                 dict(eps=1.0, factor=0.5, min_cluster_size=2)],
+    }
+    density = {"dbscan": _dbscan, "subclu": _subclu}
+    for name in data:
+        settings = tie_density if name == "ties" else planted_density
+        for family, fn in density.items():
+            for eps, min_pts in settings[family]:
+                add(family, f"eps={eps}/min_pts={min_pts}", fn, name, eps,
+                    min_pts)
+        for family, fn in (("predecon", _predecon), ("dusc", _dusc)):
+            for params in settings[family]:
+                case_id = "/".join(f"{key}={value}" for key, value
+                                   in sorted(params.items()))
+                add(family, case_id, fn, name, **params)
+        for seed in (0, 1):
+            for k in (2, 3):
+                add("kernel_kmeans", f"k={k}/seed={seed}", _kernel_kmeans,
+                    name, seed, k)
     for reference in ("x0", "sum3"):
         add("majority_vote", f"reference={reference}", _majority_vote,
             "ties", reference)
