@@ -96,9 +96,7 @@ class DUSC(ParamsMixin):
     def _mine_subspace(self, X, ranges, subspace):
         n = X.shape[0]
         sub = X[:, list(subspace)]
-        d2 = cdist_sq(sub, sub)
-        eps2 = self.eps * self.eps
-        neighborhoods = [np.flatnonzero(row <= eps2) for row in d2]
+        neighborhoods = cdist_sq(sub, sub) <= self.eps * self.eps
         expected = expected_neighbors_uniform(
             n, self.eps, [ranges[j] for j in subspace])
         min_pts = max(2, int(np.ceil(self.factor * expected)))

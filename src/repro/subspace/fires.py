@@ -95,9 +95,7 @@ class FIRES(ParamsMixin):
 
     def _dbscan(self, X, objects, dims):
         sub = X[np.ix_(objects, list(dims))]
-        d2 = cdist_sq(sub, sub)
-        eps2 = self.eps * self.eps
-        neighborhoods = [np.flatnonzero(row <= eps2) for row in d2]
+        neighborhoods = cdist_sq(sub, sub) <= self.eps * self.eps
         labels, _ = dbscan_from_neighborhoods(neighborhoods, self.min_pts)
         out = []
         for cid in np.unique(labels):

@@ -79,9 +79,7 @@ class SUBCLU(ParamsMixin):
         Returns a list of object-index arrays (global indices).
         """
         sub = X[np.ix_(objects, list(dims))]
-        d2 = cdist_sq(sub, sub)
-        eps2 = self.eps * self.eps
-        neighborhoods = [np.flatnonzero(row <= eps2) for row in d2]
+        neighborhoods = cdist_sq(sub, sub) <= self.eps * self.eps
         labels, _ = dbscan_from_neighborhoods(neighborhoods, self.min_pts)
         out = []
         for cid in np.unique(labels):

@@ -77,3 +77,21 @@ class TestPreDeCon:
         for cid, cluster in enumerate(pd.clusters_):
             members = set(np.flatnonzero(pd.labels_ == cid).tolist())
             assert members == set(cluster.objects)
+
+    def test_min_pts_one_keeps_ineligible_points_out_of_cores(self):
+        # a line preferring dimension 1 plus uniform outliers with no
+        # preferred dimension: with min_pts=1 an outlier could count
+        # itself as a dense neighbourhood, but it fails the preference
+        # test, so it must not seed a cluster of its own
+        rng = np.random.default_rng(0)
+        line = np.column_stack([np.linspace(0.0, 3.0, 30), np.zeros(30)])
+        X = np.vstack([line, rng.uniform(-5.0, 5.0, size=(5, 2))])
+        pd = PreDeCon(min_pts=1, max_preference_dim=1).fit(X)
+        ineligible = [i for i, dims in enumerate(pd.preference_dims_)
+                      if len(dims) != 1]
+        assert set(range(31, 35)) <= set(ineligible)
+        assert pd.labels_[31:].tolist() == [-1] * 4
+        assert pd.labels_[:30].tolist() == [0] * 30
+        for cid in range(int(pd.labels_.max()) + 1):
+            members = np.flatnonzero(pd.labels_ == cid)
+            assert any(i not in ineligible for i in members)
