@@ -60,27 +60,28 @@ class _NearestNeighbours:
             return None
         return i, int(self.nn[i])
 
-    def merged(self, d, a, b, others):
+    def merged(self, d, a, b, alive):
         """Refresh after ``b`` merged into ``a``; ``d`` is already updated
-        and ``others`` are the other active rows. Only column ``a`` of
-        those rows changed (column ``b`` became +inf), so a row whose
+        and ``alive`` marks the active rows. Only column ``a`` of the
+        other rows changed (column ``b`` became +inf), so a row whose
         neighbour was neither ``a`` nor ``b`` just compares its minimum
-        with the new entry; the rest, and row ``a``, are rescanned."""
+        with the new entry; the rest, and row ``a``, are rescanned.
+        Retired rows are all +inf and keep ``nn == 0``."""
+        nn, dist = self.nn, self.dist
+        new = d[:, a]
         if self.mask is not None:
             union = self.mask[a] | self.mask[b]
             self.mask[a, :] = union
             self.mask[:, a] = union
-        self.nn[b], self.dist[b] = 0, np.inf
-        stale = (self.nn[others] == a) | (self.nn[others] == b)
-        keep = others[~stale]
-        new = d[keep, a]
-        if self.mask is not None:
-            new[self.mask[keep, a]] = np.inf
-        old = self.dist[keep]
-        closer = (new < old) | ((new == old) & (a < self.nn[keep]))
-        self.nn[keep[closer]] = a
-        self.dist[keep[closer]] = new[closer]
-        self.rescan(d, np.append(others[stale], a))
+            new = np.where(union, np.inf, new)
+        stale = (nn == a) | (nn == b)
+        closer = (new < dist) | ((new == dist) & (a < nn))
+        nn[closer] = a
+        dist[closer] = new[closer]
+        nn[b], dist[b] = 0, np.inf
+        stale &= alive
+        stale[a] = True
+        self.rescan(d, np.flatnonzero(stale))
 
 
 class LinkageMatrix:
@@ -91,10 +92,13 @@ class LinkageMatrix:
     :meth:`closest_pair` is an O(n) argmin over n cached minima that
     returns exactly the pair a flat ``argmin`` over the whole matrix
     would (the first minimal entry in row-major order). A merge applies
-    the Lance-Williams update to one row and column in O(n) and rescans
-    only the rows whose nearest neighbour was one of the merged groups
-    (Müllner 2011, arXiv:1109.2378): a full hierarchy typically costs
-    O(n^2), and O(n^3) when many rows shared a neighbour.
+    the Lance-Williams update to the surviving group's whole row and
+    column in O(n) (retired groups' entries are +inf and stay so) and
+    rescans only the rows whose nearest neighbour was one of the merged
+    groups (Müllner 2011, arXiv:1109.2378): a full hierarchy typically
+    costs O(n^2), and O(n^3) when many rows shared a neighbour. Each
+    merge takes a fixed number of whole-array NumPy calls, not one per
+    active group.
 
     Parameters
     ----------
@@ -162,23 +166,25 @@ class LinkageMatrix:
             raise ValidationError("both groups must be active and distinct")
         na, nb = self.sizes[a], self.sizes[b]
         d = self._d
-        self._alive[b] = False
-        others = np.flatnonzero(self._alive)
-        others = others[others != a]
-        dac, dbc = d[a, others], d[b, others]
+        # Whole rows: retired columns and the diagonal are +inf and stay
+        # +inf under every linkage; the merged pair's own entries are
+        # reset after the update (single linkage would make them finite).
+        dac, dbc = d[a], d[b]
         if self.linkage == "single":
             new = np.where(dbc < dac, dbc, dac)
         elif self.linkage == "complete":
             new = np.where(dbc > dac, dbc, dac)
         else:  # average
             new = (na * dac + nb * dbc) / (na + nb)
-        d[a, others] = new
-        d[others, a] = new
-        d[b, :] = np.inf
+        new[a] = new[b] = np.inf
+        d[a] = new
+        d[:, a] = new
+        d[b] = np.inf
         d[:, b] = np.inf
-        self._nearest.merged(d, a, b, others)
+        self._alive[b] = False
+        self._nearest.merged(d, a, b, self._alive)
         if self._linkable is not None:
-            self._linkable.merged(d, a, b, others)
+            self._linkable.merged(d, a, b, self._alive)
         self.active.remove(b)
         self.sizes[a] = na + nb
         self.members[a] = self.members[a] + self.members.pop(b)

@@ -101,7 +101,7 @@ class KernelKMeans(BaseClusterer):
             with capture_convergence() as capture:
                 for n_sweeps in range(1, max_sweeps + 1):
                     improved = False
-                    for i in rng.permutation(n):
+                    for i in rng.permutation(n).tolist():
                         if state.move_if_better(i):
                             improved = True
                     budget_tick(objective=state.quality() / n)

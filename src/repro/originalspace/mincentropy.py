@@ -75,30 +75,46 @@ class _State:
     from these in O(k * (1 + number of givens)) scalar steps;
     :meth:`apply_move` updates them and recomputes the touched tables'
     MI from the counts.
+
+    What the move scan reads per object lives in Python lists: labels,
+    sizes, ``W``, the kernel diagonal, the given codes and each table's
+    columns (``cols[g][code][c]``, kept beside the NumPy ``counts`` that
+    the MI is computed from). ``R`` stays an (n, k) NumPy array for the
+    O(n) column updates, and the scan reads its row ``i`` through a flat
+    memoryview of the same buffer, so no object costs a NumPy call
+    until it moves.
     """
 
     def __init__(self, K, labels, k, given_codes, given_sizes):
         self.K = K
         self.n = n = K.shape[0]
         self.k = k
-        self.labels = labels
+        self._labels = labels.tolist()
         # R[i, c] = sum_{j in c} K[i, j]
         self.R = np.stack(
             [K[:, labels == c].sum(axis=1) for c in range(k)], axis=1
         )
-        self.W = np.array([
+        self._flat_R = memoryview(self.R).cast("B").cast("d")
+        self.W = [
             float(K[np.ix_(labels == c, labels == c)].sum()) for c in range(k)
-        ])
-        self.sizes = np.array([int(np.sum(labels == c)) for c in range(k)])
-        self.given_codes = given_codes          # list of int arrays (0..kg-1)
+        ]
+        self.sizes = [int(np.sum(labels == c)) for c in range(k)]
+        self.diag = K.diagonal().tolist()
+        self.given_codes = [g.tolist() for g in given_codes]  # 0..kg-1
         self.counts = [
             self._contingency(labels, g, k, kg)
             for g, kg in zip(given_codes, given_sizes)
         ]
+        self.cols = [[col.tolist() for col in counts.T]
+                     for counts in self.counts]
         # MI of each current table, recomputed only when a move changes it
         self.mi = [_mi_from_counts(c) for c in self.counts]
         # f(x) = x ln x at every count a move can reach
         self.xlogx = [0.0] + [x * math.log(x) for x in range(1, n + 2)]
+
+    @property
+    def labels(self):
+        return np.array(self._labels, dtype=np.int64)
 
     @staticmethod
     def _contingency(labels, g, k, kg):
@@ -107,8 +123,9 @@ class _State:
         return counts
 
     def quality(self):
+        sizes, W = np.array(self.sizes), np.array(self.W)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(self.sizes > 0, self.W / np.maximum(self.sizes, 1), 0.0)
+            ratio = np.where(sizes > 0, W / np.maximum(sizes, 1), 0.0)
         return float(ratio.sum())
 
     def penalty(self):
@@ -125,21 +142,22 @@ class _State:
         - [f(n_a - 1) - f(n_a) + f(n_b + 1) - f(n_b)]``, where g is the
         given cluster of ``i``.
         """
-        a = int(self.labels[i])
-        sizes = self.sizes.tolist()
+        k = self.k
+        a = self._labels[i]
+        sizes = self.sizes
         sa = sizes[a]
         f = self.xlogx
         n = self.n
-        kii = float(self.K[i, i])
-        R = self.R[i].tolist()
-        W = self.W.tolist()
+        kii = self.diag[i]
+        R = self._flat_R[i * k:(i + 1) * k].tolist()
+        W = self.W
         wa = W[a]
         new_a = (wa - 2.0 * R[a] + kii) / (sa - 1) if sa > 1 else 0.0
         old_a = wa / sa
-        cols = [counts[:, codes[i]].tolist()
-                for counts, codes in zip(self.counts, self.given_codes)]
-        gains = [0.0] * self.k
-        for b in range(self.k):
+        cols = [cols[codes[i]]
+                for cols, codes in zip(self.cols, self.given_codes)]
+        gains = [0.0] * k
+        for b in range(k):
             if b == a:
                 continue
             wb, sb = W[b], sizes[b]
@@ -160,7 +178,7 @@ class _State:
         :meth:`move_gains` entry beats the best so far by more than
         1e-12, if any; return whether it moved. An object alone in its
         cluster stays."""
-        a = int(self.labels[i])
+        a = self._labels[i]
         if self.sizes[a] <= 1:
             return False
         best_b, best_gain = a, 0.0
@@ -173,19 +191,23 @@ class _State:
         return True
 
     def apply_move(self, i, a, b):
-        kii = self.K[i, i]
-        self.W[a] += -2.0 * self.R[i, a] + kii
-        self.W[b] += 2.0 * self.R[i, b] + kii
+        k = self.k
+        kii = self.diag[i]
+        self.W[a] += -2.0 * self._flat_R[i * k + a] + kii
+        self.W[b] += 2.0 * self._flat_R[i * k + b] + kii
         self.sizes[a] -= 1
         self.sizes[b] += 1
         self.R[:, a] -= self.K[:, i]
         self.R[:, b] += self.K[:, i]
-        for g_idx, counts in enumerate(self.counts):
-            g = self.given_codes[g_idx][i]
+        for g_idx, (counts, cols, codes) in enumerate(
+                zip(self.counts, self.cols, self.given_codes)):
+            g = codes[i]
             counts[a, g] -= 1
             counts[b, g] += 1
+            cols[g][a] -= 1
+            cols[g][b] += 1
             self.mi[g_idx] = _mi_from_counts(counts)
-        self.labels[i] = b
+        self._labels[i] = b
 
 
 class MinCEntropy(AlternativeClusterer):
@@ -216,7 +238,10 @@ class MinCEntropy(AlternativeClusterer):
     -----
     Scoring one candidate move of an object costs O(1) per given
     clustering, from cached cluster sums and integer contingency
-    counts. Applying a move costs O(n + k * k_g).
+    counts. The scan reads them from Python lists, so an object that
+    stays put costs no NumPy call. Applying a move costs
+    O(n + k * k_g): two column updates of the kernel row sums and the
+    MI of each touched table, recomputed from its counts with NumPy.
     """
 
     def __init__(self, n_clusters=2, beta=2.0, gamma=None, max_sweeps=30,
@@ -262,7 +287,7 @@ class MinCEntropy(AlternativeClusterer):
             with capture_convergence() as capture:
                 for n_sweeps in range(1, int(self.max_sweeps) + 1):
                     improved = False
-                    for i in rng.permutation(n):
+                    for i in rng.permutation(n).tolist():
                         if state.move_if_better(i, n, beta):
                             improved = True
                     budget_tick(objective=state.quality() / n

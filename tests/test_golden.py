@@ -1,6 +1,7 @@
 """Golden outputs: seed-exact results of the hierarchical, alternative
-and spectral clusterers and of the k-means and EM substrate, pinned
-across refactors and kernel optimisations.
+and spectral clusterers, of the density-based miners (DBSCAN, SUBCLU,
+PreDeCon, DUSC, FIRES), of kernel k-means and of the k-means and EM
+substrate, pinned across refactors and kernel optimisations.
 
 ``tools/gen_golden.py`` defines the cases and wrote ``tests/golden/``.
 Labels and merge pairs must match exactly, floats to rtol 1e-9.

@@ -4,7 +4,14 @@
   neighbour; :class:`NaiveLinkage` is the flat-argmin, Python-loop
   version it replaced. Their merge sequences (pairs and distances) must
   be bit-identical for every linkage, with and without cannot-link
-  constraints, including on tie-heavy inputs.
+  constraints, including on tie-heavy inputs. The cache must equal a
+  fresh first-index argmin of every row, retired rows included.
+* :func:`repro.cluster.dbscan_from_neighborhoods` expands each cluster
+  one breadth-first level at a time over a boolean adjacency;
+  :func:`naive_dbscan` is the per-neighbour stack expansion it replaced.
+  Labels and the core mask must be identical for symmetric and directed
+  neighbourhoods, shuffled neighbour order and empty rows, given as a
+  matrix or as index arrays.
 * :func:`repro.metrics.density_profile` bins each value once and counts
   with ``np.bincount``; the reference is one ``np.histogram`` per cluster
   and attribute, whose last bin includes its right edge.
@@ -13,7 +20,11 @@
   the whole objective for the moved labeling: ``_mi_from_counts`` on the
   modified tables, CIB's ``_terms``, and ADCO's per-cluster objective.
   Scores must match to 1e-12 (ADCO bit for bit), and after any sequence
-  of applied moves the cache must equal a fresh build.
+  of applied moves the cache must equal a fresh build. The move scan of
+  MinCEntropy and KernelKMeans reads Python lists; the reference is the
+  NumPy-backed :class:`ScalarMoveState` it replaced, and after every
+  object of a full sweep both must hold the same labels, sizes, ``W``,
+  ``R`` and MI, bit for bit.
 * :func:`repro.cluster.spectral_embedding` takes the top-k eigenvectors
   from a certified block subspace iteration; the reference is a dense
   ``eigh``. Whenever the ``spectral.embedding`` span says the block path
@@ -56,6 +67,7 @@ from scipy.stats import binom
 
 from repro.cluster import (
     LinkageMatrix,
+    dbscan_from_neighborhoods,
     kmeans_plus_plus,
     normalized_laplacian,
     spectral_embedding,
@@ -72,6 +84,7 @@ from repro.cluster.spectral import (
     _block_eigenvectors,
     _normalized_affinity,
 )
+from repro.data import make_multiple_truths
 from repro.exceptions import ConvergenceWarning, ValidationError
 from repro.metrics import adco_similarity, density_profile
 from repro.metrics.clusterings import ProfileBinning
@@ -245,6 +258,81 @@ class TestLinkageMatrixOracle:
         assert lm.closest_pair() == (0, 1, 1.0)
 
 
+# -- DBSCAN expansion ----------------------------------------------------------
+
+
+def naive_dbscan(neighborhoods, min_pts):
+    """The per-neighbour expansion: a stack of candidate objects fed one
+    neighbour at a time, from index-array neighbourhoods."""
+    n = len(neighborhoods)
+    core_mask = np.array([len(nb) >= min_pts for nb in neighborhoods],
+                         dtype=bool)
+    labels = np.full(n, -1, dtype=np.int64)
+    cluster_id = 0
+    for seed in range(n):
+        if labels[seed] != -1 or not core_mask[seed]:
+            continue
+        labels[seed] = cluster_id
+        frontier = list(neighborhoods[seed])
+        while frontier:
+            p = frontier.pop()
+            if labels[p] == -1:
+                labels[p] = cluster_id
+                if core_mask[p]:
+                    frontier.extend(
+                        q for q in neighborhoods[p] if labels[q] == -1
+                    )
+        cluster_id += 1
+    return labels, core_mask
+
+
+@st.composite
+def neighborhood_problems(draw):
+    """An adjacency matrix, n in [0, 40], and ``min_pts`` in 1..6.
+
+    Symmetric (an eps-ball) or directed (PreDeCon's masked rows), with
+    or without each object in its own neighbourhood, some rows emptied,
+    and each row's index array in a shuffled order.
+    """
+    n = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    adjacency = rng.random((n, n)) < draw(st.sampled_from([0.02, 0.08, 0.3]))
+    if draw(st.booleans()):
+        adjacency |= adjacency.T
+    if draw(st.booleans()):
+        np.fill_diagonal(adjacency, True)
+    adjacency[rng.random(n) < draw(st.sampled_from([0.0, 0.2]))] = False
+    lists = [rng.permutation(np.flatnonzero(row)) for row in adjacency]
+    return adjacency, lists, draw(st.integers(1, 6))
+
+
+class TestDBSCANExpansionOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(neighborhood_problems())
+    def test_matches_per_neighbour_expansion(self, problem):
+        adjacency, lists, min_pts = problem
+        expected_labels, expected_core = naive_dbscan(lists, min_pts)
+        for neighborhoods in (adjacency, lists):
+            labels, core = dbscan_from_neighborhoods(neighborhoods, min_pts)
+            assert labels.dtype == np.int64 and core.dtype == bool
+            assert np.array_equal(labels, expected_labels)
+            assert np.array_equal(core, expected_core)
+
+    def test_border_takes_first_cluster(self):
+        # 2 is a border object of both cores 0 and 4; cluster 0 gets it
+        lists = [[0, 1, 2], [0, 1], [2], [3, 4], [2, 3, 4]]
+        labels, core = dbscan_from_neighborhoods(lists, 2)
+        assert labels.tolist() == [0, 0, 0, 1, 1]
+        assert core.tolist() == [True, True, False, True, True]
+
+    def test_directed_reach(self):
+        # a directed chain 0 -> 1 -> 3 of two cores; nothing reaches 4
+        lists = [[0, 1, 2], [1, 3], [], [3], []]
+        labels, _ = dbscan_from_neighborhoods(lists, 2)
+        assert labels.tolist() == [0, 0, 0, 0, -1]
+        assert np.array_equal(labels, naive_dbscan(lists, 2)[0])
+
+
 def naive_density_profile(X, labels, bin_edges):
     n_bins = bin_edges.shape[1] - 1
     ids = np.unique(labels)
@@ -335,6 +423,109 @@ def local_search_problems(draw, non_negative=False):
 # -- minCEntropy ---------------------------------------------------------------
 
 
+class ScalarMoveState:
+    """The move scan before its scan-side state moved to Python lists:
+    NumPy ``labels``, ``sizes`` and ``W``, one ``.tolist()`` of each per
+    scored object, and the kernel diagonal read from ``K``."""
+
+    def __init__(self, K, labels, k, given_codes, given_sizes):
+        self.K = K
+        self.n = n = K.shape[0]
+        self.k = k
+        self.labels = labels
+        self.R = np.stack(
+            [K[:, labels == c].sum(axis=1) for c in range(k)], axis=1
+        )
+        self.W = np.array([
+            float(K[np.ix_(labels == c, labels == c)].sum()) for c in range(k)
+        ])
+        self.sizes = np.array([int(np.sum(labels == c)) for c in range(k)])
+        self.given_codes = given_codes
+        self.counts = []
+        for g, kg in zip(given_codes, given_sizes):
+            counts = np.zeros((k, kg), dtype=np.int64)
+            np.add.at(counts, (labels, g), 1)
+            self.counts.append(counts)
+        self.mi = [_mi_from_counts(c) for c in self.counts]
+        self.xlogx = [0.0] + [x * math.log(x) for x in range(1, n + 2)]
+
+    def quality(self):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(self.sizes > 0,
+                             self.W / np.maximum(self.sizes, 1), 0.0)
+        return float(ratio.sum())
+
+    def move_gains(self, i, scale=1.0, beta=0.0):
+        a = int(self.labels[i])
+        sizes = self.sizes.tolist()
+        sa = sizes[a]
+        f = self.xlogx
+        n = self.n
+        kii = float(self.K[i, i])
+        R = self.R[i].tolist()
+        W = self.W.tolist()
+        wa = W[a]
+        new_a = (wa - 2.0 * R[a] + kii) / (sa - 1) if sa > 1 else 0.0
+        old_a = wa / sa
+        cols = [counts[:, codes[i]].tolist()
+                for counts, codes in zip(self.counts, self.given_codes)]
+        gains = [0.0] * self.k
+        for b in range(self.k):
+            if b == a:
+                continue
+            wb, sb = W[b], sizes[b]
+            wb2 = wb + 2.0 * R[b] + kii
+            old = old_a + (wb / sb if sb else 0.0)
+            new = new_a + wb2 / (sb + 1)
+            d_size = f[sa - 1] - f[sa] + f[sb + 1] - f[sb]
+            delta = 0.0
+            for col in cols:
+                nag, nbg = col[a], col[b]
+                delta += (f[nag - 1] - f[nag] + f[nbg + 1] - f[nbg]
+                          - d_size) / n
+            gains[b] = (new - old) / scale - beta * delta
+        return gains
+
+    def move_if_better(self, i, scale=1.0, beta=0.0):
+        a = int(self.labels[i])
+        if self.sizes[a] <= 1:
+            return False
+        best_b, best_gain = a, 0.0
+        for b, gain in enumerate(self.move_gains(i, scale, beta)):
+            if b != a and gain > best_gain + 1e-12:
+                best_gain, best_b = gain, b
+        if best_b == a:
+            return False
+        self.apply_move(i, a, best_b)
+        return True
+
+    def apply_move(self, i, a, b):
+        kii = self.K[i, i]
+        self.W[a] += -2.0 * self.R[i, a] + kii
+        self.W[b] += 2.0 * self.R[i, b] + kii
+        self.sizes[a] -= 1
+        self.sizes[b] += 1
+        self.R[:, a] -= self.K[:, i]
+        self.R[:, b] += self.K[:, i]
+        for g_idx, counts in enumerate(self.counts):
+            g = self.given_codes[g_idx][i]
+            counts[a, g] -= 1
+            counts[b, g] += 1
+            self.mi[g_idx] = _mi_from_counts(counts)
+        self.labels[i] = b
+
+
+def _assert_same_state(state, scalar):
+    assert np.array_equal(state.labels, scalar.labels)
+    assert state.sizes == scalar.sizes.tolist()
+    assert state.W == scalar.W.tolist()
+    assert np.array_equal(state.R, scalar.R)
+    assert state.mi == scalar.mi
+    for counts, scalar_counts in zip(state.counts, scalar.counts):
+        assert np.array_equal(counts, scalar_counts)
+    assert state.quality() == scalar.quality()
+
+
 def _mce_state(K, labels, k, givens):
     codes = [np.unique(g, return_inverse=True)[1] for g in givens]
     return MinCEntropyState(K, labels.copy(), k, codes,
@@ -393,6 +584,47 @@ class TestMinCEntropyMoveOracle:
         # R and W are running sums
         assert np.allclose(state.R, fresh.R, rtol=0.0, atol=1e-12)
         assert np.allclose(state.W, fresh.W, rtol=0.0, atol=1e-12)
+
+
+class TestMoveScanOracle:
+    """The list-backed move scan against :class:`ScalarMoveState`: the
+    same gains, moves and state, bit for bit, after every object of
+    full local-search sweeps."""
+
+    @staticmethod
+    def _sweep_both(K, labels, k, givens, scale, beta, rng, sweeps=3):
+        codes = [np.unique(g, return_inverse=True)[1] for g in givens]
+        sizes = [int(c.max()) + 1 for c in codes]
+        state = MinCEntropyState(K, labels.copy(), k, codes, sizes)
+        scalar = ScalarMoveState(K, labels.copy(), k, codes, sizes)
+        _assert_same_state(state, scalar)
+        for _ in range(sweeps):
+            for i in rng.permutation(K.shape[0]).tolist():
+                assert state.move_gains(i, scale, beta) == \
+                    scalar.move_gains(i, scale, beta)
+                assert state.move_if_better(i, scale, beta) == \
+                    scalar.move_if_better(i, scale, beta)
+                _assert_same_state(state, scalar)
+
+    @settings(max_examples=150, deadline=None)
+    @given(local_search_problems(), st.floats(0.0, 5.0),
+           st.integers(0, 2**32 - 1))
+    def test_sweeps_match_scalar_state(self, problem, beta, seed):
+        X, labels, k, givens, _ = problem
+        n = X.shape[0]
+        self._sweep_both(rbf_kernel(X), labels, k, givens, n, beta,
+                         np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("n_given", [0, 1, 2])
+    def test_planted_sweeps_match_scalar_state(self, n_given):
+        """MinCEntropy with one and with two givens, and KernelKMeans
+        (no given, unit scale, no penalty), on planted data."""
+        X, truths, _ = make_multiple_truths(n_samples=90, random_state=3)
+        rng = np.random.default_rng(n_given)
+        labels = rng.integers(3, size=90).astype(np.int64)
+        scale, beta = (1.0, 0.0) if n_given == 0 else (90, 2.0)
+        self._sweep_both(rbf_kernel(X), labels, 3, truths[:n_given], scale,
+                         beta, rng)
 
 
 # -- CIB -----------------------------------------------------------------------
