@@ -215,7 +215,30 @@ def test_journal_fresh_start_discards_prior(tmp_path):
     journal.record(ExperimentOutcome(key="A", status="ok", table=_table()))
     fresh = RunJournal(tmp_path, resume=False)
     assert len(fresh) == 0
+    # opening deletes nothing; the run's start does
+    assert (tmp_path / "journal.jsonl").exists()
+    fresh.begin()
     assert not (tmp_path / "journal.jsonl").exists()
+
+
+def test_journal_fresh_start_discards_on_first_record(tmp_path):
+    RunJournal(tmp_path).record(ExperimentOutcome(key="A", status="ok"))
+    fresh = RunJournal(tmp_path, resume=False)
+    fresh.record(ExperimentOutcome(key="B", status="ok"))
+    assert RunJournal(tmp_path).completed_keys() == {"B"}
+
+
+def test_rejected_run_keeps_fresh_journal_predecessor(tmp_path):
+    journal = RunJournal(tmp_path)
+    journal.record(ExperimentOutcome(key="A", status="ok", table=_table()))
+    RunJournal(journal.shard_path(0)).record(
+        ExperimentOutcome(key="B", status="ok"))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(ValidationError):
+        run_experiments({"A": lambda: None}, jobs=-1,
+                        journal=RunJournal(tmp_path, resume=False))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert RunJournal(tmp_path).completed_keys() == {"A", "B"}
 
 
 def test_journal_leaves_no_tmp_file(tmp_path):
