@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import argparse
 import difflib
-import functools
 import os
 import re
 import sys
@@ -296,10 +295,9 @@ def _run_command(args, all_experiments):
 
     journal = None
     if args.checkpoint is not None:
-        # opened by run_experiments once the flags pass its checks, so
+        # writes nothing until run_experiments has checked the flags, so
         # a rejected run leaves no checkpoint directory behind
-        journal = functools.partial(RunJournal, args.checkpoint,
-                                    resume=args.resume)
+        journal = RunJournal(args.checkpoint, resume=args.resume)
     tracer = Tracer(profile_memory=args.profile)
     outcomes = []  # filled via callback so a Ctrl-C keeps partial results
 
