@@ -311,6 +311,36 @@ def _majority_vote(X, truths, reference):
                         for lab in labelings[1:]]}
 
 
+def _solution_set(X, truths, seed):
+    """The planted truths, a noisy copy, one labeling with ``-1`` noise
+    and a pair whose clustered objects do not overlap."""
+    rng = np.random.default_rng(seed)
+    noisy = truths[0].copy()
+    flip = rng.random(noisy.shape[0]) < 0.2
+    noisy[flip] = rng.integers(3, size=int(flip.sum()))
+    with_noise = truths[1].copy()
+    with_noise[rng.random(with_noise.shape[0]) < 0.3] = -1
+    half = np.arange(truths[0].shape[0]) < truths[0].shape[0] // 2
+    left = np.where(half, truths[0], -1)
+    right = np.where(half, -1, truths[1])
+    return [truths[0], truths[1], noisy, with_noise], [left, right]
+
+
+def _multiset(X, truths, seed):
+    from repro.core import MultipleClusteringObjective
+    from repro.metrics import MultipleClusteringReport
+
+    overlapping, disjoint = _solution_set(X, truths, seed)
+    report = MultipleClusteringReport(overlapping + disjoint, truths)
+    breakdown = MultipleClusteringObjective(lam=1.0).breakdown(X,
+                                                               overlapping)
+    return {"matrix": [[float(v) for v in row] for row in report.matrix_],
+            "assignment": [[r, c, float(v)]
+                           for r, c, v in report.assignment_],
+            "redundancy": float(report.redundancy()),
+            "breakdown": breakdown}
+
+
 def cases():
     """``{family: {case_id: thunk}}`` — every pinned case, unevaluated."""
     data = _datasets()
@@ -319,7 +349,7 @@ def cases():
         "random_projection_ensemble", "meta_clustering", "cspa_consensus",
         "spectral", "msc", "mv_spectral", "condens", "p3c", "statpc",
         "fires", "majority_vote", "kmeans", "gmm", "dbscan", "subclu",
-        "predecon", "dusc", "kernel_kmeans")}
+        "predecon", "dusc", "kernel_kmeans", "multiset")}
 
     def add(family, case_id, fn, name, *args, **params):
         X, truths = data[name]
@@ -332,6 +362,7 @@ def cases():
         for w in (0.5, 1.0, 2.0):
             add("coala", f"w={w}", _coala, name, w)
         add("cspa_consensus", "seed=0", _cspa, name, 0)
+        add("multiset", "seed=0", _multiset, name, 0)
     for name in ("planted0", "planted1"):
         for seed in (0, 1):
             add("mincentropy", f"seed={seed}", _mincentropy, name, seed, 1)
