@@ -8,9 +8,9 @@ from .harness import ResultTable, timed
 from ..cluster.kmeans import KMeans
 from ..core.objectives import MultipleClusteringObjective
 from ..data.synthetic import make_four_squares
-from ..metrics.clusterings import ari_dissimilarity
+from ..metrics.clusterings import ari_dissimilarity, mean_pairwise_dissimilarity
 from ..metrics.internal import silhouette_score
-from ..metrics.partition import adjusted_rand_index
+from ..metrics.partition import adjusted_rand_index, agreement_matrix
 from ..originalspace import (
     CAMI,
     COALA,
@@ -133,11 +133,8 @@ def run_f3_simultaneous_vs_iterative(n_samples=160, random_state=0):
 
     def report(name, labelings):
         b = objective.breakdown(X, labelings)
-        m = len(labelings)
-        min_diss = min(
-            ari_dissimilarity(labelings[i], labelings[j])
-            for i in range(m) for j in range(i + 1, m)
-        )
+        diss = 1.0 - agreement_matrix(labelings)
+        min_diss = diss[np.triu_indices(len(labelings), k=1)].min()
         table.add(strategy=name, min_pairwise_dissimilarity=float(min_diss),
                   quality_sum=b["quality_sum"], combined_score=b["score"])
 
@@ -176,12 +173,8 @@ def run_f15_meta_clustering(n_samples=160, n_base=40, random_state=0):
     table.add(quantity="representatives returned",
               value=len(meta.labelings_))
     reps = meta.labelings_
-    diss = [
-        ari_dissimilarity(reps[i], reps[j])
-        for i in range(len(reps)) for j in range(i + 1, len(reps))
-    ]
     table.add(quantity="mean dissimilarity among representatives",
-              value=float(np.mean(diss)) if diss else 0.0)
+              value=mean_pairwise_dissimilarity(reps))
     best_h = max(adjusted_rand_index(r, truth_h) for r in reps)
     best_v = max(adjusted_rand_index(r, truth_v) for r in reps)
     table.add(quantity="best representative ARI vs horizontal truth",

@@ -485,7 +485,8 @@ def estimator_from_dict(payload):
 
     The class is resolved by import path, restricted to ``repro.*``
     modules; params go through the constructor (so validation applies),
-    fitted state is restored verbatim.
+    fitted state is restored verbatim. A param the class no longer takes
+    (a model saved before it was removed) raises ``ValidationError``.
     """
     if payload.get("kind") != _KIND_ESTIMATOR:
         raise ValidationError("payload is not a serialised estimator")
@@ -495,9 +496,15 @@ def estimator_from_dict(payload):
             f"{payload.get('format')!r} (expected {ESTIMATOR_FORMAT})")
     cls = _resolve_repro_attr(payload["module"], payload["class"],
                               "estimator class")
-    if not isinstance(cls, type):
+    if not (isinstance(cls, type) and hasattr(cls, "_param_names")):
         raise ValidationError(
-            f"{payload['module']}.{payload['class']} is not a class")
+            f"{payload['module']}.{payload['class']} is not an estimator "
+            f"class")
+    unknown = sorted(set(payload["params"]) - set(cls._param_names()))
+    if unknown:
+        raise ValidationError(
+            f"{cls.__name__} takes no parameter(s) {', '.join(unknown)}; "
+            f"the payload was saved by an incompatible version")
     params = {name: decode_value(value)
               for name, value in payload["params"].items()}
     estimator = cls(**params)

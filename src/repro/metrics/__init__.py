@@ -21,7 +21,12 @@ from .clusterings import (
     rand_dissimilarity,
     vi_dissimilarity,
 )
-from .contingency import contingency_matrix, pair_confusion, relabel_consecutive
+from .contingency import (
+    contingency_matrix,
+    pair_confusion,
+    pair_confusions,
+    relabel_consecutive,
+)
 from .external import clustering_accuracy, f_measure, purity
 from .hsic import hsic, linear_hsic, normalized_hsic
 from .information import (
@@ -36,6 +41,7 @@ from .internal import compactness, davies_bouldin, dunn_index, silhouette_score,
 from .multiset import MultipleClusteringReport, solution_truth_matrix
 from .partition import (
     adjusted_rand_index,
+    agreement_matrix,
     fowlkes_mallows,
     jaccard_index,
     pair_precision_recall_f1,
@@ -61,6 +67,7 @@ __all__ = [
     "vi_dissimilarity",
     "contingency_matrix",
     "pair_confusion",
+    "pair_confusions",
     "relabel_consecutive",
     "clustering_accuracy",
     "f_measure",
@@ -82,6 +89,7 @@ __all__ = [
     "silhouette_score",
     "sse",
     "adjusted_rand_index",
+    "agreement_matrix",
     "fowlkes_mallows",
     "jaccard_index",
     "pair_precision_recall_f1",

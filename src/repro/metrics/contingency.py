@@ -12,7 +12,12 @@ import numpy as np
 from ..utils.validation import check_labels
 from ..exceptions import ValidationError
 
-__all__ = ["contingency_matrix", "pair_confusion", "relabel_consecutive"]
+#: why a pair of labelings has no pair-counting score
+NO_SHARED_OBJECT = ("no object is clustered by both labelings: every "
+                    "object is noise in one of them")
+
+__all__ = ["contingency_matrix", "pair_confusion", "pair_confusions",
+           "relabel_consecutive"]
 
 
 def relabel_consecutive(labels):
@@ -60,11 +65,56 @@ def contingency_matrix(labels_a, labels_b, *, include_noise=False):
             )
     _, a = np.unique(a, return_inverse=True)
     _, b = np.unique(b, return_inverse=True)
-    ka = int(a.max()) + 1
-    kb = int(b.max()) + 1
-    mat = np.zeros((ka, kb), dtype=np.int64)
-    np.add.at(mat, (a, b), 1)
-    return mat
+    return _table(a, int(a.max()) + 1, b, int(b.max()) + 1)
+
+
+def _table(a, ka, b, kb):
+    """The ``(ka, kb)`` contingency table of class codes ``a`` and ``b``."""
+    return np.bincount(a * kb + b, minlength=ka * kb).reshape(ka, kb)
+
+
+def pair_confusions(labelings, others=None):
+    """Pair-counting confusion ``(n11, n10, n01, n00)`` of many pairs.
+
+    Entry ``[i, j]`` of each returned ``(m, m_others)`` array compares
+    ``labelings[i]`` with ``labelings[j]``, or with ``others[j]``, and
+    is NaN where no object is clustered by both. Each labeling is
+    checked and factorised once; a pair's table is then one
+    ``np.bincount`` of ``a * k_b + b`` over the objects both cluster.
+    """
+    labelings = list(labelings)
+    factorised, n_samples = [], None
+    for labels in labelings + ([] if others is None else list(others)):
+        codes, classes = relabel_consecutive(
+            check_labels(labels, n_samples=n_samples))
+        n_samples = codes.shape[0]
+        factorised.append((codes, classes.size))
+    m = len(labelings)
+    rows = factorised[:m]
+    cols = rows if others is None else factorised[m:]
+    # per pair: objects clustered by both, sum of squared cells, and of
+    # squared row and column sums
+    stats = np.full((len(rows), len(cols), 4), np.nan)
+    for i, (a, ka) in enumerate(rows):
+        for j in range(i if others is None else 0, len(cols)):
+            b, kb = cols[j]
+            keep = (a >= 0) & (b >= 0)
+            n = int(np.count_nonzero(keep))
+            if n == 0:
+                continue
+            table = _table(a[keep], ka, b[keep], kb)
+            row, col = table.sum(axis=1), table.sum(axis=0)
+            stats[i, j] = n, (table * table).sum(), row @ row, col @ col
+            if others is None:
+                stats[j, i] = stats[i, j, [0, 1, 3, 2]]
+    # the stats are integers: these counts are exact while n**2 < 2**53
+    n, sum_sq, row_sq, col_sq = np.moveaxis(stats, -1, 0)
+    n11 = 0.5 * (sum_sq - n)
+    n10 = 0.5 * (row_sq - sum_sq)
+    n01 = 0.5 * (col_sq - sum_sq)
+    total_pairs = 0.5 * n * (n - 1)
+    n00 = total_pairs - n11 - n10 - n01
+    return n11, n10, n01, n00
 
 
 def pair_confusion(labels_a, labels_b):
@@ -76,16 +126,10 @@ def pair_confusion(labels_a, labels_b):
     * ``n00`` — separated in both.
 
     Noise objects are dropped (consistent with
-    :func:`contingency_matrix`).
+    :func:`contingency_matrix`); the one-pair case of
+    :func:`pair_confusions`.
     """
-    mat = contingency_matrix(labels_a, labels_b)
-    n = mat.sum()
-    sum_sq = float((mat.astype(np.float64) ** 2).sum())
-    row_sq = float((mat.sum(axis=1).astype(np.float64) ** 2).sum())
-    col_sq = float((mat.sum(axis=0).astype(np.float64) ** 2).sum())
-    n11 = 0.5 * (sum_sq - n)
-    n10 = 0.5 * (row_sq - sum_sq)
-    n01 = 0.5 * (col_sq - sum_sq)
-    total_pairs = 0.5 * n * (n - 1)
-    n00 = total_pairs - n11 - n10 - n01
-    return n11, n10, n01, n00
+    counts = tuple(c[0, 0] for c in pair_confusions([labels_a], [labels_b]))
+    if np.isnan(counts[0]):
+        raise ValidationError(NO_SHARED_OBJECT)
+    return counts

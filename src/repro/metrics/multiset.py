@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .partition import adjusted_rand_index
+from .partition import agreement_matrix
 from ..exceptions import ValidationError
 from ..utils.assignment import min_cost_assignment
 
@@ -28,33 +28,16 @@ def _as_label_list(labelings, name):
     out = [np.asarray(lab) for lab in labelings]
     if not out:
         raise ValidationError(f"{name} must contain at least one labeling")
-    n = out[0].shape[0]
-    if any(lab.shape != (n,) for lab in out):
-        raise ValidationError(f"{name} entries must share one object set")
     return out
 
 
-def _safe_score(score, a, b, default=0.0):
-    """Score two labelings, tolerating disjoint non-noise coverage.
+def solution_truth_matrix(solutions, truths):
+    """Matrix ``M[i, j]`` = ARI of ``solutions[i]`` against ``truths[j]``.
 
-    Subspace-derived labelings may mark most objects as noise; when two
-    labelings share no jointly clustered object the contingency-based
-    scores are undefined and we report ``default`` (no agreement)."""
-    try:
-        return score(a, b)
-    except ValidationError:
-        return default
-
-
-def solution_truth_matrix(solutions, truths, score=adjusted_rand_index):
-    """Matrix ``M[i, j] = score(solutions[i], truths[j])``."""
-    solutions = _as_label_list(solutions, "solutions")
-    truths = _as_label_list(truths, "truths")
-    if solutions[0].shape != truths[0].shape:
-        raise ValidationError("solutions and truths must share objects")
-    return np.array([
-        [_safe_score(score, s, t) for t in truths] for s in solutions
-    ])
+    Subspace-derived labelings may mark most objects as noise; a pair
+    that clusters no object in common scores 0 (no agreement)."""
+    return agreement_matrix(_as_label_list(solutions, "solutions"),
+                            _as_label_list(truths, "truths"), no_overlap=0.0)
 
 
 class MultipleClusteringReport:
@@ -66,19 +49,20 @@ class MultipleClusteringReport:
         The method's output (e.g. ``estimator.labelings_``).
     truths : sequence of label vectors
         The planted ground truths.
-    score : callable — similarity in [-1, 1]; default ARI.
 
     Attributes
     ----------
     matrix_ : ndarray (n_solutions, n_truths)
+        ARI of each solution against each truth
+        (:func:`solution_truth_matrix`).
     assignment_ : list of (solution_idx, truth_idx, score)
         Hungarian matching maximising the summed score.
     """
 
-    def __init__(self, solutions, truths, score=adjusted_rand_index):
-        self.solutions = [np.asarray(s) for s in solutions]
-        self.truths = [np.asarray(t) for t in truths]
-        self.matrix_ = solution_truth_matrix(solutions, truths, score=score)
+    def __init__(self, solutions, truths):
+        self.solutions = _as_label_list(solutions, "solutions")
+        self.truths = _as_label_list(truths, "truths")
+        self.matrix_ = solution_truth_matrix(self.solutions, self.truths)
         rows, cols = min_cost_assignment(-self.matrix_)
         self.assignment_ = [
             (int(r), int(c), float(self.matrix_[r, c]))
@@ -99,15 +83,11 @@ class MultipleClusteringReport:
         """Mean pairwise *similarity* among the solutions (1 - mean
         pairwise dissimilarity); 0 means perfectly diverse solutions.
         Pairs with no jointly clustered objects count as similarity 0."""
-        if len(self.solutions) < 2:
-            return 0.0
         m = len(self.solutions)
-        sims = [
-            _safe_score(adjusted_rand_index, self.solutions[i],
-                        self.solutions[j])
-            for i in range(m) for j in range(i + 1, m)
-        ]
-        return float(np.mean(sims))
+        if m < 2:
+            return 0.0
+        sims = agreement_matrix(self.solutions, no_overlap=0.0)
+        return float(np.mean(sims[np.triu_indices(m, k=1)]))
 
     def best_score_per_truth(self):
         """Best (not necessarily one-to-one) score for each truth."""

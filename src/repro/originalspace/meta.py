@@ -2,8 +2,8 @@
 
 Step 1 generates many base clusterings by undirected diversification
 (random restarts, Zipf-weighted features, varying k); step 2 groups the
-base clusterings at the meta level by a clustering-dissimilarity measure
-and returns one representative per meta-cluster.
+base clusterings at the meta level by the Rand dissimilarity
+``1 - Rand`` and returns one representative per meta-cluster.
 
 The tutorial's criticism — blind generation risks many near-duplicate
 solutions — is observable on the fitted estimator via
@@ -19,8 +19,8 @@ from ..cluster.kmeans import KMeans
 from ..core.base import MultiClusteringEstimator
 from ..core.taxonomy import Processing, SearchSpace, TaxonomyEntry, register
 from ..exceptions import ValidationError
-from ..metrics.clusterings import rand_dissimilarity
-from ..utils.validation import check_array, check_random_state
+from ..metrics.partition import agreement_matrix
+from ..utils.validation import check_array, check_count, check_random_state
 
 __all__ = ["MetaClustering"]
 
@@ -54,8 +54,6 @@ class MetaClustering(MultiClusteringEstimator):
         Feature weights are drawn ``w_j = u_j^{-alpha}`` with uniform
         ``u_j`` (Caruana et al.'s Zipf-distributed feature weighting);
         0 disables weighting.
-    dissimilarity : callable ``(labels_a, labels_b) -> float``
-        Meta-level distance; the paper uses the Rand index.
     random_state : int, Generator or None
 
     Attributes
@@ -64,21 +62,20 @@ class MetaClustering(MultiClusteringEstimator):
     meta_labels_ : ndarray (n_base,) — meta-cluster id per base clustering.
     labelings_ : list of ndarray — the representatives (meta-medoids).
     duplication_rate_ : float
-        Fraction of base-clustering pairs with dissimilarity below
+        Fraction of base-clustering pairs with ``1 - Rand`` below
         ``duplicate_threshold`` (the blind-generation redundancy measure).
     duplicate_threshold : float
     """
 
     def __init__(self, n_base=30, n_clusters=2, n_meta_clusters=3,
-                 zipf_alpha=1.0, dissimilarity=rand_dissimilarity,
-                 duplicate_threshold=0.05, random_state=None):
+                 zipf_alpha=1.0, duplicate_threshold=0.05,
+                 random_state=None):
         if n_base < 2:
             raise ValidationError("n_base must be >= 2")
         self.n_base = int(n_base)
         self.n_clusters = n_clusters
-        self.n_meta_clusters = int(n_meta_clusters)
+        self.n_meta_clusters = n_meta_clusters
         self.zipf_alpha = float(zipf_alpha)
-        self.dissimilarity = dissimilarity
         self.duplicate_threshold = float(duplicate_threshold)
         self.random_state = random_state
         self.base_labelings_ = None
@@ -94,6 +91,8 @@ class MetaClustering(MultiClusteringEstimator):
 
     def fit(self, X):
         X = check_array(X, min_samples=2)
+        n_meta = check_count(self.n_meta_clusters, "n_meta_clusters",
+                             estimator=self)
         rng = check_random_state(self.random_state)
         ks = self._k_sequence()
         base = []
@@ -110,11 +109,8 @@ class MetaClustering(MultiClusteringEstimator):
                         random_state=rng.integers(2**31 - 1))
             base.append(km.fit(Xw).labels_)
         m = len(base)
-        d = np.zeros((m, m))
-        for i in range(m):
-            for j in range(i + 1, m):
-                d[i, j] = d[j, i] = self.dissimilarity(base[i], base[j])
-        n_meta = min(self.n_meta_clusters, m)
+        d = 1.0 - agreement_matrix(base, measure="rand")
+        n_meta = min(n_meta, m)
         lm = LinkageMatrix(d, linkage="average")
         lm.cut(n_meta)
         meta_labels = lm.current_labels(m)

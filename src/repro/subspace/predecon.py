@@ -26,7 +26,7 @@ from ..core.base import BaseClusterer
 from ..core.subspace import SubspaceCluster, SubspaceClustering
 from ..core.taxonomy import Processing, SearchSpace, TaxonomyEntry, register
 from ..utils.linalg import cdist_sq
-from ..utils.validation import check_array, check_in_range
+from ..utils.validation import check_array, check_count, check_in_range
 
 __all__ = ["PreDeCon"]
 
@@ -83,6 +83,7 @@ class PreDeCon(BaseClusterer):
         check_in_range(self.eps, "eps", low=0.0, inclusive_low=False)
         check_in_range(self.delta, "delta", low=0.0, inclusive_low=False)
         check_in_range(self.kappa, "kappa", low=1.0)
+        min_pts = check_count(self.min_pts, "min_pts", estimator=self)
         n, d = X.shape
         d2 = cdist_sq(X, X)
         eps2 = self.eps * self.eps
@@ -91,7 +92,7 @@ class PreDeCon(BaseClusterer):
         # variance profile (k-NN is scale-free where a full-dimensional
         # eps-ball starves in the presence of noise dimensions; the
         # paper's eps-neighbourhood estimation assumes low-noise data).
-        k_pref = min(n, max(5 * self.min_pts, 30))
+        k_pref = min(n, max(5 * min_pts, 30))
         weights = np.ones((n, d))
         pref_dims = []
         for i in range(n):
@@ -116,14 +117,14 @@ class PreDeCon(BaseClusterer):
         max_pref = d if self.max_preference_dim is None else int(
             self.max_preference_dim)
         n_pref = np.array([len(dims) for dims in pref_dims])
-        core_ok = ((neighborhoods.sum(axis=1) >= self.min_pts)
+        core_ok = ((neighborhoods.sum(axis=1) >= min_pts)
                    & (n_pref >= 1) & (n_pref <= max_pref))
         # Points that fail the preference condition get an empty
         # neighbourhood: dbscan_from_neighborhoods then never counts them
         # as core for any min_pts >= 1, yet they can still join a
         # cluster as border points.
         neighborhoods[~core_ok] = False
-        labels, _ = dbscan_from_neighborhoods(neighborhoods, self.min_pts)
+        labels, _ = dbscan_from_neighborhoods(neighborhoods, min_pts)
         self.labels_ = labels
         self.preference_dims_ = pref_dims
         clusters = []

@@ -105,6 +105,22 @@ class TestObjective:
         with pytest.raises(ValidationError):
             MultipleClusteringObjective().quality_sum(X, [])
 
+    def test_generator_read_once(self, four_squares):
+        X, lh, lv = four_squares
+        obj = MultipleClusteringObjective(lam=1.0)
+        labelings = [lh, lv, (lh + lv) % 2]
+        expected = obj.breakdown(X, labelings)
+        assert expected["n_clusterings"] == 3
+        assert obj.breakdown(X, iter(labelings)) == expected
+        assert obj.score(X, iter(labelings)) == expected["score"]
+
+    def test_no_shared_clustered_object_rejected(self, four_squares):
+        X, lh, lv = four_squares
+        half = np.arange(lh.shape[0]) < lh.shape[0] // 2
+        left, right = np.where(half, lh, -1), np.where(half, -1, lv)
+        with pytest.raises(ValidationError, match="no object"):
+            MultipleClusteringObjective().dissimilarity_sum([left, right])
+
 
 class TestParamsMixin:
     def test_get_set_params(self):

@@ -52,6 +52,13 @@
   density and covariance loops they replaced. Both must be bit-identical
   for every covariance type, and a covariance stack that does not factor
   must give the component path's result and warning.
+* :func:`repro.metrics.pair_confusions` factorises each labeling once and
+  counts every pair's table with one ``np.bincount``; the reference
+  builds each pair's contingency table from scratch (two ``np.unique``
+  and an ``np.add.at``) and scores it with the scalar Rand and ARI
+  formulas. Counts and :func:`repro.metrics.agreement_matrix` must be
+  bit-identical, and a pair that clusters no object in common must fail
+  (or score ``no_overlap``) exactly where the reference raises.
 """
 
 import math
@@ -86,7 +93,13 @@ from repro.cluster.spectral import (
 )
 from repro.data import make_multiple_truths
 from repro.exceptions import ConvergenceWarning, ValidationError
-from repro.metrics import adco_similarity, density_profile
+from repro.metrics import (
+    adco_similarity,
+    agreement_matrix,
+    density_profile,
+    pair_confusion,
+    pair_confusions,
+)
 from repro.metrics.clusterings import ProfileBinning
 from repro.observability import Tracer
 from repro.originalspace import ConditionalInformationBottleneck
@@ -1167,3 +1180,160 @@ class TestStackedEMOracle:
         assert ([str(w.message) for w in got_warnings]
                 == [str(w.message) for w in ref_warnings])
         assert len(got_warnings) == 1
+
+
+# -- batched pair counting ------------------------------------------------------
+
+
+def naive_pair_confusion(labels_a, labels_b):
+    """One pair's counts from its own contingency table, as
+    ``contingency_matrix`` and ``pair_confusion`` built them before the
+    batched kernel; ``None`` where no object is clustered by both."""
+    a = np.asarray(labels_a, dtype=np.int64)
+    b = np.asarray(labels_b, dtype=np.int64)
+    keep = (a != -1) & (b != -1)
+    a, b = a[keep], b[keep]
+    if a.size == 0:
+        return None
+    _, a = np.unique(a, return_inverse=True)
+    _, b = np.unique(b, return_inverse=True)
+    mat = np.zeros((int(a.max()) + 1, int(b.max()) + 1), dtype=np.int64)
+    np.add.at(mat, (a, b), 1)
+    n = mat.sum()
+    sum_sq = float((mat.astype(np.float64) ** 2).sum())
+    row_sq = float((mat.sum(axis=1).astype(np.float64) ** 2).sum())
+    col_sq = float((mat.sum(axis=0).astype(np.float64) ** 2).sum())
+    n11 = 0.5 * (sum_sq - n)
+    n10 = 0.5 * (row_sq - sum_sq)
+    n01 = 0.5 * (col_sq - sum_sq)
+    n00 = 0.5 * n * (n - 1) - n11 - n10 - n01
+    return n11, n10, n01, n00
+
+
+def naive_rand(n11, n10, n01, n00):
+    total = n11 + n10 + n01 + n00
+    if total == 0:
+        return 1.0
+    return (n11 + n00) / total
+
+
+def naive_adjusted_rand(n11, n10, n01, n00):
+    total = n11 + n10 + n01 + n00
+    if total == 0:
+        return 1.0
+    sum_a = n11 + n10
+    sum_b = n11 + n01
+    expected = sum_a * sum_b / total
+    max_index = 0.5 * (sum_a + sum_b)
+    if math.isclose(max_index, expected):
+        return 1.0
+    return (n11 - expected) / (max_index - expected)
+
+
+@st.composite
+def labeling_sets(draw):
+    """Labelings of n in [1, 24] objects: noise, single clusters, sparse
+    labels and, when drawn, a pair with one or no clustered object in
+    common."""
+    n = draw(st.integers(1, 24))
+
+    def labeling():
+        k = draw(st.integers(1, 4))
+        low = draw(st.sampled_from([-1, 0]))
+        lab = draw(arrays(np.int64, n, elements=st.integers(low, k - 1)))
+        step = draw(st.sampled_from([1, 7]))  # gaps between ids
+        return np.where(lab >= 0, lab * step, -1)
+
+    labelings = [labeling() for _ in range(draw(st.integers(1, 4)))]
+    shared = draw(st.sampled_from([None, 0, 1]))
+    if shared is not None and n >= 2:
+        # split the objects: the first labeling clusters the left part
+        # only, the second the right part plus ``shared`` left objects
+        cut = draw(st.integers(1, n - 1))
+        left = np.arange(n) < cut
+        right = ~left
+        right[:shared] = True
+        labelings += [np.where(left, labeling(), -1),
+                      np.where(right, labeling(), -1)]
+    others = [labeling() for _ in range(draw(st.integers(0, 3)))]
+    return labelings, others or None
+
+
+def _naive_matrix(labelings, others, score):
+    cols = labelings if others is None else others
+    return [[None if c is None else score(*c)
+             for c in (naive_pair_confusion(a, b) for b in cols)]
+            for a in labelings]
+
+
+def _assert_matrix_equal(got, ref):
+    assert got.shape == (len(ref), len(ref[0]) if ref else 0)
+    for i, row in enumerate(ref):
+        for j, value in enumerate(row):
+            if value is None:
+                assert np.isnan(got[i, j])
+            else:
+                assert got[i, j] == value
+
+
+class TestPairCountingOracle:
+    @given(labeling_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_counts_bit_identical(self, problem):
+        labelings, others = problem
+        got = pair_confusions(labelings, others)
+        cols = labelings if others is None else others
+        for i, a in enumerate(labelings):
+            for j, b in enumerate(cols):
+                ref = naive_pair_confusion(a, b)
+                counts = [c[i, j] for c in got]
+                if ref is None:
+                    assert np.isnan(counts).all()
+                    with pytest.raises(ValidationError):
+                        pair_confusion(a, b)
+                else:
+                    assert counts == list(ref)
+                    assert pair_confusion(a, b) == ref
+
+    @given(labeling_sets(), st.sampled_from(["rand", "ari"]))
+    @settings(max_examples=150, deadline=None)
+    def test_indices_bit_identical(self, problem, measure):
+        labelings, others = problem
+        score = naive_rand if measure == "rand" else naive_adjusted_rand
+        ref = _naive_matrix(labelings, others, score)
+        got = agreement_matrix(labelings, others, measure=measure,
+                               no_overlap=np.nan)
+        _assert_matrix_equal(got, ref)
+        if any(value is None for row in ref for value in row):
+            with pytest.raises(ValidationError, match="no object"):
+                agreement_matrix(labelings, others, measure=measure)
+        zeroed = agreement_matrix(labelings, others, measure=measure,
+                                  no_overlap=0.0)
+        _assert_matrix_equal(zeroed, [[0.0 if v is None else v for v in row]
+                                      for row in ref])
+
+    def test_one_shared_object_scores_one(self):
+        # one jointly clustered object: no pairs, so both indices are 1
+        a, b = [0, 0, -1, -1], [-1, 1, 2, 2]
+        assert naive_pair_confusion(a, b) == (0.0, 0.0, 0.0, 0.0)
+        for measure in ("rand", "ari"):
+            got = agreement_matrix([a], [b], measure=measure)
+            assert got.tolist() == [[1.0]]
+
+    def test_no_shared_object(self):
+        a, b = [0, 0, -1, -1], [-1, -1, 1, 1]
+        assert naive_pair_confusion(a, b) is None
+        with pytest.raises(ValidationError, match=r"pair \(0, 1\)"):
+            agreement_matrix([a, b])
+        assert agreement_matrix([a, b], no_overlap=0.0).tolist() == \
+            [[1.0, 0.0], [0.0, 1.0]]
+
+    def test_single_cluster_labelings(self):
+        one, split = [3, 3, 3, 3], [0, 0, 1, 1]
+        ref = _naive_matrix([one, split], None, naive_adjusted_rand)
+        _assert_matrix_equal(agreement_matrix([one, split]), ref)
+        assert agreement_matrix([one], [one], measure="rand")[0, 0] == 1.0
+
+    def test_unknown_measure_rejected(self):
+        with pytest.raises(ValidationError, match="measure"):
+            agreement_matrix([[0, 1]], measure="vi")

@@ -267,3 +267,10 @@ class TestMetaClustering:
     def test_small_n_base_rejected(self):
         with pytest.raises(ValidationError):
             MetaClustering(n_base=1)
+
+    @pytest.mark.parametrize("n_meta", [0, -2, 2.5])
+    def test_invalid_n_meta_clusters(self, four_squares, n_meta):
+        X, _, _ = four_squares
+        with pytest.raises(ValidationError, match="n_meta_clusters"):
+            MetaClustering(n_base=4, n_meta_clusters=n_meta,
+                           random_state=0).fit(X)

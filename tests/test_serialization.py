@@ -282,6 +282,25 @@ class TestEstimatorRoundTrip:
         with pytest.raises(ValidationError):
             rebuilt.fit(data)
 
+    def test_removed_param_names_in_error(self):
+        # a MetaClustering saved while it still took a dissimilarity
+        # callable
+        payload = {
+            "kind": "repro.Estimator", "format": 1,
+            "module": "repro.originalspace.meta", "class": "MetaClustering",
+            "params": {
+                "dissimilarity": {"__repro__": "function",
+                                  "module": "repro.metrics.clusterings",
+                                  "qualname": "rand_dissimilarity"},
+                "duplicate_threshold": 0.05, "n_base": 4, "n_clusters": 2,
+                "n_meta_clusters": 3, "random_state": 0, "zipf_alpha": 1.0},
+            "fitted": {"base_labelings_": None, "meta_labels_": None,
+                       "labelings_": None, "duplication_rate_": None}}
+        with pytest.raises(ValidationError, match="dissimilarity"):
+            io.estimator_from_dict(payload)
+        del payload["params"]["dissimilarity"]
+        assert io.estimator_from_dict(payload).n_base == 4
+
     def test_save_load_json_estimator(self, data, tmp_path):
         est = KMeans(n_clusters=2, random_state=0).fit(data)
         path = io.save_json(est, tmp_path / "model.json")
