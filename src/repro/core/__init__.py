@@ -14,7 +14,6 @@ from .base import (
 from .clustering import Clustering, cross_tabulate
 from .objectives import (
     MultipleClusteringObjective,
-    quality_compactness,
     quality_silhouette,
 )
 from .pipeline import IterativeAlternativePipeline
@@ -37,7 +36,6 @@ __all__ = [
     "Clustering",
     "cross_tabulate",
     "MultipleClusteringObjective",
-    "quality_compactness",
     "quality_silhouette",
     "IterativeAlternativePipeline",
     "SubspaceCluster",

@@ -16,19 +16,13 @@ import numpy as np
 
 from .clustering import Clustering
 from ..exceptions import ValidationError
-from ..metrics.internal import compactness, silhouette_score
+from ..metrics.internal import silhouette_score
 from ..metrics.partition import agreement_matrix
 
 __all__ = [
-    "quality_compactness",
     "quality_silhouette",
     "MultipleClusteringObjective",
 ]
-
-
-def quality_compactness(X, labels):
-    """Negative SSE quality (k-means' objective; slide 28)."""
-    return compactness(X, labels)
 
 
 def quality_silhouette(X, labels):
@@ -44,26 +38,24 @@ def _as_labels(clustering):
 
 class MultipleClusteringObjective:
     """Combined objective ``sum_i Q(C_i) + lam * sum_{i<j} Diss(C_i, C_j)``
-    with ``Diss = 1 - ARI``.
+    with ``Q`` the silhouette (:func:`quality_silhouette`; scale-free, so
+    it can be combined with dissimilarity without tuning) and
+    ``Diss = 1 - ARI``.
 
     Parameters
     ----------
-    quality : callable ``(X, labels) -> float``
-        Higher is better. Defaults to silhouette (scale-free, so it can be
-        combined with dissimilarity without tuning).
     lam : float
         Trade-off weight on the dissimilarity term.
     """
 
-    def __init__(self, quality=quality_silhouette, lam=1.0):
-        self.quality = quality
+    def __init__(self, lam=1.0):
         self.lam = float(lam)
 
     def quality_sum(self, X, clusterings):
         labelings = [_as_labels(c) for c in clusterings]
         if not labelings:
             raise ValidationError("need at least one clustering")
-        return float(sum(self.quality(X, lab) for lab in labelings))
+        return float(sum(quality_silhouette(X, lab) for lab in labelings))
 
     def dissimilarity_sum(self, clusterings):
         labelings = [_as_labels(c) for c in clusterings]

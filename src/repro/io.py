@@ -30,8 +30,9 @@ files of writers killed mid-write; :func:`append_text_durable` appends
 and ``fsync``\\ s, so a crash leaves at most a torn trailing line;
 :func:`seal` / :func:`unseal` write and read one envelope line,
 ``{"sha256": "<hex>", "payload": <P>}``, checksummed over the stored
-bytes of ``<P>``; :func:`quarantine` moves a record that fails
-:func:`unseal` aside, next to an ``IntegrityError`` record.
+bytes of ``<P>`` (:func:`unseal_bytes` verifies them without parsing);
+:func:`quarantine` moves a record that fails :func:`unseal` aside, next
+to an ``IntegrityError`` record.
 """
 
 from __future__ import annotations
@@ -69,7 +70,9 @@ __all__ = [
     "dumps",
     "payload_checksum",
     "seal",
+    "seal_encoded",
     "unseal",
+    "unseal_bytes",
     "quarantine",
     "write_text_atomic",
     "append_text_durable",
@@ -569,18 +572,27 @@ def seal(payload):
     ``{"sha256": "<hex>", "payload": <P>}`` and a newline, in that key
     order, where ``<P>`` is :func:`dumps` of the payload and the checksum
     is :func:`payload_checksum` over exactly those bytes."""
-    body = dumps(payload)
-    checksum = payload_checksum(body.encode("utf-8"))
-    return f'{{"sha256": "{checksum}", "payload": {body}}}\n'
+    return seal_encoded(dumps(payload).encode("utf-8"))
 
 
-def unseal(data):
-    """The payload of a line written by :func:`seal` (``str`` or
-    ``bytes``, trailing newline optional).
+def seal_encoded(body):
+    """The :func:`seal` line around ``body``, the already-encoded
+    :func:`dumps` bytes of a payload (what :func:`unseal_bytes`
+    returns)."""
+    checksum = payload_checksum(body)
+    return f'{{"sha256": "{checksum}", "payload": {body.decode("utf-8")}}}\n'
+
+
+def unseal_bytes(data):
+    """The stored payload bytes ``<P>`` of a line written by :func:`seal`
+    (``str`` or ``bytes``, trailing newline optional), verified but not
+    parsed.
 
     Raises :class:`~repro.exceptions.IntegrityError` when the line is not
     a sealed envelope or its payload bytes do not match the stored
-    checksum. The bytes are hashed once and parsed once.
+    checksum. The bytes are hashed once. :func:`seal` only ever stores
+    :func:`dumps` output, so checksum-valid bytes are strict JSON that
+    re-encodes to themselves: a reader may serve them as they are.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
@@ -588,12 +600,24 @@ def unseal(data):
     if not (sep and head.startswith(_SEAL_HEAD) and body.endswith(b"}")):
         raise IntegrityError("missing integrity envelope (sha256/payload)")
     stored = head[len(_SEAL_HEAD):].decode("ascii", "replace")
-    actual = payload_checksum(body[:-1])
+    body = body[:-1]
+    actual = payload_checksum(body)
     if stored != actual:
         raise IntegrityError(f"checksum mismatch (stored {stored[:16]}..., "
                              f"computed {actual[:16]}...)")
+    return body
+
+
+def unseal(data):
+    """The payload of a line written by :func:`seal`: the bytes
+    :func:`unseal_bytes` verifies, parsed once.
+
+    Raises :class:`~repro.exceptions.IntegrityError` as
+    :func:`unseal_bytes` does, or when the payload does not parse.
+    """
+    body = unseal_bytes(data)
     try:
-        return json.loads(body[:-1])
+        return json.loads(body)
     except ValueError as exc:
         raise IntegrityError(f"unparseable payload: {exc}") from exc
 

@@ -17,18 +17,8 @@ from ..exceptions import ValidationError
 __all__ = ["hsic", "normalized_hsic", "linear_hsic"]
 
 
-def hsic(X, Y, *, kernel="rbf", gamma=None):
-    """Biased empirical HSIC ``tr(K H L H) / (n-1)^2``.
-
-    Parameters
-    ----------
-    X, Y : array-like with the same number of rows
-        Two representations (views) of the same objects.
-    kernel : {"rbf", "linear"}
-        Kernel applied to both views.
-    gamma : float or None
-        RBF bandwidth; median heuristic when ``None``.
-    """
+def _centered_kernels(X, Y, kernel, gamma):
+    """The centred kernel matrices of two views, and the sample count."""
     X = check_array(X, name="X")
     Y = check_array(Y, name="Y")
     n = X.shape[0]
@@ -44,8 +34,22 @@ def hsic(X, Y, *, kernel="rbf", gamma=None):
         L = Y @ Y.T
     else:
         raise ValidationError(f"unknown kernel {kernel!r}")
-    Kc = center_kernel(K)
-    Lc = center_kernel(L)
+    return center_kernel(K), center_kernel(L), n
+
+
+def hsic(X, Y, *, kernel="rbf", gamma=None):
+    """Biased empirical HSIC ``tr(K H L H) / (n-1)^2``.
+
+    Parameters
+    ----------
+    X, Y : array-like with the same number of rows
+        Two representations (views) of the same objects.
+    kernel : {"rbf", "linear"}
+        Kernel applied to both views.
+    gamma : float or None
+        RBF bandwidth; median heuristic when ``None``.
+    """
+    Kc, Lc, n = _centered_kernels(X, Y, kernel, gamma)
     return float(np.sum(Kc * Lc) / (n - 1) ** 2)
 
 
@@ -55,10 +59,16 @@ def linear_hsic(X, Y):
 
 
 def normalized_hsic(X, Y, *, kernel="rbf", gamma=None):
-    """HSIC normalised to ``[0, 1]`` by the geometric mean of self-HSICs."""
-    h_xy = hsic(X, Y, kernel=kernel, gamma=gamma)
-    h_xx = hsic(X, X, kernel=kernel, gamma=gamma)
-    h_yy = hsic(Y, Y, kernel=kernel, gamma=gamma)
+    """HSIC normalised to ``[0, 1]`` by the geometric mean of self-HSICs.
+
+    Each view's kernel is built and centred once and serves both its
+    self-HSIC and the cross term.
+    """
+    Kc, Lc, n = _centered_kernels(X, Y, kernel, gamma)
+    scale = (n - 1) ** 2
+    h_xy = float(np.sum(Kc * Lc) / scale)
+    h_xx = float(np.sum(Kc * Kc) / scale)
+    h_yy = float(np.sum(Lc * Lc) / scale)
     denom = np.sqrt(h_xx * h_yy)
     if denom <= 0:
         return 0.0

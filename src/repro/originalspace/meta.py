@@ -18,7 +18,6 @@ from ..cluster.hierarchical import LinkageMatrix
 from ..cluster.kmeans import KMeans
 from ..core.base import MultiClusteringEstimator
 from ..core.taxonomy import Processing, SearchSpace, TaxonomyEntry, register
-from ..exceptions import ValidationError
 from ..metrics.partition import agreement_matrix
 from ..utils.validation import check_array, check_count, check_random_state
 
@@ -70,9 +69,7 @@ class MetaClustering(MultiClusteringEstimator):
     def __init__(self, n_base=30, n_clusters=2, n_meta_clusters=3,
                  zipf_alpha=1.0, duplicate_threshold=0.05,
                  random_state=None):
-        if n_base < 2:
-            raise ValidationError("n_base must be >= 2")
-        self.n_base = int(n_base)
+        self.n_base = check_count(n_base, "n_base", low=2, estimator=self)
         self.n_clusters = n_clusters
         self.n_meta_clusters = n_meta_clusters
         self.zipf_alpha = float(zipf_alpha)

@@ -57,6 +57,8 @@ logger = get_logger("repro.serve.api")
 
 _MAX_BODY_BYTES = 64 * 1024 * 1024
 
+_JSON = "application/json; charset=utf-8"
+
 
 class _HTTPError(MultiClustError):
     """Internal: carries an HTTP status + message to the top of a route."""
@@ -138,8 +140,7 @@ class _ServeHandler(BaseHTTPRequestHandler):
 
     def _reply(self, status, payload, extra_headers=None):
         self._reply_bytes(status, dumps(payload, indent=None).encode("utf-8"),
-                          "application/json; charset=utf-8",
-                          extra_headers=extra_headers)
+                          _JSON, extra_headers=extra_headers)
 
     def _reply_text(self, status, text, content_type):
         self._reply_bytes(status, text.encode("utf-8"), content_type)
@@ -251,10 +252,12 @@ class _ServeHandler(BaseHTTPRequestHandler):
                 status = 504
             return self._reply(status, {"job": job.to_dict()})
         if method == "GET" and path.startswith("/models/"):
-            payload = model_registry.get(path[len("/models/"):])
-            if payload is None:
+            # the verified bytes of the sealed entry are already the
+            # strict-JSON reply: no parse, no re-encode
+            body = model_registry.get(path[len("/models/"):])
+            if body is None:
                 raise _HTTPError(404, "no such model")
-            return self._reply(200, payload)
+            return self._reply_bytes(200, body, _JSON)
         if method == "GET" and path == "/metrics":
             return self._reply_text(200,
                                     default_registry().to_prometheus(),

@@ -24,7 +24,10 @@ mtime, and ``put`` evicts the oldest entries beyond ``max_entries``.
 Two self-healing layers sit on top (see ``docs/robustness.md``):
 
 * **integrity** — every entry is one :func:`repro.io.seal` line, and
-  every load verifies it with :func:`repro.io.unseal`. An entry that
+  every load verifies it with :func:`repro.io.unseal_bytes`. A hit is
+  served as the verified payload bytes, never parsed or re-encoded:
+  ``seal`` stores :func:`repro.io.dumps` output, which is exactly the
+  JSON reply. An entry that
   fails to read or to verify is *quarantined* by
   :func:`repro.io.quarantine` (moved to ``<cache>/quarantine/`` next to
   a structured ``IntegrityError`` record) and reported as a miss, so a
@@ -56,9 +59,9 @@ from ..io import (
     dumps,
     encode_value,
     quarantine,
-    seal,
+    seal_encoded,
     sweep_stale_temps,
-    unseal,
+    unseal_bytes,
     write_text_atomic,
 )
 from ..observability.logs import get_logger
@@ -72,7 +75,8 @@ logger = get_logger("repro.serve.registry")
 _KEY_RE = re.compile(r"^[0-9a-f]{8,64}$")
 
 #: Process-local overlay for cache dirs whose disk writes failed:
-#: ``{(cache_dir, key): payload}``. Shared by every ModelRegistry
+#: ``{(cache_dir, key): payload bytes}``, the :func:`repro.io.dumps`
+#: bytes a disk entry would seal. Shared by every ModelRegistry
 #: instance in the process (fit closures construct transient
 #: instances), guarded by :data:`_MEMORY_LOCK`.
 _MEMORY = {}
@@ -221,8 +225,12 @@ class ModelRegistry:
         counter), and the service keeps running. The next successful
         disk write heals the mode and flushes the overlay.
         """
+        return self._store(key, dumps(payload).encode("utf-8"))
+
+    def _store(self, key, body):
+        """:meth:`put` for a payload already encoded to ``body``."""
         path = self._path(key)
-        line = seal(payload)
+        line = seal_encoded(body)
         try:
             if self.max_bytes is not None:
                 needed = self._dir_usage_bytes() + len(line)
@@ -233,19 +241,20 @@ class ModelRegistry:
                         f"{self.max_bytes} bytes)", str(path))
             write_text_atomic(path, line)
         except OSError as exc:
-            self._enter_degraded(key, payload, exc)
+            self._enter_degraded(key, body, exc)
             return key
         self._heal_degraded()
         self._evict()
         return key
 
-    def _enter_degraded(self, key, payload, exc):
-        """Adopt ``payload`` into the in-memory overlay after a failed
-        disk write; flips the directory into degraded mode."""
+    def _enter_degraded(self, key, body, exc):
+        """Adopt the payload bytes ``body`` into the in-memory overlay
+        after a failed disk write; flips the directory into degraded
+        mode."""
         with _MEMORY_LOCK:
             fresh = self._dir_key not in _DEGRADED_DIRS
             _DEGRADED_DIRS.add(self._dir_key)
-            _MEMORY[(self._dir_key, str(key))] = payload
+            _MEMORY[(self._dir_key, str(key))] = body
         record("serve.cache.write_errors")
         record("serve.cache.degraded", 1, kind="gauge")
         log = logger.error if fresh else logger.warning
@@ -266,8 +275,8 @@ class ModelRegistry:
         record("serve.cache.degraded", 0, kind="gauge")
         logger.info("cache dir %s healed; flushing %d in-memory "
                     "entr(y/ies) to disk", self.cache_dir, len(held))
-        for key, payload in held:
-            self.put(key, payload)
+        for key, body in held:
+            self._store(key, body)
 
     def heal(self):
         """Opportunistically try to leave degraded mode.
@@ -286,7 +295,7 @@ class ModelRegistry:
         if held is not None:
             # a successful re-put flushes the whole overlay and clears
             # the flag; a failing one re-enters degraded mode quietly
-            self.put(*held)
+            self._store(*held)
             return not self.degraded
         probe = self.cache_dir / ".heal-probe"
         try:
@@ -317,8 +326,9 @@ class ModelRegistry:
         return records
 
     def _load_verified(self, path):
-        """Read and :func:`~repro.io.unseal` one entry file; quarantines
-        on any failure and returns ``None`` (a miss)."""
+        """The verified payload bytes of one entry file
+        (:func:`~repro.io.unseal_bytes`); quarantines on any failure and
+        returns ``None`` (a miss)."""
         try:
             data = path.read_bytes()
         except FileNotFoundError:
@@ -327,7 +337,7 @@ class ModelRegistry:
             reason = f"unreadable entry: {exc}"
         else:
             try:
-                return unseal(data)
+                return unseal_bytes(data)
             except IntegrityError as exc:
                 reason = str(exc)
         record("serve.cache.integrity_quarantined")
@@ -341,30 +351,33 @@ class ModelRegistry:
             os.utime(path)
 
     def get(self, key, touch=True):
-        """The payload stored under ``key``, or ``None`` on a miss.
+        """The payload stored under ``key`` as its verified JSON bytes
+        (``json.loads`` gives the payload back), or ``None`` on a miss.
 
-        Every load verifies the entry's in-band checksum; a corrupt
-        entry is quarantined and reported as a miss so the caller
-        refits. A hit bumps the entry's mtime (its LRU recency) unless
-        ``touch`` is false. Entries held only in the degraded-mode
-        memory overlay are served from there.
+        The bytes are what :func:`~repro.io.dumps` made of the payload
+        at :meth:`put`, so they are served as they are. Every load
+        verifies the entry's in-band checksum; a corrupt entry is
+        quarantined and reported as a miss so the caller refits. A hit
+        bumps the entry's mtime (its LRU recency) unless ``touch`` is
+        false. Entries held only in the degraded-mode memory overlay
+        are served from there.
         """
         path = self._path(key)
-        payload = self._load_verified(path)
-        if payload is None:
+        body = self._load_verified(path)
+        if body is None:
             return self._memory_get(key)
         if touch:
             self._touch(path)
-        return payload
+        return body
 
     def verify(self, key):
         """True when ``key`` has a checksum-valid entry (disk or
         memory overlay); quarantines a corrupt one as a side effect.
 
-        This is the cache-hit probe the scheduler uses: it reads and
-        verifies the bytes, so a corrupt entry turns into a refit at
-        submit time instead of a 404 at model-fetch time. A verified
-        disk hit bumps LRU recency.
+        This is the cache-hit probe the scheduler uses: it reads the
+        bytes and verifies their checksum (it does not parse them), so a
+        corrupt entry turns into a refit at submit time instead of a 404
+        at model-fetch time. A verified disk hit bumps LRU recency.
         """
         path = self._path(key)
         if self._load_verified(path) is not None:

@@ -24,6 +24,7 @@ import multiprocessing
 import os
 import pathlib
 import signal
+import tempfile
 import time
 
 import numpy as np
@@ -88,6 +89,41 @@ def test_any_single_byte_flip_is_refused(payload, data):
         unseal(bytes(line))
 
 
+# -- a registry hit serves the sealed bytes ----------------------------------
+
+# integer keys whose text does not collide with a string key: json.dumps
+# writes both as the same string, and the parse keeps only the last one
+# (the codec never emits such a dict: it encodes dicts as item lists)
+_keys = st.integers() | st.text(max_size=8)
+_hit_payloads = st.recursive(
+    _scalars | _nonfinite | st.floats()
+    | st.text(alphabet="a\u00e9\u00df\u6f22\U0001f600\"\\\n", max_size=8),
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(st.tuples(_keys, children), max_size=4,
+                   unique_by=lambda kv: str(kv[0])).map(dict)),
+    max_leaves=20)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hit_payloads)
+def test_registry_hit_bytes_equal_a_reencoded_reply(payload):
+    """``get`` returns the bytes the parse-and-re-encode reply would
+    send, from disk and from the degraded-mode overlay alike."""
+    key = "ab12" * 8
+    with tempfile.TemporaryDirectory() as tmp:
+        disk = ModelRegistry(pathlib.Path(tmp) / "disk")
+        disk.put(key, payload)
+        body = disk.get(key)
+        assert body == dumps(payload).encode("utf-8")
+        assert body == dumps(json.loads(body), indent=None).encode("utf-8")
+        held = ModelRegistry(pathlib.Path(tmp) / "held", max_bytes=1)
+        held.put(key, payload)
+        assert held.degraded and held.get(key) == body
+        held.max_bytes = None
+        assert held.heal() and held.get(key) == body
+
+
 # -- upgrade path: the previous envelope format is recomputed ----------------
 
 
@@ -137,7 +173,7 @@ def test_old_format_registry_entry_is_quarantined_and_refit(tmp_path):
     refit = unseal(path.read_bytes())  # the refit is stored sealed
     assert refit["estimator"] == "KMeans"
     assert refit["model"]["class"] == "KMeans"
-    assert registry.get(first.key) == refit
+    assert json.loads(registry.get(first.key)) == refit
 
 
 def _table():

@@ -59,6 +59,9 @@
   formulas. Counts and :func:`repro.metrics.agreement_matrix` must be
   bit-identical, and a pair that clusters no object in common must fail
   (or score ``no_overlap``) exactly where the reference raises.
+* :func:`repro.metrics.normalized_hsic` builds and centres each view's
+  kernel once; the reference is three :func:`repro.metrics.hsic` calls
+  (cross term and both self terms). The scores must be bit-identical.
 """
 
 import math
@@ -97,6 +100,8 @@ from repro.metrics import (
     adco_similarity,
     agreement_matrix,
     density_profile,
+    hsic,
+    normalized_hsic,
     pair_confusion,
     pair_confusions,
 )
@@ -1337,3 +1342,30 @@ class TestPairCountingOracle:
     def test_unknown_measure_rejected(self):
         with pytest.raises(ValidationError, match="measure"):
             agreement_matrix([[0, 1]], measure="vi")
+
+
+# -- normalised HSIC ----------------------------------------------------------
+
+
+def naive_normalized_hsic(X, Y, kernel, gamma):
+    h_xy = hsic(X, Y, kernel=kernel, gamma=gamma)
+    h_xx = hsic(X, X, kernel=kernel, gamma=gamma)
+    h_yy = hsic(Y, Y, kernel=kernel, gamma=gamma)
+    denom = np.sqrt(h_xx * h_yy)
+    if denom <= 0:
+        return 0.0
+    return float(np.clip(h_xy / denom, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("kernel,gamma", [("rbf", None), ("rbf", 0.7),
+                                          ("linear", None)])
+@pytest.mark.parametrize("seed", range(4))
+def test_normalized_hsic_bit_identical(kernel, gamma, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    X = rng.normal(size=(n, int(rng.integers(1, 4))))
+    # a dependent view, an independent one, and a constant one (score 0)
+    for Y in (X @ rng.normal(size=(X.shape[1], 2)) + 0.1 * rng.normal(
+            size=(n, 2)), rng.normal(size=(n, 3)), np.ones((n, 2))):
+        assert normalized_hsic(X, Y, kernel=kernel, gamma=gamma) == \
+            naive_normalized_hsic(X, Y, kernel, gamma)

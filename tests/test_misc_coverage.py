@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.gmm import init_params_kmeanspp
-from repro.core import quality_compactness, quality_silhouette
+from repro.core import quality_silhouette
 from repro.core.base import MultiClusteringEstimator
 from repro.exceptions import (
     ConvergenceWarning,
@@ -56,10 +56,6 @@ class TestReportGeneration:
 
 
 class TestObjectiveHelpers:
-    def test_quality_compactness_sign(self, blobs3):
-        X, y = blobs3
-        assert quality_compactness(X, y) < 0.0  # negative SSE
-
     def test_quality_silhouette_matches_metric(self, blobs3):
         from repro.metrics import silhouette_score
         X, y = blobs3

@@ -268,6 +268,11 @@ class TestMetaClustering:
         with pytest.raises(ValidationError):
             MetaClustering(n_base=1)
 
+    @pytest.mark.parametrize("n_base", [3.7, float("nan"), True])
+    def test_non_integer_n_base_rejected(self, n_base):
+        with pytest.raises(ValidationError, match="n_base must be an integer"):
+            MetaClustering(n_base=n_base)
+
     @pytest.mark.parametrize("n_meta", [0, -2, 2.5])
     def test_invalid_n_meta_clusters(self, four_squares, n_meta):
         X, _, _ = four_squares

@@ -102,7 +102,7 @@ class TestIntegrity:
         assert snapshot["serve.cache.integrity_quarantined"]["value"] == 1
         # the slot is reusable: a refit put serves again
         registry.put(KEY, {"model": "fresh"})
-        assert registry.get(KEY) == {"model": "fresh"}
+        assert json.loads(registry.get(KEY)) == {"model": "fresh"}
 
     def test_missing_envelope_quarantined(self, tmp_path):
         registry = ModelRegistry(tmp_path)
@@ -131,7 +131,8 @@ class TestDegradedMode:
         registry.put(KEY, {"model": "held"})
         assert registry.degraded is True
         assert registry.memory_entries() == 1
-        assert registry.get(KEY) == {"model": "held"}  # served from memory
+        # served from memory
+        assert json.loads(registry.get(KEY)) == {"model": "held"}
         assert not list(tmp_path.glob("*.json"))
         snapshot = default_registry().snapshot()
         assert snapshot["serve.cache.write_errors"]["value"] >= 1
@@ -141,7 +142,7 @@ class TestDegradedMode:
         assert registry.heal() is True
         assert registry.degraded is False
         assert registry.memory_entries() == 0  # overlay flushed to disk
-        assert registry.get(KEY) == {"model": "held"}
+        assert json.loads(registry.get(KEY)) == {"model": "held"}
         assert (tmp_path / f"{KEY}.json").exists()
         assert default_registry().snapshot()[
             "serve.cache.degraded"]["value"] == 0
@@ -166,14 +167,14 @@ class TestDegradedMode:
         registry.put(KEY, {"held": 1})
         assert registry.heal() is False  # cap still in force
         assert registry.degraded is True
-        assert registry.get(KEY) == {"held": 1}
+        assert json.loads(registry.get(KEY)) == {"held": 1}
 
     def test_degraded_flag_shared_across_instances(self, tmp_path):
         first = ModelRegistry(tmp_path, max_bytes=1)
         first.put(KEY, {"held": 1})
         second = ModelRegistry(tmp_path)
         assert second.degraded is True  # same dir, same mode
-        assert second.get(KEY) == {"held": 1}
+        assert json.loads(second.get(KEY)) == {"held": 1}
         second.put("cd34" * 8, {"fresh": 2})
         assert first.degraded is False
 
@@ -647,6 +648,7 @@ class TestEvictionHammer:
                     payload = registry.get(key)
                     if payload is None:
                         continue  # evicted or not yet written: a miss
+                    payload = json.loads(payload)
                     if payload["blob"] != [payload["writer"]] * 500:
                         failures.append(payload)
                     reads_ok[slot] += 1

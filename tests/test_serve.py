@@ -297,7 +297,7 @@ class TestRepeatedBodies:
         with urllib.request.urlopen(url + memo["model_url"],
                                     timeout=30) as resp:
             served_bytes = resp.read()
-        stored = registry.get(memo["key"])
+        stored = json.loads(registry.get(memo["key"]))
         assert served_bytes == json.dumps(
             sanitize_json(stored), allow_nan=False).encode("utf-8")
 
@@ -327,6 +327,35 @@ class TestRepeatedBodies:
         status, _, resp = _request(f"{url}/jobs", raw)
         assert status == 200 and resp["job"]["cached"] is True
         assert len(calls) == 1
+
+    def test_entry_corrupted_after_a_cached_post_is_not_served(
+            self, served, monkeypatch):
+        url, scheduler, registry = served
+        body = {"estimator": "KMeans", "dataset": _dataset().tolist(),
+                "params": {"n_clusters": 2}, "seed": 3}
+        raw, fitted = self._fitted(url, body)
+        status, _, resp = _request(f"{url}/jobs", raw)
+        assert status == 200 and resp["job"]["cached"] is True
+        model_url = url + resp["job"]["model_url"]
+
+        path = registry.cache_dir / f"{fitted['key']}.json"
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        path.write_bytes(bytes(data))
+
+        status, _, reply = _request(model_url)
+        assert status == 404 and "model" not in reply
+        [record] = registry.quarantined()
+        assert record["key"] == fitted["key"]
+        assert not path.exists()
+
+        calls = _count_submits(monkeypatch, scheduler)
+        status, _, resp = _request(f"{url}/jobs", raw)
+        assert status == 202 and resp["job"]["cached"] is False
+        assert len(calls) == 1
+        assert _poll_job(url, resp["job"]["id"])["status"] == "done"
+        with urllib.request.urlopen(model_url, timeout=30) as served_model:
+            assert served_model.read() == registry.get(fitted["key"])
 
     def test_one_byte_different_body_misses_the_memo(self, served,
                                                      monkeypatch):

@@ -99,7 +99,7 @@ class TestRegistryBasics:
         registry = ModelRegistry(tmp_path)
         key = "ab12" * 8
         registry.put(key, {"model": {"x": 1}})
-        assert registry.get(key) == {"model": {"x": 1}}
+        assert json.loads(registry.get(key)) == {"model": {"x": 1}}
         assert key in registry
         assert len(registry) == 1
 
@@ -120,7 +120,7 @@ class TestRegistryBasics:
         # purely through the directory
         key = "cd34" * 8
         ModelRegistry(tmp_path).put(key, {"v": 1})
-        assert ModelRegistry(tmp_path).get(key) == {"v": 1}
+        assert json.loads(ModelRegistry(tmp_path).get(key)) == {"v": 1}
 
     def test_max_entries_validated(self, tmp_path):
         with pytest.raises(ValidationError):
@@ -197,6 +197,7 @@ class TestRegistryConcurrency:
             payload = reader.get(key)
             if payload is None:
                 continue
+            payload = json.loads(payload)
             # atomic replace: always one writer's complete payload
             assert payload["blob"] == [payload["writer"]] * 2000
             reads += 1
@@ -204,7 +205,7 @@ class TestRegistryConcurrency:
             p.join(timeout=10)
             assert p.exitcode == 0
         assert reads > 10
-        final = ModelRegistry(tmp_path).get(key)
+        final = json.loads(ModelRegistry(tmp_path).get(key))
         assert final["blob"] == [final["writer"]] * 2000
 
     def test_sigkill_mid_write_leaves_registry_loadable(self, tmp_path):
@@ -223,11 +224,11 @@ class TestRegistryConcurrency:
 
         registry = ModelRegistry(tmp_path)
         # pre-existing entries intact
-        assert registry.get(safe_key) == {"ok": True}
+        assert json.loads(registry.get(safe_key)) == {"ok": True}
         # the raced key is either absent or a complete payload — never torn
         payload = registry.get(key)
         if payload is not None:
-            assert payload["blob"] == list(range(200_000))
+            assert json.loads(payload)["blob"] == list(range(200_000))
         # stale temp files from the killed writer were swept on init
         assert list(tmp_path.glob(".*.tmp-*")) == []
         # every surviving file parses

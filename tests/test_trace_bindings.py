@@ -10,6 +10,7 @@ wraps, and pin the checksum count of a cached hit that
 
 import importlib
 import importlib.util
+import json
 import pathlib
 
 import repro.io
@@ -65,5 +66,5 @@ def test_verify_and_get_each_checksum_once(tmp_path, monkeypatch):
     del calls[:]
     assert registry.verify(key) is True
     assert len(calls) == 1
-    assert registry.get(key) == {"model": [1, 2]}
+    assert json.loads(registry.get(key)) == {"model": [1, 2]}
     assert len(calls) == 2

@@ -1,7 +1,7 @@
 """Alternating A/B runs of one perfbench workload in two checkouts.
 
 Usage:  python tools/perf_pairs.py PARENT_DIR CHANGE_DIR --workload W \\
-            --pairs N [--seed S]
+            --pairs N [--seed S] [--out FILE]
 
 Each pair runs ``python3 perfbench/run.py`` once in each checkout, and
 the side that goes first alternates from pair to pair (the parent opens
@@ -15,17 +15,27 @@ For every end-to-end metric the report gives each side's median and
 quartiles, the pairs the change won (a tie counts for neither side),
 whether the median gap exceeds the parent's interquartile range, and
 whether the change's median is worse than the parent's by more than the
-metric's bound. Exit status: 0; 1 when a run failed or reported
-``correct: false``, or a metric is past its bound; 2 on a usage error.
+metric's bound. ``--out FILE`` also writes all of it as one JSON
+record (:func:`build_record`), with the host it ran on and every run's
+value, so a speed claim can be committed as ``BENCH_<workload>.json``.
+Exit status: 0; 1 when a run failed or reported ``correct: false``, or
+a metric is past its bound; 2 on a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
+import os
 import pathlib
+import platform
 import subprocess
 import sys
+
+#: Environment variables that set the BLAS thread pools of the runs.
+BLAS_THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                   "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 
 
 def quantile(values, q):
@@ -68,6 +78,60 @@ def summarize(spec, parent, change):
     }
 
 
+def host_info():
+    """What the runs' speed depends on besides the code: core count,
+    Python and NumPy versions, and the BLAS thread settings (``None``
+    where unset) that the benchmark subprocesses inherit."""
+    try:
+        numpy_version = importlib.metadata.version("numpy")
+    except importlib.metadata.PackageNotFoundError:
+        numpy_version = None
+    return {
+        "cores": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy_version,
+        "blas_threads": {name: os.environ.get(name)
+                         for name in BLAS_THREAD_ENV},
+    }
+
+
+def build_record(workload, seed, seconds, host, specs, values, bad_runs):
+    """The ``--out`` record of one comparison, and the :func:`summarize`
+    result of each metric.
+
+    ``values[side]`` lists each run's ``{metric: value}`` in pair order.
+    Each end-to-end metric gets its verdicts, the quartiles of both
+    sides and the values of every run.
+    """
+    metrics, summaries = {}, {}
+    for spec in specs:
+        name = spec["name"]
+        runs = {side: [v[name] for v in values[side]]
+                for side in ("parent", "change")}
+        summary = summaries[name] = summarize(spec, runs["parent"],
+                                              runs["change"])
+        metrics[name] = {
+            "unit": spec["unit"],
+            "better": spec["better"],
+            "bound": spec["bound"],
+            **{side: dict(zip(("q1", "median", "q3"), summary[side]))
+               for side in ("parent", "change")},
+            **{key: summary[key] for key in ("wins", "losses",
+                                             "clears_iqr", "past_bound")},
+            "runs": runs,
+        }
+    return {
+        "workload": workload,
+        "seed": seed,
+        "run_seconds": seconds,
+        "pairs": len(values["parent"]),
+        "order": "alternating, parent first in even pairs",
+        "host": host,
+        "bad_runs": bad_runs,
+        "metrics": metrics,
+    }, summaries
+
+
 def run_once(checkout, workload, seed, seconds):
     """The JSON result on the last line of one ``perfbench/run.py``."""
     proc = subprocess.run(
@@ -103,6 +167,8 @@ def main(argv=None):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", type=pathlib.Path,
+                        help="also write the comparison as a JSON record")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -128,13 +194,15 @@ def main(argv=None):
                 f"failed={result['failed']} " + " ".join(
                     f"{s['name']}={values[side][-1][s['name']]:.4g}"
                     for s in specs) + "\n")
-    summaries = {spec["name"]: summarize(
-        spec, [v[spec["name"]] for v in values["parent"]],
-        [v[spec["name"]] for v in values["change"]]) for spec in specs}
+    record, summaries = build_record(args.workload, args.seed, seconds,
+                                     host_info(), specs, values, bad_runs)
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pair(s), "
           f"{seconds:g} s runs; runs not correct or with failures: "
           f"{bad_runs}")
     print(render(specs, summaries))
+    if args.out is not None:
+        args.out.write_text(json.dumps(record, indent=2) + "\n",
+                            encoding="utf-8")
     past = any(s["past_bound"] for s in summaries.values())
     return 1 if bad_runs or past else 0
 
