@@ -38,9 +38,10 @@ logging, ``run --trace FILE`` exports the sweep's span tree as JSONL,
 ``report FILE`` renders a previously exported trace as a span tree
 plus a slowest-stages table.
 
-Static analysis: ``lint`` forwards to ``python -m repro.lint`` — the
-AST gate enforcing the determinism/purity/contract invariants
-(``docs/static-analysis.md``); run it before sending a PR.
+Static analysis: ``check`` runs the AST gate enforcing the
+determinism/purity/contract invariants (``python -m repro.lint``,
+``docs/static-analysis.md``) plus the ``tools/`` checks with one
+summary; run it before sending a PR.
 
 Serving: ``serve`` starts the JSON HTTP model server
 (``docs/serving.md``) — fit requests become jobs on the same
@@ -82,14 +83,6 @@ def _build_parser():
         "trace", nargs="?", default=None, metavar="TRACE.jsonl",
         help="span JSONL from 'run --trace'; when given, render the span "
              "tree and slowest-stages table instead of EXPERIMENTS.md",
-    )
-    lint = sub.add_parser(
-        "lint", add_help=False,
-        help="run the static-analysis gate (see docs/static-analysis.md)",
-    )
-    lint.add_argument(
-        "lint_args", nargs=argparse.REMAINDER,
-        help="arguments forwarded to 'python -m repro.lint'",
     )
     sub.add_parser(
         "check",
@@ -483,7 +476,7 @@ def _check_command():
     report = LintEngine().lint_paths([PACKAGE_ROOT])
     if not report.ok:
         print(format_human(report))
-    rows.append(("repro lint", report.ok, _time.monotonic() - started,
+    rows.append(("repro.lint", report.ok, _time.monotonic() - started,
                  f"{len(report.findings)} finding(s) over "
                  f"{report.files_checked} file(s)"))
 
@@ -527,14 +520,6 @@ def main(argv=None):
     from .core.taxonomy import render_table
     from .observability.logs import configure_logging, level_from_verbosity
 
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "lint":
-        # Forward verbatim: argparse REMAINDER would not accept leading
-        # options ("repro lint --select RL003" must work).
-        from .lint.cli import main as lint_main
-
-        return lint_main(list(argv[1:]))
     args = _build_parser().parse_args(argv)
     configure_logging(args.log_level if args.log_level is not None
                       else level_from_verbosity(args.verbose))
@@ -546,10 +531,6 @@ def main(argv=None):
     if args.command == "taxonomy":
         print(render_table())
         return 0
-    if args.command == "lint":
-        from .lint.cli import main as lint_main
-
-        return lint_main(args.lint_args)
     if args.command == "check":
         return _check_command()
     if args.command == "serve":

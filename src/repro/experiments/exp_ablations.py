@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .exp_subspace import _planted
 from .harness import ResultTable, timed
 from ..data.synthetic import make_four_squares, make_subspace_data
 from ..metrics.partition import adjusted_rand_index
@@ -23,15 +24,6 @@ __all__ = [
     "run_a4_miner_scaling",
     "run_a5_adaptive_grid",
 ]
-
-
-def _planted(n_samples=240, n_features=8, random_state=3):
-    return make_subspace_data(
-        n_samples=n_samples, n_features=n_features,
-        clusters=[(n_samples // 3, (0, 1)), (n_samples // 3, (2, 3)),
-                  (n_samples // 3, (4, 5))],
-        cluster_std=0.4, random_state=random_state,
-    )
 
 
 def run_a1_osclu_beta(betas=(0.4, 0.6, 0.8, 1.0)):

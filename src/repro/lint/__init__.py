@@ -6,8 +6,8 @@ same invariants — seeded RNG threading, pure-NumPy substrates, the
 ``get_params``/fitted-attribute contract, logging-only output. This
 package checks those invariants *statically*, in two passes: pass 1
 parses each file and walks its AST exactly once, running the per-file
-rules (``RL001``–``RL010``) and recording each cross-module rule's
-facts on the way; pass 2 assembles those facts into a whole-program
+rules (``RL001``–``RL008``, ``RL010``) and recording each cross-module
+rule's facts on the way; pass 2 assembles those facts into a whole-program
 index (module/import graph, docs corpus) and runs the cross-module
 rules (``RL012``–``RL018``) — fork-safety, lock discipline, resource
 lifecycle, metric-name consistency, the exception taxonomy, dead
@@ -15,16 +15,15 @@ exports, dead pragmas. Suppression is explicit: inline
 ``# repro: noqa[RL0xx]`` pragmas, and dead ones are themselves
 findings.
 
-Run it as ``python -m repro.lint`` (or ``python -m repro lint``); the
-rule catalog, suppression policy and JSON output schema are documented
-in ``docs/static-analysis.md``.
+Run it as ``python -m repro.lint``, or through ``python -m repro
+check`` with the other gates; the rule catalog, suppression policy and
+JSON output schema are documented in ``docs/static-analysis.md``.
 """
 
 from __future__ import annotations
 
 from .engine import (
     DEAD_PRAGMA_RULE_ID,
-    FileLint,
     Finding,
     LintEngine,
     LintReport,
@@ -43,7 +42,6 @@ from .walk import PACKAGE_ROOT, PRINT_ALLOWED, walk_source_tree
 
 __all__ = [
     "DEAD_PRAGMA_RULE_ID",
-    "FileLint",
     "Finding",
     "LintEngine",
     "LintReport",

@@ -5,7 +5,6 @@ Usage::
     PYTHONPATH=src python -m repro.lint                  # lint src/repro
     PYTHONPATH=src python -m repro.lint --format json path/to/file.py
     PYTHONPATH=src python -m repro.lint --select RL003,RL004
-    PYTHONPATH=src python -m repro lint ...              # same, subcommand
 
 Exit status: 0 — clean (all findings fixed or pragma-suppressed),
 1 — unsuppressed findings, 2 — usage error.

@@ -49,7 +49,6 @@ from .index import ModuleRecord, ProgramIndex, module_name_for_path
 
 __all__ = [
     "DEAD_PRAGMA_RULE_ID",
-    "FileLint",
     "Finding",
     "LintEngine",
     "LintReport",
@@ -336,14 +335,6 @@ def _suppressions(text):
     return out
 
 
-@dataclass
-class FileLint:
-    """Result of linting one file (or text snippet)."""
-
-    findings: list = field(default_factory=list)
-    suppressed: int = 0
-
-
 # ---------------------------------------------------------------------------
 # Engine
 
@@ -376,7 +367,7 @@ class LintReport:
 
 
 class LintEngine:
-    """Run a rule set over texts, files, or whole trees."""
+    """Run a rule set over files and whole trees."""
 
     def __init__(self, select=None, ignore=None, rules=None):
         if rules is not None:
@@ -410,31 +401,6 @@ class LintEngine:
         findings = []
         _walk(tree, self.rules, ctx, findings)
         return findings, ctx
-
-    def lint_text(self, text, path="<snippet>"):
-        """Lint one source string; returns a :class:`FileLint`.
-
-        Per-file rules only — the whole-program pass needs a tree
-        (:meth:`lint_paths`).
-        """
-        findings, ctx = self._analyze(text, path)
-        suppressions = _suppressions(text) if ctx else {}
-        result = FileLint()
-        for finding in sorted(findings):
-            if finding.rule in suppressions.get(finding.line, ()):
-                result.suppressed += 1
-            else:
-                result.findings.append(finding)
-        return result
-
-    def lint_file(self, path, display=None):
-        """Lint one file; unreadable files become RL000 findings."""
-        display = display or _display_path(path)
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            return FileLint(findings=[_unreadable(display, exc)])
-        return self.lint_text(text, path=display)
 
     # -- pass 1 + pass 2: trees --------------------------------------------
 

@@ -13,7 +13,7 @@ import ast
 import re
 
 from ..engine import Rule, register
-from ..walk import POOL_ALLOWED, PRINT_ALLOWED, SERVE_ALLOWED
+from ..walk import IMPORT_POLICY, PRINT_ALLOWED, path_under
 from .common import names_in as _names_in
 from .common import terminal_name as _terminal_name
 
@@ -43,15 +43,6 @@ _RESEED_CALLEES = frozenset({
     "check_random_state",
     "RandomState",
 })
-
-#: Forbidden third-party imports with the reason each is banned.
-_FORBIDDEN_IMPORTS = {
-    "sklearn": "the substrates are reimplemented from scratch in "
-               "repro.cluster",
-    "scipy": "DESIGN mandates pure-NumPy substrates; assignment and "
-             "binomial tails live in repro.utils",
-    "pandas": "tables go through repro.experiments.ResultTable",
-}
 
 #: Constructors whose call as a default argument shares state the same
 #: way a literal does.
@@ -141,40 +132,61 @@ class SeededRngThreading(Rule):
             )
 
 
+def _policy_for(module):
+    """The ``IMPORT_POLICY`` row covering ``module``, or None."""
+    parts = module.split(".")
+    for end in range(len(parts), 0, -1):
+        row = IMPORT_POLICY.get(".".join(parts[:end]))
+        if row is not None:
+            return row
+    return None
+
+
 @register
-class ForbiddenImport(Rule):
+class ImportPolicy(Rule):
     id = "RL002"
-    title = "forbidden-imports"
+    title = "import-policy"
     rationale = (
-        "The library's claim is that ~20 algorithms are comparable on "
-        "one pure-NumPy substrate; a stray sklearn/scipy/pandas import "
-        "silently changes numerics and breaks the zero-dependency "
-        "promise. Each justified exception carries a pragma."
+        "Some modules may be imported only under one package, or "
+        "nowhere (IMPORT_POLICY in repro.lint.walk). sklearn, scipy and "
+        "pandas nowhere: the library's claim is that ~20 algorithms are "
+        "comparable on one pure-NumPy substrate, and a stray import "
+        "silently changes numerics. Process pools and executors only in "
+        "repro/robustness/, whose pool has process groups, heartbeat "
+        "deadlines, crash quarantine and journal shards. HTTP servers "
+        "only in repro/serve/, which brings backpressure, budgets, "
+        "caching and tracing. Each justified exception carries a pragma."
     )
-    node_types = (ast.Import, ast.ImportFrom)
+    node_types = (ast.Import, ast.ImportFrom, ast.Attribute)
 
     def visit(self, node, ctx):
-        if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
-        elif node.level:  # relative import: always in-library
+        if isinstance(node, ast.Attribute):
+            if node.attr in ("Pool", "ThreadPool"):
+                yield from self._judge(ctx, node,
+                                       f"multiprocessing.{node.attr}",
+                                       f"use of .{node.attr}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield from self._judge(ctx, node, alias.name,
+                                       f"import of {alias.name!r}")
+        elif not node.level:  # a relative import is always in-library
+            module = node.module or ""
+            targets = ([module] if _policy_for(module) is not None
+                       else [f"{module}.{a.name}" for a in node.names])
+            for target in targets:
+                yield from self._judge(ctx, node, target,
+                                       f"import of {target!r}")
+
+    def _judge(self, ctx, node, module, what):
+        row = _policy_for(module)
+        if row is None:
             return
-        else:
-            modules = [node.module or ""]
-        for module in modules:
-            top = module.split(".")[0]
-            if top in _FORBIDDEN_IMPORTS:
-                yield self.finding(
-                    ctx, node,
-                    f"forbidden third-party import {top!r}: "
-                    f"{_FORBIDDEN_IMPORTS[top]}",
-                )
-
-
-def _print_allowed(path):
-    """True when ``path`` is one of the CLI front-ends."""
-    posix = path.replace("\\", "/")
-    return any(posix == allowed or posix.endswith("/" + allowed)
-               for allowed in PRINT_ALLOWED)
+        allowed, reason = row
+        if allowed is None:
+            yield self.finding(ctx, node, f"{what} is banned: {reason}")
+        elif not path_under(ctx.path, allowed):
+            yield self.finding(ctx, node,
+                               f"{what} outside {allowed}: {reason}")
 
 
 @register
@@ -191,7 +203,8 @@ class NoPrint(Rule):
     node_types = (ast.Name,)
 
     def visit(self, node, ctx):
-        if node.id == "print" and not _print_allowed(ctx.path):
+        if node.id == "print" and not any(path_under(ctx.path, area)
+                                          for area in PRINT_ALLOWED):
             yield self.finding(
                 ctx, node,
                 "print in library code (use "
@@ -468,140 +481,20 @@ class DocstringSignatureSync(Rule):
                 )
 
 
-def _pool_allowed(path):
-    """True when ``path`` lives in the fault-contained run layer."""
-    posix = path.replace("\\", "/")
-    return any(posix.startswith(allowed) or ("/" + allowed) in posix
-               for allowed in POOL_ALLOWED)
-
-
-#: Names whose import from ``multiprocessing`` builds an ad-hoc pool.
-_POOL_NAMES = frozenset({"Pool", "ThreadPool", "pool", "dummy"})
-
-
 @register
-class NoAdHocProcessPool(Rule):
-    id = "RL009"
-    title = "no-adhoc-process-pool"
-    rationale = (
-        "Parallel execution must flow through run_experiments(jobs=...)"
-        ", which runs on repro.robustness.pool: a bare "
-        "multiprocessing.Pool or concurrent.futures executor has no "
-        "process groups, heartbeat deadlines, crash quarantine, or "
-        "per-worker journal shards, so a hang or crash inside it "
-        "strands work (and orphans children) that the fault-contained "
-        "pool would recover."
-    )
-    node_types = (ast.Import, ast.ImportFrom, ast.Attribute)
-
-    def _ban(self, ctx, node, what):
-        return self.finding(
-            ctx, node,
-            f"{what} outside repro.robustness; use "
-            "run_experiments(jobs=...) so isolation, quarantine, and "
-            "journaling apply",
-        )
-
-    def visit(self, node, ctx):
-        if _pool_allowed(ctx.path):
-            return
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.split(".")[0] == "concurrent":
-                    yield self._ban(ctx, node,
-                                    f"import of {alias.name!r}")
-                elif (alias.name.startswith("multiprocessing.")
-                        and alias.name.split(".")[1] in ("pool", "dummy")):
-                    yield self._ban(ctx, node,
-                                    f"import of {alias.name!r}")
-        elif isinstance(node, ast.ImportFrom):
-            if node.level:
-                return
-            module = node.module or ""
-            top = module.split(".")[0]
-            if top == "concurrent":
-                yield self._ban(ctx, node,
-                                f"import from {module!r}")
-            elif top == "multiprocessing":
-                if module == "multiprocessing":
-                    banned = [a.name for a in node.names
-                              if a.name in _POOL_NAMES]
-                elif module.split(".")[1] in ("pool", "dummy"):
-                    banned = [a.name for a in node.names]
-                else:
-                    banned = []
-                for name in banned:
-                    yield self._ban(
-                        ctx, node, f"import of {name!r} from {module!r}"
-                    )
-        elif node.attr in ("Pool", "ThreadPool"):
-            yield self._ban(ctx, node, f"use of .{node.attr}")
-
-
-def _serve_allowed(path):
-    """True when ``path`` lives in the serving front-end."""
-    posix = path.replace("\\", "/")
-    return any(posix.startswith(allowed) or ("/" + allowed) in posix
-               for allowed in SERVE_ALLOWED)
-
-
-#: Modules whose import means "I am building an HTTP server by hand".
-_SERVER_MODULES = frozenset({"http.server", "socketserver"})
-
-
-@register
-class NoAdHocHTTPServer(Rule):
+class StrictJson(Rule):
     id = "RL010"
-    title = "no-adhoc-http-server"
+    title = "strict-json"
     rationale = (
-        "HTTP serving must flow through repro.serve: a bare "
-        "http.server / socketserver endpoint has no bounded queue "
-        "(429 backpressure), RunGuard budgets, model-registry caching, "
-        "or request tracing. The same rule bans json.dumps/dump with "
-        "allow_nan=True anywhere — bare NaN/Infinity tokens are not "
-        "RFC JSON and break strict clients; non-finite floats must go "
-        "through repro.io.dumps, which encodes them as null/string "
-        "sentinels."
+        "json.dumps/dump with allow_nan=True writes bare NaN/Infinity "
+        "tokens, which are not RFC JSON and break strict clients; "
+        "non-finite floats must go through repro.io.dumps, which "
+        "encodes them as null/string sentinels."
     )
-    node_types = (ast.Import, ast.ImportFrom, ast.Call)
+    node_types = (ast.Call,)
 
     def visit(self, node, ctx):
-        if isinstance(node, ast.Call):
-            yield from self._check_allow_nan(node, ctx)
-            return
-        if _serve_allowed(ctx.path):
-            return
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if (alias.name in _SERVER_MODULES
-                        or alias.name.split(".")[0] == "socketserver"):
-                    yield self.finding(
-                        ctx, node,
-                        f"import of {alias.name!r} outside repro.serve; "
-                        "serve through repro.serve.make_server so "
-                        "backpressure, budgets, and caching apply",
-                    )
-        elif isinstance(node, ast.ImportFrom):
-            if node.level:
-                return
-            module = node.module or ""
-            if module in _SERVER_MODULES or module.split(".")[0] in (
-                    "socketserver",) or module.startswith("http.server"):
-                yield self.finding(
-                    ctx, node,
-                    f"import from {module!r} outside repro.serve; "
-                    "serve through repro.serve.make_server so "
-                    "backpressure, budgets, and caching apply",
-                )
-
-    def _check_allow_nan(self, node, ctx):
-        func = node.func
-        name = None
-        if isinstance(func, ast.Attribute):
-            name = func.attr
-        elif isinstance(func, ast.Name):
-            name = func.id
-        if name not in ("dumps", "dump"):
+        if _terminal_name(node.func) not in ("dumps", "dump"):
             return
         for keyword in node.keywords:
             if (keyword.arg == "allow_nan"

@@ -7,10 +7,12 @@ read live here, in one place:
   library's ``.py`` files, skipping caches, egg-info and VCS droppings;
 * :data:`PRINT_ALLOWED` — the CLI front-ends where printing *is* the
   job (rule ``RL003``);
-* :data:`POOL_ALLOWED` — the fault-contained run layer, the only place
-  allowed to build process pools / executors directly (rule ``RL009``);
-* :data:`SERVE_ALLOWED` — the serving layer, the only place allowed to
-  build HTTP servers or emit non-RFC JSON knobs (rule ``RL010``);
+* :data:`IMPORT_POLICY` — each module that may be imported only under
+  one package (process pools under the run layer, HTTP servers under
+  the serving layer) or nowhere (SciPy and friends), with the reason
+  (rule ``RL002``);
+* :func:`path_under` — the one test of "this file sits in that part of
+  the tree" both lists are read through;
 * :data:`FORK_ENTRY_POINTS` — the functions that run first inside a
   freshly forked pool worker; rule ``RL012`` checks their import-time
   closure for inherited concurrency state;
@@ -27,14 +29,14 @@ from pathlib import Path
 
 __all__ = [
     "FORK_ENTRY_POINTS",
+    "IMPORT_POLICY",
     "PACKAGE_ROOT",
-    "POOL_ALLOWED",
     "PRINT_ALLOWED",
     "REPO_ROOT",
-    "SERVE_ALLOWED",
     "THREAD_SHARED",
     "documentation_corpus",
     "evidence_corpus",
+    "path_under",
     "walk_source_tree",
 ]
 
@@ -71,24 +73,40 @@ PRINT_ALLOWED = (
     "repro/lint/cli.py",
 )
 
-#: Module-path prefixes (posix, under ``src``) allowed to build worker
-#: processes, pools, and executors directly: the fault-contained run
-#: layer. Everything else reaches parallelism through
-#: ``run_experiments(jobs=...)`` so process groups, hard deadlines,
-#: crash quarantine, and journal shards always apply (rule ``RL009``).
-POOL_ALLOWED = (
-    "repro/robustness/",
-)
+_POOL_REASON = ("parallel work goes through run_experiments(jobs=...), "
+                "whose pool brings isolation, crash quarantine and "
+                "journaling")
+_SERVE_REASON = ("serve through repro.serve.make_server so backpressure, "
+                 "budgets and caching apply")
 
-#: Module-path prefixes (posix, under ``src``) allowed to build HTTP
-#: servers (``http.server`` / ``socketserver``) directly: the serving
-#: front-end. Everything else goes through ``repro.serve`` so
-#: backpressure, tracing, and strict-JSON emission always apply (rule
-#: ``RL010``). The same rule bans ``allow_nan=True`` JSON emission
-#: everywhere — strict output policy lives in ``repro.io``.
-SERVE_ALLOWED = (
-    "repro/serve/",
-)
+#: ``module -> (allowed area, reason)`` for rule ``RL002``. The area is
+#: a posix path prefix under ``src`` (see :func:`path_under`), or None
+#: when the module may be imported nowhere. A key covers its submodules
+#: and, for a dotted key, the ``from parent import last`` spelling
+#: (``http.server`` covers ``from http import server``).
+IMPORT_POLICY = {
+    "sklearn": (None, "the substrates are reimplemented from scratch in "
+                      "repro.cluster"),
+    "scipy": (None, "DESIGN mandates pure-NumPy substrates; assignment "
+                    "and binomial tails live in repro.utils"),
+    "pandas": (None, "tables go through repro.experiments.ResultTable"),
+    "concurrent": ("repro/robustness/", _POOL_REASON),
+    "multiprocessing.pool": ("repro/robustness/", _POOL_REASON),
+    "multiprocessing.dummy": ("repro/robustness/", _POOL_REASON),
+    "multiprocessing.Pool": ("repro/robustness/", _POOL_REASON),
+    "multiprocessing.ThreadPool": ("repro/robustness/", _POOL_REASON),
+    "http.server": ("repro/serve/", _SERVE_REASON),
+    "socketserver": ("repro/serve/", _SERVE_REASON),
+}
+
+
+def path_under(path, area):
+    """True when the file ``path`` lies at or under ``area``, a posix
+    path such as ``repro/serve/`` or ``repro/__main__.py``, matched at
+    the start of ``path`` or after any ``/``."""
+    posix = path.replace("\\", "/")
+    return posix.startswith(area) or ("/" + area) in posix
+
 
 #: ``(module, function)`` pairs that run first inside a freshly forked
 #: pool worker. Rule ``RL012`` requires their modules' import-time

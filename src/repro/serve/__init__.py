@@ -14,7 +14,7 @@ turns the fault-tolerant experiment harness into that service:
   work-stealing pool);
 * :mod:`~repro.serve.api` — the stdlib ``ThreadingHTTPServer`` JSON
   front-end (the only place in the tree allowed to import
-  ``http.server``; rule ``RL010``);
+  ``http.server``; rule ``RL002``);
 * :mod:`~repro.serve.shedding` — adaptive :class:`LoadShedder` and
   per-model-key :class:`CircuitBreaker` consulted at submit;
 * :mod:`~repro.serve.client` — minimal stdlib :class:`ServeClient`

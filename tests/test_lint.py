@@ -7,20 +7,22 @@ Five layers under test:
   select/ignore resolution;
 * the per-file rule pack — good/bad fixture snippets for RL001–RL010,
   including the deliberate exemptions (declare-as-None in ``__init__``,
-  loop-variable-derived seeds, the CLI print, pool and serve
-  allow-lists);
+  loop-variable-derived seeds, the CLI print, every row of the import
+  policy);
 * the whole-program pass — fixture *trees* exercising the cross-module
   rules RL012–RL017 (fork safety, lock discipline, resource lifecycle,
   metric-name consistency, the exception taxonomy, dead exports), plus
   dead-pragma detection (RL018);
-* the CLI — exit codes 0/1/2, JSON output, the ``repro lint``
-  subcommand, and the consolidated ``repro check``;
+* the CLI — exit codes 0/1/2, JSON output, and the consolidated
+  ``repro check``;
 * the tree itself — the tier-1 gate: the shipped source lints clean.
 """
 
 import ast
 import json
+import tempfile
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -38,12 +40,22 @@ from repro.lint import (
     walk_source_tree,
 )
 from repro.lint.cli import main as lint_main
+from repro.lint.walk import IMPORT_POLICY
 
 
-def findings_for(code, select=None, path="<snippet>"):
-    """Lint a dedented snippet and return its findings."""
-    engine = LintEngine(select=select)
-    return LintEngine.lint_text(engine, textwrap.dedent(code), path=path)
+def findings_for(code, select=None, path="snippet.py"):
+    """Lint a dedented snippet, written to ``path`` under a temporary
+    directory, through both engine passes; returns the report.
+
+    ``docs_corpus=""`` keeps the real repo's docs and tests out of the
+    dead-export evidence.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp, path)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(textwrap.dedent(code), encoding="utf-8")
+        return LintEngine(select=select).lint_paths([target],
+                                                    docs_corpus="")
 
 
 def rule_ids(result):
@@ -81,8 +93,8 @@ class TestEngine:
         assert "does not parse" in result.findings[0].message
 
     def test_unreadable_file_becomes_rl000(self, tmp_path):
-        engine = LintEngine()
-        result = engine.lint_file(tmp_path / "missing.py")
+        result = LintEngine().lint_paths([tmp_path / "missing.py"],
+                                         docs_corpus="")
         assert rule_ids(result) == [PARSE_RULE_ID]
         assert "cannot be read" in result.findings[0].message
 
@@ -95,8 +107,8 @@ class TestEngine:
         )
         assert rule_ids(result) == ["RL002", "RL003"]
         first = result.findings[0]
-        assert (first.path, first.line) == ("<snippet>", 2)
-        assert first.render().startswith("<snippet>:2:1: RL002")
+        assert first.path.endswith("/snippet.py") and first.line == 2
+        assert first.render().startswith(f"{first.path}:2:1: RL002")
 
     def test_resolve_rules_select_and_ignore(self):
         assert [r.id for r in resolve_rules()] == \
@@ -128,20 +140,23 @@ class TestPragmas:
             "x = 1.0\nok = x == 1.0  # repro: noqa[RL005] - exact sentinel\n"
         )
         assert result.findings == []
-        assert result.suppressed == 1
+        assert result.suppressed_pragma == 1
 
     def test_wrong_id_does_not_suppress(self):
         result = findings_for(
             "x = 1.0\nok = x == 1.0  # repro: noqa[RL003] - wrong rule\n"
         )
-        assert rule_ids(result) == ["RL005"]
+        # the finding stands, and the pragma that suppressed nothing is
+        # itself reported
+        assert rule_ids(result) == [DEAD_PRAGMA_RULE_ID, "RL005"]
 
     def test_comma_list_suppresses_each_named_rule(self):
         result = findings_for(
-            "import sklearn  # repro: noqa[RL002, RL005] - fixture\n"
+            "import sklearn; x = 1.0 == 2.0"
+            "  # repro: noqa[RL002, RL005] - fixture\n"
         )
         assert result.findings == []
-        assert result.suppressed == 1
+        assert result.suppressed_pragma == 2
 
     def test_pragma_inside_string_literal_is_inert(self):
         result = findings_for(
@@ -230,22 +245,62 @@ class TestRL001SeededRng:
         assert result.findings == []
 
 
+#: Every import fixture -> the area it may be imported in (None:
+#: nowhere). Each is flagged outside that area and clean inside it.
+IMPORT_FIXTURES = {
+    "import sklearn\n": None,
+    "import sklearn.cluster\n": None,
+    "from sklearn.cluster import KMeans\n": None,
+    "from scipy import stats\n": None,
+    "import pandas as pd\n": None,
+    "import concurrent.futures\n": "repro/robustness/",
+    "from multiprocessing import Pool\n": "repro/robustness/",
+    "from multiprocessing import dummy\n": "repro/robustness/",
+    "import multiprocessing.pool\n": "repro/robustness/",
+    "import multiprocessing\npool = multiprocessing.Pool(2)\n":
+        "repro/robustness/",
+    "import http.server\n": "repro/serve/",
+    "from http import server\n": "repro/serve/",
+    "from socketserver import TCPServer\n": "repro/serve/",
+}
+
+
 class TestRL002ForbiddenImports:
-    @pytest.mark.parametrize("code", [
-        "import sklearn\n",
-        "import sklearn.cluster\n",
-        "from sklearn.cluster import KMeans\n",
-        "from scipy import stats\n",
-        "import pandas as pd\n",
-    ])
+    @pytest.mark.parametrize("code", list(IMPORT_FIXTURES))
     def test_forbidden_import_flagged(self, code):
-        assert rule_ids(findings_for(code)) == ["RL002"]
+        area = IMPORT_FIXTURES[code]
+        result = findings_for(code, path="src/repro/cluster/fast.py")
+        assert rule_ids(result) == ["RL002"]
+        if area is not None:
+            assert findings_for(code, path=f"src/{area}mod.py").findings \
+                == []
+
+    @pytest.mark.parametrize("module", list(IMPORT_POLICY))
+    def test_policy_row_flagged_outside_its_area_only(self, module):
+        area = IMPORT_POLICY[module][0]
+        parent, _, last = module.rpartition(".")
+        spellings = [f"import {module}\n"]
+        if parent:
+            spellings.append(f"from {parent} import {last}\n")
+        outside = {a for a, _ in IMPORT_POLICY.values()} - {area, None}
+        for code in spellings:
+            for other in sorted(outside) + ["repro/cluster/"]:
+                result = findings_for(code, select=["RL002"],
+                                      path=f"src/{other}mod.py")
+                assert rule_ids(result) == ["RL002"], (code, other)
+            if area is not None:
+                assert findings_for(code, select=["RL002"],
+                                    path=f"src/{area}mod.py"
+                                    ).findings == [], code
 
     @pytest.mark.parametrize("code", [
         "import numpy as np\n",
         "from . import utils\n",
         "from .cluster import KMeans\n",
         "import sklearnish_but_not\n",
+        "import multiprocessing\n",
+        "from multiprocessing import Process\n",
+        "from http import client\n",
     ])
     def test_benign_import_clean(self, code):
         assert findings_for(code).findings == []
@@ -508,34 +563,7 @@ class TestRL008DocstringSync:
         assert result.findings == []
 
 
-class TestRL009AdHocPool:
-    @pytest.mark.parametrize("code", [
-        "import concurrent.futures\n",
-        "from multiprocessing import Pool\n",
-        "import multiprocessing.pool\n",
-        "import multiprocessing\npool = multiprocessing.Pool(2)\n",
-    ])
-    def test_banned_form_flagged_outside_the_run_layer(self, code):
-        result = findings_for(code, select=["RL009"],
-                              path="src/repro/cluster/fast.py")
-        assert rule_ids(result) == ["RL009"]
-        assert findings_for(code, select=["RL009"],
-                            path="src/repro/robustness/pool.py"
-                            ).findings == []
-
-
-class TestRL010AdHocServer:
-    @pytest.mark.parametrize("code", [
-        "import http.server\n",
-        "from socketserver import TCPServer\n",
-    ])
-    def test_server_import_flagged_outside_serve(self, code):
-        result = findings_for(code, select=["RL010"],
-                              path="src/repro/experiments/web.py")
-        assert rule_ids(result) == ["RL010"]
-        assert findings_for(code, select=["RL010"],
-                            path="src/repro/serve/api.py").findings == []
-
+class TestRL010StrictJson:
     @pytest.mark.parametrize("path", [
         "src/repro/experiments/report.py",
         "src/repro/serve/api.py",
@@ -657,14 +685,6 @@ class TestCli:
         out = capsys.readouterr().out
         for cls in all_rule_classes():
             assert cls.id in out
-
-    def test_repro_lint_subcommand(self, tmp_path, capsys):
-        from repro.__main__ import main as repro_main
-
-        target = tmp_path / "dirty.py"
-        target.write_text("import pandas\n", encoding="utf-8")
-        assert repro_main(["lint", "--select", "RL002", str(target)]) == 1
-        assert "RL002" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -1235,7 +1255,7 @@ class TestReproCheck:
                             ("check_outcome_schema.py",))
         code = repro_main.main(["check"])
         out = capsys.readouterr().out
-        assert "repro lint" in out
+        assert "repro.lint" in out
         assert "tools/check_outcome_schema.py" in out
         assert "PASS" in out
         assert "gate(s):" in out
