@@ -427,15 +427,15 @@ def _serve_command(args):
 
 def _report_trace(path):
     from .exceptions import ValidationError
+    from .io import read_records
     from .observability.tracer import (
-        read_jsonl,
         render_records,
         render_stage_table,
         slowest_stages,
     )
 
     try:
-        records = read_jsonl(path)
+        records = read_records(path)
     except (OSError, ValidationError) as exc:
         print(f"cannot read trace {path!r}: {exc}", file=sys.stderr)
         return 2

@@ -7,7 +7,7 @@ import numpy as np
 from .harness import ResultTable
 from ..cluster.kmeans import KMeans
 from ..data.synthetic import make_four_squares, make_multiple_truths
-from ..metrics.partition import adjusted_rand_index
+from ..metrics.partition import adjusted_rand_index, agreement_matrix
 from ..transform import (
     AlternativeClusteringViaTransformation,
     FlexibleAlternativeClustering,
@@ -67,12 +67,11 @@ def run_f5_orthogonal_iterations(n_samples=240, n_views=3, random_state=5):
         ["iteration", "best_matching_view", "best_view_ari"]
         + [f"ari_view_{v}" for v in range(n_views)],
     )
-    for i, lab in enumerate(oc.labelings_):
-        aris = [adjusted_rand_index(lab, t) for t in truths]
+    for i, aris in enumerate(agreement_matrix(oc.labelings_, truths)):
         row = {
             "iteration": i,
             "best_matching_view": int(np.argmax(aris)),
-            "best_view_ari": float(max(aris)),
+            "best_view_ari": float(aris.max()),
         }
         for v, a in enumerate(aris):
             row[f"ari_view_{v}"] = float(a)

@@ -42,13 +42,9 @@ import contextlib
 import time
 
 from ..exceptions import ValidationError
+from ..io import shard_paths
 from ..observability.logs import get_logger
-from ..observability.tracer import (
-    Tracer,
-    current_tracer,
-    read_jsonl,
-    trace_shard_paths,
-)
+from ..observability.tracer import Tracer, current_tracer
 from ..robustness.checkpoint import RunJournal
 from ..robustness.outcome import ExperimentOutcome, ResultTable
 from ..robustness.pool import (
@@ -224,8 +220,9 @@ def _run_on_pool(grid, *, jobs, keep_going, max_seconds, max_retries,
     if tracer is not None and trace_path is not None:
         # clean completion: absorb the durable shards (idempotent
         # with the piped copies) and leave no worker files behind
-        for shard in trace_shard_paths(trace_path):
-            tracer.add_foreign_records(read_jsonl(shard, recover=True))
+        shards = shard_paths(trace_path)
+        tracer.add_foreign_records(Tracer.merge_shards(shards))
+        for shard in shards:
             shard.unlink()
     return ran
 

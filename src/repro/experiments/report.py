@@ -220,42 +220,22 @@ def generate_report(stream=None, keys=None):
     """
     from . import ALL_EXPERIMENTS
 
-    def wanted(key):
-        return keys is None or key in keys
-
-    parts = [_HEADER]
-    for key, (claim, measured) in CLAIMS.items():
-        if not wanted(key):
-            continue
-        table = ALL_EXPERIMENTS[key]()
-        parts.append(f"## {key}\n")
-        parts.append(f"**Paper claim.** {claim}\n")
-        parts.append(f"**Measured.** {measured}\n")
-        parts.append("```text")
-        parts.append(table.render())
-        parts.append("```\n")
-    parts.append("\n## Cross-paradigm benchmark\n")
-    for key, (claim, measured) in CROSS_CLAIMS.items():
-        if not wanted(key):
-            continue
-        table = ALL_EXPERIMENTS[key]()
-        parts.append(f"### {key}\n")
-        parts.append(f"**Paper claim.** {claim}\n")
-        parts.append(f"**Measured.** {measured}\n")
-        parts.append("```text")
-        parts.append(table.render())
-        parts.append("```\n")
-    parts.append(_ABLATION_HEADER)
-    for key, (claim, measured) in ABLATION_CLAIMS.items():
-        if not wanted(key):
-            continue
-        table = ALL_EXPERIMENTS[key]()
-        parts.append(f"### {key}\n")
-        parts.append(f"**Design choice.** {claim}\n")
-        parts.append(f"**Measured.** {measured}\n")
-        parts.append("```text")
-        parts.append(table.render())
-        parts.append("```\n")
+    sections = (
+        (_HEADER, CLAIMS, "##", "Paper claim"),
+        ("\n## Cross-paradigm benchmark\n", CROSS_CLAIMS, "###",
+         "Paper claim"),
+        (_ABLATION_HEADER, ABLATION_CLAIMS, "###", "Design choice"),
+    )
+    parts = []
+    for header, claims, heading, label in sections:
+        parts.append(header)
+        for key, (claim, measured) in claims.items():
+            if keys is not None and key not in keys:
+                continue
+            table = ALL_EXPERIMENTS[key]()
+            parts += [f"{heading} {key}\n", f"**{label}.** {claim}\n",
+                      f"**Measured.** {measured}\n", "```text",
+                      table.render(), "```\n"]
     text = "\n".join(parts)
     if stream is not None:
         stream.write(text)

@@ -33,6 +33,15 @@ and ``fsync``\\ s, so a crash leaves at most a torn trailing line;
 bytes of ``<P>`` (:func:`unseal_bytes` verifies them without parsing);
 :func:`quarantine` moves a record that fails :func:`unseal` aside, next
 to an ``IntegrityError`` record.
+
+A run journal and a trace are JSONL *record logs*, and every pool
+worker keeps its own shard of each. One :class:`RecordLog` writes them
+all (first write atomic, later ones appended and ``fsync``\\ ed, a
+full rewrite of every held line after a failed write), one reader,
+:func:`read_records`, reads them back (a torn trailing line dropped,
+damage anywhere else refused, sealed lines verified), and
+:func:`shard_path` / :func:`shard_paths` name a worker's shard,
+``<stem>.worker-<slot><suffix>``.
 """
 
 from __future__ import annotations
@@ -54,6 +63,7 @@ from .core.clustering import Clustering
 from .core.subspace import SubspaceCluster, SubspaceClustering
 from .exceptions import IntegrityError, ValidationError
 from .observability.logs import get_logger
+from .observability.registry import record as record_metric
 from .observability.telemetry import ConvergenceEvent
 
 __all__ = [
@@ -77,6 +87,10 @@ __all__ = [
     "write_text_atomic",
     "append_text_durable",
     "sweep_stale_temps",
+    "RecordLog",
+    "read_records",
+    "shard_path",
+    "shard_paths",
     "save_json",
     "load_json",
 ]
@@ -566,6 +580,9 @@ QUARANTINE_DIR = "quarantine"
 _SEAL_HEAD = b'{"sha256": "'
 _SEAL_MID = b'", "payload": '
 
+#: Why :func:`unseal` refuses a line that is not a sealed envelope.
+_NO_ENVELOPE = "missing integrity envelope (sha256/payload)"
+
 
 def seal(payload):
     """``payload`` as one checksummed strict-JSON envelope line:
@@ -598,7 +615,7 @@ def unseal_bytes(data):
         data = data.encode("utf-8")
     head, sep, body = data.removesuffix(b"\n").partition(_SEAL_MID)
     if not (sep and head.startswith(_SEAL_HEAD) and body.endswith(b"}")):
-        raise IntegrityError("missing integrity envelope (sha256/payload)")
+        raise IntegrityError(_NO_ENVELOPE)
     stored = head[len(_SEAL_HEAD):].decode("ascii", "replace")
     body = body[:-1]
     actual = payload_checksum(body)
@@ -733,6 +750,130 @@ def sweep_stale_temps(directory):
                            stale, exc)
         else:
             logger.info("removed stale temp file %s", stale.name)
+
+
+def shard_path(path, slot):
+    """Worker ``slot``'s shard of the record log at ``path``, in the same
+    directory: ``<stem>.worker-<slot><suffix>``."""
+    path = pathlib.Path(path)
+    return path.with_name(f"{path.stem}.worker-{int(slot)}{path.suffix}")
+
+
+def shard_paths(path):
+    """The existing worker shards of the record log at ``path``,
+    sorted."""
+    path = pathlib.Path(path)
+    return sorted(path.parent.glob(f"{path.stem}.worker-*{path.suffix}"))
+
+
+class RecordLog:
+    """A JSONL file of records that one writer owns: a run journal, or
+    one pool worker's shard of a journal or a trace.
+
+    The log holds every line it has written, by key (a later line for a
+    key supersedes the earlier one in place), so it can always rebuild
+    the file:
+
+    * the first :meth:`write` replaces the whole file atomically
+      (:func:`write_text_atomic`), dropping whatever a killed
+      predecessor left there, torn tail included;
+    * every later one appends and ``fsync``\\ s only its own lines
+      (:func:`append_text_durable`), so the writes grow linearly with
+      the records;
+    * a write that raises ``OSError`` makes the next one a full
+      rewrite of every held line, since a failed append may have left a
+      torn tail; the error propagates to the caller.
+
+    Either way the lines are on disk when :meth:`write` returns.
+    :func:`read_records` reads the file back.
+    """
+
+    def __init__(self, path):
+        self.path = pathlib.Path(path)
+        #: key -> line (newline-terminated), in file order: what a
+        #: rewrite writes
+        self.lines = {}
+        self._rewrite = True
+
+    def write(self, lines):
+        """Hold ``lines`` (``{key: line}``) and make them durable."""
+        self.lines.update(lines)
+        if self._rewrite:
+            self.rewrite()
+        else:
+            self._persist(append_text_durable, "".join(lines.values()))
+
+    def rewrite(self):
+        """Atomically replace the file with every held line."""
+        self._persist(write_text_atomic, "".join(self.lines.values()))
+
+    def _persist(self, write, text):
+        self._rewrite = True  # stays set if ``write`` raises
+        write(self.path, text)
+        self._rewrite = False
+
+
+def _parse_line(line):
+    """The record on one record-log line. Raises ``ValueError`` when the
+    line does not parse, and :class:`~repro.exceptions.IntegrityError`
+    when it parses but is an envelope :func:`unseal` refuses."""
+    if line.startswith(_SEAL_HEAD):
+        try:
+            return unseal(line)
+        except IntegrityError:
+            json.loads(line)  # a line that does not parse is torn, not rot
+            raise
+    record = json.loads(line)  # a plain line: no checksum to verify
+    if isinstance(record, dict) and record.keys() & {"sha256", "payload"}:
+        raise IntegrityError(_NO_ENVELOPE)
+    return record
+
+
+def read_records(path, *, recover=False):
+    """The records (JSON objects) of a JSONL record log, in file order.
+
+    One policy for every record log (run journals, trace files and the
+    worker shards of both):
+
+    * a sealed line (:func:`seal`) is verified by :func:`unseal`; one
+      that parses but fails it (bit rot, hand editing, an older
+      envelope) is quarantined (:func:`quarantine`) and skipped, so its
+      record is recomputed rather than trusted. A plain line, with
+      neither ``sha256`` nor ``payload`` (a span record, a hand-written
+      fixture), is parsed as it is;
+    * with ``recover=True`` a final line that does not parse, the torn
+      write of a killed process, is dropped with a warning;
+    * any other line that does not parse, or holds no JSON object,
+      raises :class:`~repro.exceptions.ValidationError`: that is
+      damage, not a torn write.
+    """
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    while lines and not lines[-1].strip():
+        lines.pop()
+    records = []
+    for line_no, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            record = _parse_line(line)
+        except IntegrityError as exc:
+            record_metric("robustness.journal.integrity_quarantined")
+            quarantine(path, str(exc), line=line_no, data=line)
+            continue
+        except ValueError as exc:
+            if recover and line_no == len(lines):
+                logger.warning("%s:%d: dropped the torn trailing line "
+                               "(a killed writer)", path, line_no)
+                break
+            raise ValidationError(
+                f"{path}:{line_no}: corrupt record ({exc})") from exc
+        if not isinstance(record, dict):
+            raise ValidationError(
+                f"{path}:{line_no}: a record must be a JSON object, got "
+                f"{type(record).__name__}")
+        records.append(record)
+    return records
 
 
 def _to_payload(obj):

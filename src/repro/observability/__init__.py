@@ -51,12 +51,9 @@ from .tracer import (
     current_tracer,
     merge_records,
     new_trace_id,
-    read_jsonl,
     render_records,
     render_stage_table,
     slowest_stages,
-    trace_shard_path,
-    trace_shard_paths,
     trace_span,
     traced_fit,
     write_records_jsonl,
@@ -72,11 +69,8 @@ __all__ = [
     "new_trace_id",
     "trace_span",
     "traced_fit",
-    "read_jsonl",
     "write_records_jsonl",
     "merge_records",
-    "trace_shard_path",
-    "trace_shard_paths",
     "render_records",
     "render_stage_table",
     "slowest_stages",

@@ -33,7 +33,7 @@ Usage::
 
 Loading back::
 
-    records = read_jsonl("trace.jsonl")
+    records = repro.io.read_records("trace.jsonl")
     print(render_records(records))
     print(render_stage_table(slowest_stages(records)))
 """
@@ -43,13 +43,11 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
-import json
 import numbers
 import os
 import time
 import tracemalloc
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 from ..exceptions import ValidationError
@@ -64,12 +62,8 @@ __all__ = [
     "trace_span",
     "traced_fit",
     "new_trace_id",
-    "read_jsonl",
     "write_records_jsonl",
-    "TraceShard",
     "merge_records",
-    "trace_shard_path",
-    "trace_shard_paths",
     "render_records",
     "slowest_stages",
     "render_stage_table",
@@ -329,13 +323,15 @@ class Tracer:
 
         ``paths`` may include missing files (a worker that never
         exported) and shards with a torn trailing line (a worker
-        SIGKILLed mid-write) — both are tolerated, mirroring
-        :func:`repro.robustness.load_journal_records`.
+        SIGKILLed mid-write) — both are tolerated, by the one record-log
+        reader journals use too (:func:`repro.io.read_records`).
         """
+        from ..io import read_records  # lazy: repro.io imports observability
+
         lists = []
         for path in paths:
             try:
-                lists.append(read_jsonl(path, recover=True))
+                lists.append(read_records(path, recover=True))
             except FileNotFoundError:
                 continue
         return merge_records(lists)
@@ -410,47 +406,7 @@ def traced_fit(fit):
     return wrapper
 
 
-# -- loading and rendering -------------------------------------------------
-
-def read_jsonl(path, *, recover=False):
-    """Load span records written by :meth:`Tracer.write_jsonl`.
-
-    With ``recover=True`` a final line that is not valid JSON — the
-    torn trailing write of a killed process — is dropped with a warning
-    instead of raising, the same policy as the checkpoint journal. A
-    bad line with valid records *after* it always raises: that is
-    corruption, not a torn write.
-    """
-    records = []
-    bad = None  # (line_no, error) of a candidate torn trailing line
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if bad is not None:
-                raise ValidationError(
-                    f"{path}:{bad[0]}: not a JSONL trace record "
-                    f"({bad[1]})")
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                if not recover:
-                    raise ValidationError(
-                        f"{path}:{line_no}: not a JSONL trace record "
-                        f"({exc})") from exc
-                bad = (line_no, exc)
-    if bad is not None:
-        logger.warning("dropped torn trailing line %d of trace %s",
-                       bad[0], path)
-    return records
-
-
-def _encode_records(records):
-    from ..io import dumps  # lazy: repro.io imports observability
-
-    return "".join(dumps(rec, indent=None) + "\n" for rec in records)
-
+# -- export and rendering -------------------------------------------------
 
 def write_records_jsonl(path, records):
     """Atomically write span records as strict-JSON lines.
@@ -458,60 +414,12 @@ def write_records_jsonl(path, records):
     Same durability primitive as the checkpoint journal
     (:func:`repro.io.write_text_atomic`): a concurrent reader (or a
     crash mid-write) sees either the old complete file or the new one.
+    :func:`repro.io.read_records` reads them back.
     """
-    from ..io import write_text_atomic
+    from ..io import dumps, write_text_atomic  # lazy: repro.io imports observability
 
-    write_text_atomic(path, _encode_records(records))
+    write_text_atomic(path, "".join(dumps(rec) + "\n" for rec in records))
     return len(records)
-
-
-class TraceShard:
-    """A pool worker's durable per-slot span shard.
-
-    The first :meth:`export` atomically replaces whatever a killed
-    predecessor in the same slot left (torn tail included); every later
-    one appends and ``fsync``\\ s only the records it is given, so a
-    worker's shard writes grow linearly with its tasks. Either way the
-    records are on disk when :meth:`export` returns.
-    """
-
-    def __init__(self, path):
-        self.path = Path(path)
-        self._started = False
-
-    def export(self, records):
-        """Make ``records`` durable in the shard.
-
-        A failing disk (ENOSPC, EIO) does not fail the task: the error
-        is logged and the next export rewrites the shard atomically.
-        The records still reach the driver with the outcome.
-        """
-        try:
-            if self._started:
-                from ..io import append_text_durable
-
-                append_text_durable(self.path, _encode_records(records))
-            else:
-                write_records_jsonl(self.path, records)
-                self._started = True
-        except OSError as exc:
-            logger.warning("trace shard %s: write failed (%s); the next "
-                           "export rewrites it", self.path, exc)
-            self._started = False  # a failed append may leave a torn tail
-
-
-def trace_shard_path(trace_path, slot):
-    """Per-worker trace shard path: ``trace.worker-<slot>.jsonl``."""
-    trace_path = Path(trace_path)
-    return trace_path.with_name(
-        f"{trace_path.stem}.worker-{int(slot)}{trace_path.suffix}")
-
-
-def trace_shard_paths(trace_path):
-    """Existing per-worker shards next to ``trace_path``, sorted."""
-    trace_path = Path(trace_path)
-    pattern = f"{trace_path.stem}.worker-*{trace_path.suffix}"
-    return sorted(trace_path.parent.glob(pattern))
 
 
 def merge_records(record_lists):

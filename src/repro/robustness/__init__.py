@@ -27,7 +27,7 @@ of :mod:`repro.robustness.outcome`. The run layer imports nothing from
 See ``docs/robustness.md`` for the full guide.
 """
 
-from .checkpoint import RunJournal, canonical_summary, load_journal_records
+from .checkpoint import RunJournal, canonical_summary
 from .guard import (
     KNOWN_FAILURE_KINDS,
     RunBudget,
@@ -59,7 +59,6 @@ __all__ = [
     "canonical_summary",
     "derive_seed",
     "experiment_seed",
-    "load_journal_records",
     "reap_process",
     "resolve_jobs",
     "shared_arrays",

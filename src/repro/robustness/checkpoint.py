@@ -1,27 +1,28 @@
 """Crash-safe run journal: checkpoint/resume for experiment sweeps.
 
 A :class:`RunJournal` persists every completed
-:class:`~repro.robustness.outcome.ExperimentOutcome` of a sweep as one JSON
-record per line, through :mod:`repro.io`'s record primitive. Durability
-without quadratic cost:
+:class:`~repro.robustness.outcome.ExperimentOutcome` of a sweep as one
+line sealed by :func:`~repro.io.seal`, through :mod:`repro.io`'s
+record log (:class:`~repro.io.RecordLog`). Durability without
+quadratic cost:
 
-* every :meth:`~RunJournal.record` encodes its outcome once as a line
-  sealed by :func:`~repro.io.seal`, **appends** it and ``fsync``\\ s it
-  before returning, so a journal's writes grow linearly with its
-  records. A crash — power loss, SIGKILL, OOM — at any instant loses at
-  most the torn trailing line of the record being written;
-* the whole file is rewritten by :func:`~repro.io.write_text_atomic`
-  from the cached lines in only three cases: the first write after
-  opening the journal (which drops a torn tail a killed predecessor
-  left, and any superseded duplicates), healing from degraded mode, and
+* every :meth:`~RunJournal.record` encodes its outcome once, appends
+  its line and ``fsync``\\ s it before returning, so a journal's writes
+  grow linearly with its records. A crash — power loss, SIGKILL, OOM —
+  at any instant loses at most the torn trailing line of the record
+  being written;
+* the whole file is rewritten atomically from the held lines in three
+  cases: the first write after opening the journal (which drops a torn
+  tail a killed predecessor left, and any superseded duplicates), the
+  write after a failed one (healing from degraded mode), and
   :meth:`~RunJournal.consolidate`. Opening a journal sweeps the temp
   files of killed writers (:func:`~repro.io.sweep_stale_temps`);
-* loading tolerates a **truncated trailing line**: the partial record
-  is dropped with a warning and everything before it is kept.
-  Corruption *before* the last line is refused loudly — that is not a
-  torn write, and silently dropping completed work would cause the very
-  recomputation the journal exists to avoid. A line that parses but
-  fails :func:`~repro.io.unseal` is quarantined
+* loading (:func:`~repro.io.read_records` with ``recover=True``)
+  drops a **torn trailing line** with a warning and keeps everything
+  before it. Damage *before* the last line is refused loudly — that is
+  not a torn write, and silently dropping completed work would cause
+  the very recomputation the journal exists to avoid. A line that
+  parses but fails :func:`~repro.io.unseal` is quarantined
   (:func:`~repro.io.quarantine`) and its key re-runs. Within one file
   the last record for a key wins.
 
@@ -33,88 +34,29 @@ keys execute. The CLI exposes this as ``run --checkpoint DIR`` /
 
 Parallel sweeps (:mod:`repro.robustness.pool`) add **per-worker
 shards**: worker ``i`` journals its own outcomes to
-``journal.worker-<i>.jsonl`` (same append discipline) *before*
-reporting them, and loading a journal transparently merges any shards
-next to it — an ``"ok"`` record always wins a conflict across files, so
-a resume is correct regardless of which process died mid-write or in
-which order workers finished. :meth:`RunJournal.consolidate` folds the
-shards back into the main journal at the end of a clean sweep, and
-deletes them only once the consolidated journal is on disk.
+``journal.worker-<i>.jsonl`` (:func:`~repro.io.shard_path`, same record
+log) *before* reporting them, and loading a journal transparently
+merges any shards next to it — an ``"ok"`` record always wins a
+conflict across files, so a resume is correct regardless of which
+process died mid-write or in which order workers finished.
+:meth:`RunJournal.consolidate` folds the shards back into the main
+journal at the end of a clean sweep, and deletes them only once the
+consolidated journal is on disk.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 
-from ..exceptions import IntegrityError, ValidationError
 from ..observability.logs import get_logger
 from .outcome import ExperimentOutcome
 
-__all__ = ["RunJournal", "canonical_summary", "load_journal_records"]
+__all__ = ["RunJournal", "canonical_summary"]
 
 logger = get_logger("repro.robustness.checkpoint")
 
 #: Default journal filename inside a ``--checkpoint`` directory.
 JOURNAL_NAME = "journal.jsonl"
-
-
-def load_journal_records(path):
-    """Parse a JSONL journal, tolerating a truncated trailing line.
-
-    Returns a list of dicts. A final line that is not valid JSON (torn
-    write) is dropped with a warning; an invalid line anywhere else
-    raises :class:`~repro.exceptions.ValidationError` because it means
-    real corruption, not an interrupted append.
-
-    Every :meth:`RunJournal.record` line is sealed
-    (:func:`repro.io.seal`). A *parseable* line that fails
-    :func:`repro.io.unseal` — bit rot, hand editing, or a record in an
-    older envelope format — is quarantined (:func:`repro.io.quarantine`)
-    and dropped, so its experiment is recomputed instead of trusted. A
-    plain record with neither ``sha256`` nor ``payload`` (a hand-written
-    fixture) loads as it is.
-    """
-    from ..io import quarantine, unseal  # lazy: io imports core
-    from ..observability.registry import record as record_metric
-
-    with open(path, "rb") as fh:
-        lines = fh.read().split(b"\n")
-    while lines and not lines[-1].strip():
-        lines.pop()
-    records = []
-    for line_no, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        try:
-            record = unseal(line)
-        except IntegrityError as exc:
-            try:
-                record = json.loads(line)
-            except ValueError as parse_exc:
-                if line_no == len(lines):
-                    logger.warning(
-                        "%s:%d: dropping truncated trailing journal record "
-                        "(torn write recovered)", path, line_no,
-                    )
-                    break
-                raise ValidationError(
-                    f"{path}:{line_no}: corrupt journal record "
-                    f"({parse_exc}); only the trailing line may be "
-                    "truncated"
-                ) from parse_exc
-            if isinstance(record, dict) and record.keys() & {"sha256",
-                                                             "payload"}:
-                record_metric("robustness.journal.integrity_quarantined")
-                quarantine(path, str(exc), line=line_no, data=line)
-                continue
-        if not isinstance(record, dict):
-            raise ValidationError(
-                f"{path}:{line_no}: journal record must be a JSON object, "
-                f"got {type(record).__name__}"
-            )
-        records.append(record)
-    return records
 
 
 #: Volatile (timing/host-dependent) fields excluded from the canonical
@@ -169,8 +111,10 @@ def _encode(outcome):
 
 def _read_outcomes(path):
     """``{key: outcome}`` of one journal file; the last record wins."""
+    from ..io import read_records  # lazy: io imports core
+
     outcomes = {}
-    for record in load_journal_records(path):
+    for record in read_records(path, recover=True):
         outcome = ExperimentOutcome.from_dict(record)
         outcomes[outcome.key] = outcome
     return outcomes
@@ -202,17 +146,17 @@ class RunJournal:
     """
 
     def __init__(self, path, *, resume=True):
+        from ..io import RecordLog  # lazy: io imports core
+
         path = pathlib.Path(path)
         if path.is_dir() or (not path.suffix and not path.exists()):
             path = path / JOURNAL_NAME
         self.path = path
         self._outcomes = {}
-        #: key -> encoded line of its outcome, so a rewrite re-encodes
-        #: only outcomes adopted from disk
-        self._lines = {}
+        #: the journal file; it holds one encoded line per key of
+        #: ``_outcomes``, in the same order
+        self._log = RecordLog(path)
         self._degraded = False
-        #: the next write rewrites the whole file instead of appending
-        self._rewrite = True
         self._resume = resume
         self._begun = False
         if resume:
@@ -227,12 +171,12 @@ class RunJournal:
             return
         self._begun = True
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        from ..io import sweep_stale_temps  # lazy: io imports core
+        from ..io import shard_paths, sweep_stale_temps  # lazy: io imports core
 
         sweep_stale_temps(self.path.parent)
         if self._resume:
             return
-        discarded = [p for p in (self.path, *self.shard_paths())
+        discarded = [p for p in (self.path, *shard_paths(self.path))
                      if p.exists()]
         for stale in discarded:
             stale.unlink()
@@ -240,19 +184,12 @@ class RunJournal:
             logger.info("discarded prior journal %s (+%d shard(s); "
                         "fresh sweep)", self.path, len(discarded) - 1)
 
+    def _adopt(self, outcome):
+        """Hold ``outcome`` as its key's latest, with its journal line."""
+        self._outcomes[outcome.key] = outcome
+        self._log.lines[outcome.key] = _encode(outcome)
+
     # -- shards (parallel sweeps) ----------------------------------------
-
-    def shard_path(self, slot):
-        """Per-worker shard file for worker ``slot`` (same directory)."""
-        stem = self.path.name[:-len(self.path.suffix)] or self.path.name
-        return self.path.with_name(f"{stem}.worker-{int(slot)}{self.path.suffix}")
-
-    def shard_paths(self):
-        """Existing shard files next to this journal, sorted."""
-        stem = self.path.name[:-len(self.path.suffix)] or self.path.name
-        return sorted(self.path.parent.glob(
-            f"{stem}.worker-*{self.path.suffix}"
-        ))
 
     def _merge_shards(self, shards):
         """Adopt each shard's outcomes unless a conflicting ``"ok"``
@@ -263,13 +200,15 @@ class RunJournal:
                 if prior is not None and prior.status == "ok" \
                         and outcome.status != "ok":
                     continue
-                self._outcomes[key] = outcome
-                self._lines.pop(key, None)
+                self._adopt(outcome)
 
     def _load(self):
+        from ..io import shard_paths  # lazy: io imports core
+
         if self.path.exists():
-            self._outcomes.update(_read_outcomes(self.path))
-        shards = self.shard_paths()
+            for outcome in _read_outcomes(self.path).values():
+                self._adopt(outcome)
+        shards = shard_paths(self.path)
         self._merge_shards(shards)
         if self._outcomes or shards:
             logger.info(
@@ -289,11 +228,13 @@ class RunJournal:
         work — and 0 is returned; a later ``RunJournal(path)`` still
         resumes every completed key from them.
         """
-        shards = self.shard_paths()
+        from ..io import shard_paths  # lazy: io imports core
+
+        shards = shard_paths(self.path)
         if not shards:
             return 0
         self._merge_shards(shards)
-        if not self._flush():
+        if not self._persist(self._log.rewrite):
             logger.error("kept %d shard(s) next to %s: the consolidated "
                          "journal did not reach disk", len(shards),
                          self.path)
@@ -341,15 +282,8 @@ class RunJournal:
         while degraded is lost).
         """
         self.begin()
-        line = _encode(outcome)
         self._outcomes[outcome.key] = outcome
-        self._lines[outcome.key] = line
-        if self._rewrite:
-            self._flush()
-        else:
-            from ..io import append_text_durable  # lazy: io imports core
-
-            self._persist(append_text_durable, line)
+        self._persist(self._log.write, {outcome.key: _encode(outcome)})
 
     @property
     def degraded(self):
@@ -357,24 +291,14 @@ class RunJournal:
         in memory."""
         return self._degraded
 
-    def _flush(self):
-        """Atomically rewrite the whole journal; True once on disk."""
-        from ..io import write_text_atomic  # lazy: io imports core
-
-        for key, outcome in self._outcomes.items():
-            if key not in self._lines:
-                self._lines[key] = _encode(outcome)
-        return self._persist(
-            write_text_atomic,
-            "".join(self._lines[key] for key in self._outcomes))
-
-    def _persist(self, write, text):
-        """``write(path, text)``, falling back to degraded mode on
-        ``OSError``; True when the write reached disk."""
+    def _persist(self, write, *args):
+        """``write(*args)`` on the journal's log, falling back to
+        degraded mode on ``OSError``; True when the write reached
+        disk."""
         from ..observability.registry import record
 
         try:
-            write(self.path, text)
+            write(*args)
         except OSError as exc:
             record("robustness.journal.write_errors")
             record("robustness.journal.degraded", 1, kind="gauge")
@@ -382,9 +306,7 @@ class RunJournal:
             log("journal write to %s failed (%s); outcomes held in "
                 "memory until the disk recovers", self.path, exc)
             self._degraded = True
-            self._rewrite = True  # a failed append may have left a torn tail
             return False
-        self._rewrite = False
         if self._degraded:
             self._degraded = False
             record("robustness.journal.degraded", 0, kind="gauge")

@@ -34,9 +34,11 @@ every experiment gets these guarantees:
   ``fsync``\\ ed line per outcome) *before* reporting them, and
   :class:`~repro.robustness.RunJournal` merges the shards on load, so
   ``--resume`` is correct regardless of which process died mid-write.
-  Per-slot trace shards follow the same discipline: a worker's first
-  export atomically replaces any stale shard, later ones append only
-  that task's spans.
+  Per-slot trace shards are written by the same record log
+  (:class:`~repro.io.RecordLog`): a worker's first export atomically
+  replaces any stale shard, later ones append only that task's spans,
+  and a failed write makes the next one rewrite every span the worker
+  has exported.
 
 Ctrl-C SIGTERMs every worker's process group, leaves the durable
 shards in place for resume, and propagates ``KeyboardInterrupt`` so
@@ -355,11 +357,11 @@ def _pool_worker_main(conn, slot, experiments, config):
     *before* it is reported, so a parent (or worker) death after the
     journal write can never lose the result.
     """
+    from ..io import RecordLog, dumps
     from ..observability.registry import (
         default_registry,
         reset_default_registry,
     )
-    from ..observability.tracer import TraceShard
 
     _own_process_group()
     parent_pid = os.getppid()
@@ -375,7 +377,7 @@ def _pool_worker_main(conn, slot, experiments, config):
     journal = None
     if config.get("shard_path"):
         journal = RunJournal(config["shard_path"])
-    trace_shard = (TraceShard(config["trace_shard_path"])
+    trace_shard = (RecordLog(config["trace_shard_path"])
                    if config.get("trace_shard_path") else None)
 
     last_sent = [0.0]
@@ -426,7 +428,13 @@ def _pool_worker_main(conn, slot, experiments, config):
             if outcome.spans is not None and trace_shard is not None:
                 # durable span shard: survives this worker (or the
                 # driver) being SIGKILLed before the pipe delivery
-                trace_shard.export(outcome.spans)
+                try:
+                    trace_shard.write({rec["span_id"]: dumps(rec) + "\n"
+                                       for rec in outcome.spans})
+                except OSError as exc:  # the spans still reach the driver
+                    logger.warning("trace shard %s: write failed (%s); "
+                                   "the next export rewrites it",
+                                   trace_shard.path, exc)
             if journal is not None:
                 journal.record(outcome)  # durable before it is reported
             try:
@@ -536,17 +544,17 @@ class _PoolRun:
     # -- worker lifecycle ------------------------------------------------
 
     def _spawn_worker(self):
-        from ..observability.tracer import trace_shard_path
+        from ..io import shard_path  # lazy: io imports core
 
         slot = self._next_slot
         self._next_slot += 1
         parent_conn, child_conn = self.ctx.Pipe(duplex=True)
         config = dict(self.config)
         if self.journal is not None:
-            config["shard_path"] = str(self.journal.shard_path(slot))
+            config["shard_path"] = str(shard_path(self.journal.path, slot))
         if self.trace_path is not None:
             config["trace_shard_path"] = str(
-                trace_shard_path(self.trace_path, slot))
+                shard_path(self.trace_path, slot))
         process = self.ctx.Process(
             target=_pool_worker_main,
             args=(child_conn, slot, self.experiments, config),

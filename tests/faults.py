@@ -23,6 +23,10 @@ Three families of faults:
   cap trips and then dies the same way. :class:`HangingEstimator` and
   :class:`CrashingEstimator` wrap them in the estimator contract.
 
+* **Disk faults** — :func:`disk_full` raises the ``OSError`` of a full
+  disk; patched over a write call, it drives the degraded paths of the
+  durable files.
+
 A test builds a faulty experiment body from these itself: it passes
 ``hang``, ``hard_crash``, ``oom`` or a function raising
 :class:`FaultInjectedError` to ``run_experiments`` as the experiment.
@@ -33,6 +37,7 @@ reproducible.
 
 from __future__ import annotations
 
+import errno
 import os
 import signal
 import time
@@ -246,6 +251,11 @@ def _current_vm_bytes():
         return pages * os.sysconf("SC_PAGE_SIZE")
     except (OSError, ValueError, IndexError, AttributeError):
         return 0
+
+
+def disk_full(*args, **kwargs):
+    """Raise ``OSError(ENOSPC)``, whatever the arguments."""
+    raise OSError(errno.ENOSPC, "No space left on device")
 
 
 def hard_crash(signum=signal.SIGKILL):

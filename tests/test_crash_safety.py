@@ -36,12 +36,13 @@ from repro.experiments.harness import (
     run_experiments,
     summarize_outcomes,
 )
+from repro.io import RecordLog, dumps, read_records, shard_path
+from repro.observability.tracer import write_records_jsonl
 from repro.robustness import (
     KNOWN_FAILURE_KINDS,
     RunFailure,
     RunJournal,
     budget_tick,
-    load_journal_records,
 )
 from tests.faults import (
     CrashingEstimator,
@@ -207,7 +208,7 @@ def test_journal_refuses_mid_file_corruption(tmp_path):
     path = tmp_path / "journal.jsonl"
     path.write_text('not json at all\n{"key": "A", "status": "ok"}\n')
     with pytest.raises(ValidationError, match="corrupt"):
-        load_journal_records(path)
+        read_records(path, recover=True)
 
 
 def test_journal_fresh_start_discards_prior(tmp_path):
@@ -231,7 +232,7 @@ def test_journal_fresh_start_discards_on_first_record(tmp_path):
 def test_rejected_run_keeps_fresh_journal_predecessor(tmp_path):
     journal = RunJournal(tmp_path)
     journal.record(ExperimentOutcome(key="A", status="ok", table=_table()))
-    RunJournal(journal.shard_path(0)).record(
+    RunJournal(shard_path(journal.path, 0)).record(
         ExperimentOutcome(key="B", status="ok"))
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     with pytest.raises(ValidationError):
@@ -262,7 +263,7 @@ def test_journal_reopened_after_torn_tail_appends_cleanly(tmp_path):
     for key in ("C", "D"):
         reopened.record(ExperimentOutcome(key=key, status="ok",
                                           table=_table()))
-    keys = [record["key"] for record in load_journal_records(journal.path)]
+    keys = [record["key"] for record in read_records(journal.path, recover=True)]
     assert keys == ["A", "B", "C", "D"]
     assert RunJournal(journal.path).completed_keys() == {"A", "B", "C", "D"}
 
@@ -304,26 +305,20 @@ def test_journal_writes_grow_linearly(tmp_path, monkeypatch):
 
 
 def test_trace_shard_replaces_torn_stale_shard_then_appends(tmp_path):
-    from repro.observability.tracer import (
-        TraceShard,
-        read_jsonl,
-        write_records_jsonl,
-    )
-
-    shard_path = tmp_path / "trace.worker-0.jsonl"
-    write_records_jsonl(shard_path, [{"span_id": "stale", "name": "x"}])
-    with open(shard_path, "a", encoding="utf-8") as fh:
+    path = tmp_path / "trace.worker-0.jsonl"
+    write_records_jsonl(path, [{"span_id": "stale", "name": "x"}])
+    with open(path, "a", encoding="utf-8") as fh:
         fh.write('{"span_id": "torn", "na')  # predecessor killed mid-append
     first = [{"span_id": "a", "name": "fit"}, {"span_id": "b", "name": "io"}]
     second = [{"span_id": "c", "name": "fit"}]
-    shard = TraceShard(shard_path)
-    shard.export(first)
-    shard.export(second)
-    assert read_jsonl(shard_path, recover=True) == first + second
-    assert read_jsonl(shard_path) == first + second  # no torn line left
-    with open(shard_path, "a", encoding="utf-8") as fh:
+    shard = RecordLog(path)
+    for records in (first, second):  # as a pool worker exports them
+        shard.write({rec["span_id"]: dumps(rec) + "\n" for rec in records})
+    assert read_records(path, recover=True) == first + second
+    assert read_records(path) == first + second  # no torn line left
+    with open(path, "a", encoding="utf-8") as fh:
         fh.write('{"span_id": "d", "na')  # this worker killed mid-append
-    assert read_jsonl(shard_path, recover=True) == first + second
+    assert read_records(path, recover=True) == first + second
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +414,7 @@ def test_sigkill_mid_sweep_then_resume_zero_recomputation(tmp_path):
     assert _runs(marker) == 2
 
     # the journal on disk (not just in memory) drives the resume
-    records = load_journal_records(journal_path / "journal.jsonl")
+    records = read_records(journal_path / "journal.jsonl", recover=True)
     assert {r["key"] for r in records} == {"A", "KILLED", "B"}
 
     resumed = run_experiments(
@@ -590,5 +585,5 @@ def test_cli_keyboard_interrupt_exits_130(tmp_path, capsys, monkeypatch):
     assert "run summary" in captured.out  # partial summary still printed
     assert "NEVER" not in captured.out
     # the journal holds the completed prefix, so a resume skips it
-    records = load_journal_records(pathlib.Path(ckpt) / "journal.jsonl")
+    records = read_records(pathlib.Path(ckpt) / "journal.jsonl", recover=True)
     assert [r["key"] for r in records] == ["G1"]

@@ -29,6 +29,7 @@ import pytest
 from repro.__main__ import main as cli_main
 from repro.exceptions import ValidationError
 from repro.experiments.harness import ResultTable, run_experiments
+from repro.io import read_records, shard_path, shard_paths
 from repro.observability import (
     LATENCY_BUCKETS,
     PROMETHEUS_CONTENT_TYPE,
@@ -37,15 +38,12 @@ from repro.observability import (
     Tracer,
     merge_records,
     prometheus_name,
-    read_jsonl,
     render_records,
     reset_default_registry,
-    trace_shard_path,
-    trace_shard_paths,
     write_records_jsonl,
 )
 from repro.serve import JobScheduler, ModelRegistry, make_server
-from tests.faults import hard_crash
+from tests.faults import disk_full, hard_crash
 
 pytestmark = pytest.mark.filterwarnings("ignore")
 
@@ -272,7 +270,7 @@ class TestSweepPropagation:
         assert by_key["OK1"].ok and by_key["OK2"].ok
         assert by_key["CRASH"].failure.kind == "crashed"
 
-        records = read_jsonl(trace)
+        records = read_records(trace)
         trace_ids = {r["trace_id"] for r in records}
         assert trace_ids == {tracer.trace_id}
         by_id = {r["span_id"]: r for r in records}
@@ -288,7 +286,7 @@ class TestSweepPropagation:
         ok_spans = {r["name"] for r in records if r.get("worker") is not None}
         assert {"OK1", "OK2"} <= ok_spans
         # shards were absorbed into the merged file and removed
-        assert trace_shard_paths(trace) == []
+        assert shard_paths(trace) == []
         rendered = render_records(records)
         assert "sweep" in rendered and "@w" in rendered
 
@@ -304,22 +302,55 @@ class TestSweepPropagation:
         names = {r["name"] for r in tracer.to_records()}
         assert {"A", "B"} <= names
 
+    def test_failed_shard_append_keeps_earlier_spans(self, tmp_path,
+                                                     monkeypatch):
+        """One worker; the append of B's spans hits a full disk after a
+        partial write. The next export rewrites the shard with every
+        span the worker has exported, so D finds A, B and C there."""
+        import repro.io
+
+        real_append = repro.io.append_text_durable
+
+        def full_disk_for_b(path, text):
+            if '"name": "B"' in text:
+                with open(path, "a", encoding="utf-8") as fh:
+                    fh.write(text[:7])
+                disk_full()
+            real_append(path, text)
+
+        # the forked worker inherits the patched module attribute
+        monkeypatch.setattr(repro.io, "append_text_durable", full_disk_for_b)
+        trace = tmp_path / "trace.jsonl"
+        shard = tmp_path / "trace.worker-0.jsonl"
+
+        def read_shard():
+            lines = shard.read_text(encoding="utf-8").splitlines()
+            names = {json.loads(line)["name"] for line in lines}
+            return _table("D", names=" ".join(sorted(names)))
+
+        outcomes = run_experiments(
+            {"A": _exp_ok, "B": _exp_ok, "C": _exp_ok, "D": read_shard},
+            isolate=True, tracer=Tracer(), trace_path=trace)
+        assert [o.status for o in outcomes] == ["ok"] * 4
+        on_disk = set(outcomes[-1].table.rows[0]["names"].split())
+        assert {"A", "B", "C"} <= on_disk
+
     def test_torn_shard_recovery(self, tmp_path):
         tracer = Tracer()
         with tracer, tracer.span("whole"):
             pass
-        shard = trace_shard_path(tmp_path / "t.jsonl", 0)
+        shard = shard_path(tmp_path / "t.jsonl", 0)
         write_records_jsonl(shard, tracer.to_records())
         with open(shard, "a", encoding="utf-8") as fh:
             fh.write('{"name": "torn", "span_id": "de')
-        recovered = read_jsonl(shard, recover=True)
+        recovered = read_records(shard, recover=True)
         assert [r["name"] for r in recovered] == ["whole"]
         # without recovery the torn line is an error, not silence
         with pytest.raises(ValueError):
-            read_jsonl(shard)
+            read_records(shard)
         # a shard that was never written is skipped by the merge
         merged = Tracer.merge_shards(
-            [shard, trace_shard_path(tmp_path / "t.jsonl", 1)])
+            [shard, shard_path(tmp_path / "t.jsonl", 1)])
         assert [r["name"] for r in merged] == ["whole"]
 
     def test_mid_file_corruption_still_raises(self, tmp_path):
@@ -328,7 +359,7 @@ class TestSweepPropagation:
         path = tmp_path / "bad.jsonl"
         path.write_text('not json\n{"name": "x", "span_id": "a" }\n')
         with pytest.raises(ValueError):
-            read_jsonl(path, recover=True)
+            read_records(path, recover=True)
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +471,10 @@ class TestCliAndGate:
         assert cli_main(["run", "F6", "--jobs", "2",
                          "--trace", str(trace)]) == 0
         capsys.readouterr()
-        records = read_jsonl(trace)
+        records = read_records(trace)
         assert {r["trace_id"] for r in records} == {records[0]["trace_id"]}
         assert any(r.get("worker") is not None for r in records)
-        assert trace_shard_paths(trace) == []
+        assert shard_paths(trace) == []
         assert cli_main(["report", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "F6" in out and "@w" in out

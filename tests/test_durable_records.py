@@ -9,13 +9,17 @@
   in-band ``"sha256"``, both checksummed over canonical JSON) are
   quarantined and recomputed, while a checksum-less hand-written journal
   record still loads;
+* record logs: one writer (``RecordLog``) and one reader
+  (``read_records``) for sealed journals and plain traces alike: a torn
+  tail is dropped, damage elsewhere raises, ``recover=False`` refuses a
+  torn tail too, and a sealed line that fails its checksum is
+  quarantined; a failed append makes the next write a full rewrite;
 * stale temp files: a journal rewrite SIGKILLed before its rename
   leaves a temp file that the next ``RunJournal`` sweeps away;
 * user-facing files (``save_json``, the chaos report) are replaced
   atomically: a failed rewrite keeps the old bytes.
 """
 
-import errno
 import hashlib
 import importlib.util
 import json
@@ -32,22 +36,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import IntegrityError
+from repro.exceptions import IntegrityError, ValidationError
 from repro.experiments.harness import (
     ExperimentOutcome,
     ResultTable,
     run_experiments,
 )
 from repro.io import (
+    RecordLog,
     dumps,
     encode_value,
+    read_records,
     save_json,
     seal,
     sweep_stale_temps,
     unseal,
 )
+from repro.observability import Tracer, default_registry, reset_default_registry
 from repro.robustness import RunJournal
 from repro.serve import JobScheduler, ModelRegistry
+from tests.faults import disk_full
 
 _TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "chaos.py"
 _spec = importlib.util.spec_from_file_location("chaos", _TOOL)
@@ -216,6 +224,101 @@ def test_old_format_journal_line_is_quarantined_and_reruns(tmp_path):
     assert RunJournal(tmp_path).completed_keys() == {"OLD", "HAND"}
 
 
+# -- record logs: one writer, one reader ------------------------------------
+
+
+def _sealed_journal():
+    """Journal lines as ``RunJournal.record`` seals them, and their
+    records."""
+    records = [{"key": key, "status": "ok"} for key in ("A", "B")]
+    return {rec["key"]: seal(rec) for rec in records}, records
+
+
+def _plain_trace():
+    """Span lines as a pool worker exports them, and their records."""
+    tracer = Tracer()
+    with tracer, tracer.span("sweep"), tracer.span("fit"):
+        pass
+    records = tracer.to_records()
+    return {rec["span_id"]: dumps(rec) + "\n" for rec in records}, records
+
+
+_LOGS = {"sealed-journal": _sealed_journal, "plain-trace": _plain_trace}
+
+#: the torn trailing lines (a writer killed mid-append) of the journal,
+#: trace-shard and trace-schema tests
+_TORN = ('{"key": "C", "status": "o', '{"key": "TORN", "status": "o',
+         '{"key": "TORN", "sta', '{"span_id": "torn", "na',
+         '{"span_id": "d", "na', '{"name": "torn", "span_id": "de',
+         '{"trace_id": "dead", "span_id": "be')
+#: damage that no killed writer leaves
+_DAMAGE = ("not json at all", "not json")
+
+_CASES = ([("torn-tail-dropped", line) for line in _TORN]
+          + [("mid-file-damage-raises", line) for line in _DAMAGE]
+          + [("strict-torn-tail-raises", line) for line in _TORN + _DAMAGE]
+          + [("checksum-mismatch-quarantined", None)])
+
+
+@pytest.mark.parametrize("case, damage", _CASES)
+@pytest.mark.parametrize("log", sorted(_LOGS))
+def test_record_log_read_policy(tmp_path, log, case, damage):
+    lines, records = _LOGS[log]()
+    path = tmp_path / "log.jsonl"
+    RecordLog(path).write(lines)
+    text = path.read_text(encoding="utf-8")
+    if case == "torn-tail-dropped":
+        path.write_text(text + damage, encoding="utf-8")
+        assert read_records(path, recover=True) == records
+    elif case == "mid-file-damage-raises":
+        path.write_text(damage + "\n" + text, encoding="utf-8")
+        with pytest.raises(ValidationError, match="corrupt"):
+            read_records(path, recover=True)
+    elif case == "strict-torn-tail-raises":
+        path.write_text(text + damage, encoding="utf-8")
+        with pytest.raises(ValidationError):
+            read_records(path)
+    else:
+        reset_default_registry()
+        rotten = seal({"key": "B", "status": "ok"}).replace('"B"', '"Z"')
+        path.write_text(rotten + text, encoding="utf-8")  # still parses
+        assert read_records(path) == records
+        qdir = tmp_path / "quarantine"
+        assert (qdir / "log.jsonl.line-1").read_text(
+            encoding="utf-8") == rotten
+        error = json.loads((qdir / "log.jsonl.line-1.error.json").read_text())
+        assert error["line"] == 1
+        assert "checksum mismatch" in error["reason"]
+        assert default_registry().snapshot()[
+            "robustness.journal.integrity_quarantined"]["value"] == 1
+
+
+@pytest.mark.parametrize("log", sorted(_LOGS))
+def test_record_log_rewrites_every_line_after_a_failed_append(
+        tmp_path, monkeypatch, log):
+    """Write A, fail the append of B after a partial write (a full
+    disk), write C: the file holds A, B and C, whole."""
+    import repro.io
+
+    lines, records = _LOGS[log]()
+    (key_a, line_a), (key_b, line_b) = list(lines.items())[:2]
+    path = tmp_path / "log.jsonl"
+    writer = RecordLog(path)
+    writer.write({key_a: line_a})
+
+    def full_disk(path, text):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(text[:7])
+        disk_full()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(repro.io, "append_text_durable", full_disk)
+        with pytest.raises(OSError):
+            writer.write({key_b: line_b})
+    writer.write({"C": seal({"key": "C", "status": "ok"})})
+    assert read_records(path) == records[:2] + [{"key": "C", "status": "ok"}]
+
+
 # -- stale temp files ---------------------------------------------------------
 
 
@@ -256,10 +359,6 @@ def test_sweep_spares_a_live_writers_temp(tmp_path):
 # -- user-facing files are replaced atomically ---------------------------------
 
 
-def _enospc(*args, **kwargs):
-    raise OSError(errno.ENOSPC, "No space left on device")
-
-
 @pytest.mark.parametrize("write", [
     lambda path, n: save_json(np.arange(n), path),
     lambda path, n: chaos.write_report({"scenarios": list(range(n))}, path),
@@ -268,7 +367,7 @@ def test_failed_rewrite_keeps_old_bytes(tmp_path, monkeypatch, write):
     path = tmp_path / "out.json"
     write(path, 2)
     old = path.read_bytes()
-    monkeypatch.setattr(os, "fsync", _enospc)
+    monkeypatch.setattr(os, "fsync", disk_full)
     with pytest.raises(OSError):
         write(path, 3)
     assert path.read_bytes() == old

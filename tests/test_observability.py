@@ -29,6 +29,7 @@ from repro.cluster import KMeans
 from repro.core import IterativeAlternativePipeline, SubspaceCluster
 from repro.exceptions import ValidationError
 from repro.experiments import run_experiments, summarize_outcomes
+from repro.io import read_records
 from repro.observability import (
     ConvergenceEvent,
     MetricsRegistry,
@@ -40,7 +41,6 @@ from repro.observability import (
     emit_objective,
     get_logger,
     level_from_verbosity,
-    read_jsonl,
     render_records,
     render_stage_table,
     reset_default_registry,
@@ -271,7 +271,7 @@ def test_tracer_jsonl_round_trip(tmp_path):
                     budget_tick(n=5)
     path = tmp_path / "trace.jsonl"
     assert tracer.write_jsonl(path) == 3
-    records = read_jsonl(path)
+    records = read_records(path)
     assert records == tracer.to_records()
     assert [r["depth"] for r in records] == [0, 1, 1]
     assert records[0]["path"] == "sweep"
@@ -299,7 +299,7 @@ def test_read_jsonl_rejects_garbage(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"name": "ok", "path": "ok", "depth": 0}\nnot json\n')
     with pytest.raises(ValidationError):
-        read_jsonl(path)
+        read_records(path)
 
 
 def test_render_records_collapses_repeated_siblings():

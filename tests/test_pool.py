@@ -34,13 +34,13 @@ from repro.__main__ import main as cli_main
 from repro.exceptions import ValidationError
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.harness import ResultTable, run_experiments
+from repro.io import read_records, shard_path, shard_paths
 from repro.robustness import (
     RunJournal,
     SharedDataset,
     canonical_summary,
     derive_seed,
     experiment_seed,
-    load_journal_records,
     resolve_jobs,
     shared_arrays,
 )
@@ -190,10 +190,10 @@ def test_parallel_sweep_equivalent_to_serial(tmp_path):
     assert canonical_summary(serial) == canonical_summary(pooled)
     assert [o.key for o in pooled] == list(grid)  # grid order restored
 
-    serial_journal = load_journal_records(
-        tmp_path / "serial" / "journal.jsonl")
-    pooled_journal = load_journal_records(
-        tmp_path / "pooled" / "journal.jsonl")
+    serial_journal = read_records(
+        tmp_path / "serial" / "journal.jsonl", recover=True)
+    pooled_journal = read_records(
+        tmp_path / "pooled" / "journal.jsonl", recover=True)
     assert canonical_summary(serial_journal) == \
         canonical_summary(pooled_journal)
 
@@ -219,10 +219,10 @@ def test_in_process_sweep_equivalent_to_pool(tmp_path):
         journal=RunJournal(tmp_path / "pooled"), base_seed=3,
     )
     assert canonical_summary(in_process) == canonical_summary(pooled)
-    in_process_journal = load_journal_records(
-        tmp_path / "in_process" / "journal.jsonl")
-    pooled_journal = load_journal_records(
-        tmp_path / "pooled" / "journal.jsonl")
+    in_process_journal = read_records(
+        tmp_path / "in_process" / "journal.jsonl", recover=True)
+    pooled_journal = read_records(
+        tmp_path / "pooled" / "journal.jsonl", recover=True)
     assert canonical_summary(in_process_journal) == \
         canonical_summary(pooled_journal)
 
@@ -374,9 +374,9 @@ def test_journal_merges_worker_shards(tmp_path):
     journal = RunJournal(main)
     journal.record(ExperimentOutcome.from_dict(_outcome_dict("A")))
 
-    shard = RunJournal(journal.shard_path(3))
+    shard = RunJournal(shard_path(journal.path, 3))
     shard.record(ExperimentOutcome.from_dict(_outcome_dict("B")))
-    assert journal.shard_path(3).name == "journal.worker-3.jsonl"
+    assert shard_path(journal.path, 3).name == "journal.worker-3.jsonl"
 
     merged = RunJournal(main)
     assert set(merged.outcomes) == {"A", "B"}
@@ -393,7 +393,7 @@ def test_journal_shard_merge_ok_wins_conflicts(tmp_path):
     journal.record(ExperimentOutcome.from_dict(
         _outcome_dict("K", status="failed")))
 
-    shard = RunJournal(journal.shard_path(0))
+    shard = RunJournal(shard_path(journal.path, 0))
     shard.record(ExperimentOutcome.from_dict(_outcome_dict("K")))
 
     merged = RunJournal(main)
@@ -405,12 +405,12 @@ def test_journal_consolidate_folds_and_removes_shards(tmp_path):
 
     journal = RunJournal(tmp_path / "journal.jsonl")
     for slot, key in enumerate(("A", "B")):
-        shard = RunJournal(journal.shard_path(slot))
+        shard = RunJournal(shard_path(journal.path, slot))
         shard.record(ExperimentOutcome.from_dict(_outcome_dict(key)))
-    assert len(journal.shard_paths()) == 2
+    assert len(shard_paths(journal.path)) == 2
     assert journal.consolidate() == 2
-    assert journal.shard_paths() == []
-    on_disk = load_journal_records(tmp_path / "journal.jsonl")
+    assert shard_paths(journal.path) == []
+    on_disk = read_records(tmp_path / "journal.jsonl", recover=True)
     assert {r["key"] for r in on_disk} == {"A", "B"}
 
 
@@ -418,14 +418,14 @@ def test_journal_fresh_start_discards_shards_too(tmp_path):
     from repro.experiments.harness import ExperimentOutcome
 
     journal = RunJournal(tmp_path / "journal.jsonl")
-    shard = RunJournal(journal.shard_path(0))
+    shard = RunJournal(shard_path(journal.path, 0))
     shard.record(ExperimentOutcome.from_dict(_outcome_dict("A")))
 
     fresh = RunJournal(tmp_path / "journal.jsonl", resume=False)
     assert len(fresh) == 0
-    assert fresh.shard_paths() == [shard.path]  # discarded at the start
+    assert shard_paths(fresh.path) == [shard.path]  # discarded at the start
     fresh.begin()
-    assert fresh.shard_paths() == []
+    assert shard_paths(fresh.path) == []
 
 
 def test_fresh_pooled_run_discards_stale_shards_before_workers(tmp_path):
@@ -436,7 +436,7 @@ def test_fresh_pooled_run_discards_stale_shards_before_workers(tmp_path):
     prior = RunJournal(tmp_path)
     prior.record(ExperimentOutcome.from_dict(_outcome_dict("X")))
     for slot in (0, 1):
-        RunJournal(prior.shard_path(slot)).record(
+        RunJournal(shard_path(prior.path, slot)).record(
             ExperimentOutcome.from_dict(_outcome_dict("X")))
 
     outcomes = run_experiments({"Y": lambda: _table("y")}, jobs=2,
@@ -444,7 +444,7 @@ def test_fresh_pooled_run_discards_stale_shards_before_workers(tmp_path):
 
     assert [o.key for o in outcomes] == ["Y"]
     assert RunJournal(tmp_path).completed_keys() == {"Y"}
-    assert prior.shard_paths() == []
+    assert shard_paths(prior.path) == []
 
 
 def test_canonical_summary_strips_volatile_fields():
@@ -542,7 +542,7 @@ def test_driver_sigkill_then_resume_recomputes_nothing(tmp_path):
             done = set()
             for shard in sorted(ckpt.glob("journal*.jsonl")):
                 try:
-                    done |= {r["key"] for r in load_journal_records(shard)
+                    done |= {r["key"] for r in read_records(shard, recover=True)
                              if r["status"] == "ok"}
                 except Exception:
                     return False
@@ -559,7 +559,7 @@ def test_driver_sigkill_then_resume_recomputes_nothing(tmp_path):
 
     done_before = {r["key"]
                    for shard in sorted(ckpt.glob("journal*.jsonl"))
-                   for r in load_journal_records(shard)
+                   for r in read_records(shard, recover=True)
                    if r["status"] == "ok"}
     counts_before = {k: _runs(tmp_path / f"{k}.ran") for k in grid_keys}
 
@@ -577,7 +577,7 @@ def test_driver_sigkill_then_resume_recomputes_nothing(tmp_path):
     # byte-identical to an uninterrupted serial sweep
     reference = run_experiments(dict(grid), jobs=1, base_seed=11)
     assert canonical_summary(resumed) == canonical_summary(reference)
-    merged = load_journal_records(ckpt / "journal.jsonl")
+    merged = read_records(ckpt / "journal.jsonl", recover=True)
     assert canonical_summary(merged) == canonical_summary(reference)
 
 

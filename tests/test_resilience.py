@@ -17,7 +17,6 @@ drill lives in ``tools/chaos.py``; here we test its building blocks so
 tier-1 stays fast.
 """
 
-import errno
 import importlib.util
 import json
 import multiprocessing
@@ -33,7 +32,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.io import payload_checksum, unseal
+from repro.io import payload_checksum, shard_path, shard_paths, unseal
 from repro.observability import default_registry, reset_default_registry
 from repro.observability.registry import LATENCY_BUCKETS, Histogram
 from repro.robustness import RunJournal
@@ -48,6 +47,7 @@ from repro.serve import (
     ShedError,
     make_server,
 )
+from tests.faults import disk_full
 
 _TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "chaos.py"
 _spec = importlib.util.spec_from_file_location("chaos", _TOOL)
@@ -191,10 +191,6 @@ def _outcome(key, status="ok"):
                              elapsed=0.25)
 
 
-def _enospc(*args, **kwargs):
-    raise OSError(errno.ENOSPC, "No space left on device")
-
-
 class TestJournalResilience:
     def test_failed_append_degrades_then_heals_atomically(
             self, tmp_path, monkeypatch):
@@ -206,7 +202,7 @@ class TestJournalResilience:
 
         def short_write_then_enospc(fd):
             os.write(fd, b'{"key": "TORN", "sta')  # a partial append
-            _enospc()
+            disk_full()
 
         monkeypatch.setattr(os, "fsync", short_write_then_enospc)
         journal.record(_outcome("C"))
@@ -265,21 +261,21 @@ class TestJournalResilience:
             self, tmp_path, monkeypatch, failing):
         journal = RunJournal(tmp_path)
         journal.record(_outcome("F", status="failed"))
-        first = RunJournal(journal.shard_path(0))
+        first = RunJournal(shard_path(journal.path, 0))
         first.record(_outcome("A"))
         first.record(_outcome("B"))
-        RunJournal(journal.shard_path(1)).record(_outcome("C"))
-        shards = journal.shard_paths()
+        RunJournal(shard_path(journal.path, 1)).record(_outcome("C"))
+        shards = shard_paths(journal.path)
 
         with monkeypatch.context() as patch:
-            patch.setattr(os, failing, _enospc)
+            patch.setattr(os, failing, disk_full)
             assert journal.consolidate() == 0
         assert journal.degraded is True
-        assert journal.shard_paths() == shards  # the only durable copy
+        assert shard_paths(journal.path) == shards  # the only durable copy
         assert RunJournal(journal.path).completed_keys() == {"A", "B", "C"}
 
         assert journal.consolidate() == 2  # the disk recovered
-        assert journal.shard_paths() == []
+        assert shard_paths(journal.path) == []
         resumed = RunJournal(journal.path)
         assert resumed.completed_keys() == {"A", "B", "C"}
         assert resumed.outcomes["F"].status == "failed"

@@ -72,7 +72,8 @@ def _check_record(rec, where, problems):
 def check_span_record_schema():
     """Contract items 1 + 2: identity triple on every record, and
     strict RFC bytes even with a NaN span attribute."""
-    from repro.observability import Tracer, read_jsonl
+    from repro.io import read_records
+    from repro.observability import Tracer
 
     problems = []
     tracer = Tracer()
@@ -101,7 +102,7 @@ def check_span_record_schema():
                 problems.append(
                     f"trace line {i + 1} is not strict RFC JSON ({exc}): "
                     f"{line[:80]}")
-        back = read_jsonl(path)
+        back = read_records(path)
         if len(back) != len(records):
             problems.append(
                 f"round-trip lost records ({len(records)} -> {len(back)})")
@@ -130,7 +131,8 @@ def check_pooled_merge_invariants():
     """Contract item 3: a real ``jobs=2`` sweep merges into one
     causal tree with cross-process identity and worker attribution."""
     from repro.experiments.harness import run_experiments
-    from repro.observability import Tracer, read_jsonl
+    from repro.io import read_records
+    from repro.observability import Tracer
 
     problems = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -139,7 +141,7 @@ def check_pooled_merge_invariants():
         run_experiments({"A": _exp_a, "B": _exp_b}, tracer=tracer,
                         jobs=2, trace_path=trace_path)
         tracer.write_jsonl(trace_path)
-        records = read_jsonl(trace_path)
+        records = read_records(trace_path)
 
     if not records:
         return ["pooled sweep exported no span records"]
@@ -186,12 +188,8 @@ def check_pooled_merge_invariants():
 def check_torn_shard_recovery():
     """Contract item 4: torn trailing shard lines and missing shards
     do not poison the merge."""
-    from repro.observability import (
-        Tracer,
-        read_jsonl,
-        trace_shard_path,
-        write_records_jsonl,
-    )
+    from repro.io import read_records, shard_path
+    from repro.observability import Tracer, write_records_jsonl
 
     problems = []
     tracer = Tracer()
@@ -201,19 +199,19 @@ def check_torn_shard_recovery():
     records = tracer.to_records()
     with tempfile.TemporaryDirectory() as tmp:
         trace = pathlib.Path(tmp) / "trace.jsonl"
-        shard = trace_shard_path(trace, 0)
+        shard = shard_path(trace, 0)
         write_records_jsonl(shard, records)
         with open(shard, "a", encoding="utf-8") as fh:
             fh.write('{"trace_id": "dead", "span_id": "be')
         try:
-            recovered = read_jsonl(shard, recover=True)
+            recovered = read_records(shard, recover=True)
         except ValueError:
             return ["torn trailing shard line raised instead of recovering"]
         if len(recovered) != len(records):
             problems.append(
                 f"torn-shard recovery kept {len(recovered)} records, "
                 f"expected {len(records)}")
-        missing = trace_shard_path(trace, 1)
+        missing = shard_path(trace, 1)
         merged = Tracer.merge_shards([shard, missing])
         if len(merged) != len(records):
             problems.append(
