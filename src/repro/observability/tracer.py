@@ -416,7 +416,8 @@ def write_records_jsonl(path, records):
     crash mid-write) sees either the old complete file or the new one.
     :func:`repro.io.read_records` reads them back.
     """
-    from ..io import dumps, write_text_atomic  # lazy: repro.io imports observability
+    # lazy: repro.io imports observability
+    from ..io import dumps, write_text_atomic
 
     write_text_atomic(path, "".join(dumps(rec) + "\n" for rec in records))
     return len(records)

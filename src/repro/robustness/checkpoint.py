@@ -171,7 +171,8 @@ class RunJournal:
             return
         self._begun = True
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        from ..io import shard_paths, sweep_stale_temps  # lazy: io imports core
+        # lazy: io imports core
+        from ..io import shard_paths, sweep_stale_temps
 
         sweep_stale_temps(self.path.parent)
         if self._resume:

@@ -263,7 +263,8 @@ def test_journal_reopened_after_torn_tail_appends_cleanly(tmp_path):
     for key in ("C", "D"):
         reopened.record(ExperimentOutcome(key=key, status="ok",
                                           table=_table()))
-    keys = [record["key"] for record in read_records(journal.path, recover=True)]
+    keys = [record["key"]
+            for record in read_records(journal.path, recover=True)]
     assert keys == ["A", "B", "C", "D"]
     assert RunJournal(journal.path).completed_keys() == {"A", "B", "C", "D"}
 

@@ -52,7 +52,11 @@ from repro.io import (
     sweep_stale_temps,
     unseal,
 )
-from repro.observability import Tracer, default_registry, reset_default_registry
+from repro.observability import (
+    Tracer,
+    default_registry,
+    reset_default_registry,
+)
 from repro.robustness import RunJournal
 from repro.serve import JobScheduler, ModelRegistry
 from tests.faults import disk_full

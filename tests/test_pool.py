@@ -542,7 +542,8 @@ def test_driver_sigkill_then_resume_recomputes_nothing(tmp_path):
             done = set()
             for shard in sorted(ckpt.glob("journal*.jsonl")):
                 try:
-                    done |= {r["key"] for r in read_records(shard, recover=True)
+                    done |= {r["key"]
+                             for r in read_records(shard, recover=True)
                              if r["status"] == "ok"}
                 except Exception:
                     return False
